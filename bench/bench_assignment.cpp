@@ -1,26 +1,26 @@
-// Equilibrium-backend assignment benchmark: Frank–Wolfe vs the
-// origin-based bush solver on the synthetic Anaheim-class TNTP instance
-// (416 nodes / 914 links / 38 zones / 380 OD pairs, see
-// tools/make_synthetic_anaheim.py) and a generated grid-bpr network.
+// Equilibrium assignment benchmark: the origin-based bush solver's
+// time-to-gap on the synthetic Anaheim-class TNTP instance (416 nodes /
+// 914 links / 38 zones / 380 OD pairs, see tools/make_synthetic_anaheim.py)
+// and a generated grid-bpr network.
 //
-// The headline is time-to-gap. FW converges O(1/k): on Anaheim it needs
-// ~14 s to reach a 1e-6 relative gap and cannot reach 1e-10 in any
-// reasonable budget, while the bush solver reaches 1e-10 in tens of
-// milliseconds (see EXPERIMENTS.md for the full one-off convergence
-// table). The rows here are sized for CI: FW runs a fixed 200-iteration
-// slice (its achieved gap lands around 1e-4 — recorded honestly in the
-// rel_gap counter), and that row doubles as the machine-speed
-// calibration for gating the bush rows in BENCH_assignment.json, so what
-// CI actually checks is "bush time per FW-slice time", clock-free.
+// The headline is time-to-gap: the bush solver reaches a 1e-10 relative
+// gap on Anaheim in tens of milliseconds (see EXPERIMENTS.md for the
+// convergence tables). Each instance also has a fixed-work row — one
+// free-flow shortest-path tree per origin, the Dijkstra fan-out every
+// bush iteration's gap check repeats — which is the machine-speed
+// calibration for gating the bush rows in BENCH_assignment.json: what CI
+// checks is "bush time per free-flow fan-out", clock-free.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <variant>
+#include <vector>
 
 #include "bench_main.h"
 #include "stackroute/gen/registry.h"
+#include "stackroute/network/dijkstra.h"
 #include "stackroute/network/instance.h"
 #include "stackroute/solver/bush.h"
-#include "stackroute/solver/frank_wolfe.h"
 #include "stackroute/sweep/scenario.h"
 #include "stackroute/util/parallel.h"
 
@@ -41,23 +41,23 @@ const NetworkInstance& grid() {
   return inst;
 }
 
-void fw_slice(benchmark::State& state, const NetworkInstance& inst,
-              int iters) {
-  const int saved = max_threads_setting();
-  set_max_threads(1);
-  FrankWolfeOptions opts;
-  opts.max_iters = iters;
-  opts.rel_gap_tol = 0.0;  // run the full slice; record the achieved gap
-  double gap = 0.0;
-  for (auto _ : state) {
-    const FrankWolfeResult r = frank_wolfe(inst, FlowObjective::kBeckmann,
-                                           {}, opts);
-    gap = r.rel_gap;
-    benchmark::DoNotOptimize(r.objective);
+void free_flow_trees(benchmark::State& state, const NetworkInstance& inst) {
+  const auto ne = static_cast<std::size_t>(inst.graph.num_edges());
+  std::vector<double> costs(ne);
+  for (std::size_t e = 0; e < ne; ++e) {
+    costs[e] = inst.graph.edge(static_cast<EdgeId>(e)).latency->value(0.0);
   }
-  set_max_threads(saved);
-  state.counters["rel_gap"] = gap;
-  state.counters["iters"] = iters;
+  std::vector<NodeId> origins;
+  for (const Commodity& com : inst.commodities) origins.push_back(com.source);
+  std::sort(origins.begin(), origins.end());
+  origins.erase(std::unique(origins.begin(), origins.end()), origins.end());
+  DijkstraWorkspace ws;
+  for (auto _ : state) {
+    for (NodeId origin : origins) {
+      benchmark::DoNotOptimize(dijkstra(inst.graph, origin, costs, ws).dist);
+    }
+  }
+  state.counters["origins"] = static_cast<double>(origins.size());
 }
 
 void bush_to_gap(benchmark::State& state, const NetworkInstance& inst,
@@ -82,10 +82,10 @@ void bush_to_gap(benchmark::State& state, const NetworkInstance& inst,
 
 // ---- synthetic Anaheim (416 nodes / 914 links / 380 OD pairs) ----------
 
-void BM_AssignAnaheimFwSlice(benchmark::State& state) {
-  fw_slice(state, anaheim(), 200);
+void BM_AssignAnaheimFreeFlowTrees(benchmark::State& state) {
+  free_flow_trees(state, anaheim());
 }
-BENCHMARK(BM_AssignAnaheimFwSlice)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_AssignAnaheimFreeFlowTrees)->Unit(benchmark::kMillisecond);
 
 void BM_AssignAnaheimBushGap6(benchmark::State& state) {
   bush_to_gap(state, anaheim(), 1e-6);
@@ -99,10 +99,10 @@ BENCHMARK(BM_AssignAnaheimBushGap10)->Unit(benchmark::kMillisecond);
 
 // ---- generated grid-bpr (multicommodity grid) --------------------------
 
-void BM_AssignGridFwSlice(benchmark::State& state) {
-  fw_slice(state, grid(), 200);
+void BM_AssignGridFreeFlowTrees(benchmark::State& state) {
+  free_flow_trees(state, grid());
 }
-BENCHMARK(BM_AssignGridFwSlice)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_AssignGridFreeFlowTrees)->Unit(benchmark::kMillisecond);
 
 void BM_AssignGridBushGap10(benchmark::State& state) {
   bush_to_gap(state, grid(), 1e-10);

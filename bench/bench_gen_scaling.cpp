@@ -10,7 +10,7 @@
 #include "stackroute/core/mop.h"
 #include "stackroute/equilibrium/network.h"
 #include "stackroute/gen/generators.h"
-#include "stackroute/solver/frank_wolfe.h"
+#include "stackroute/solver/bush.h"
 
 namespace {
 
@@ -36,14 +36,14 @@ void BM_GridNashEquilibration(benchmark::State& state) {
 BENCHMARK(BM_GridNashEquilibration)->Arg(4)->Arg(8)->Arg(12)->Arg(16)
     ->Unit(benchmark::kMillisecond);
 
-void BM_GridFrankWolfeOptimum(benchmark::State& state) {
+void BM_GridBushOptimum(benchmark::State& state) {
   const NetworkInstance inst = grid_instance(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(frank_wolfe(inst, FlowObjective::kTotalCost));
+    benchmark::DoNotOptimize(solve_bush(inst, FlowObjective::kTotalCost));
   }
   annotate(state, inst);
 }
-BENCHMARK(BM_GridFrankWolfeOptimum)->Arg(4)->Arg(8)->Arg(12)->Arg(16)
+BENCHMARK(BM_GridBushOptimum)->Arg(4)->Arg(8)->Arg(12)->Arg(16)
     ->Unit(benchmark::kMillisecond);
 
 void BM_GridMop(benchmark::State& state) {

@@ -7,8 +7,8 @@
 // against the committed BENCH_obs.json, calibrated by each case's own
 // counters-on row — i.e. what is gated is the off/on ratio, which a
 // clock-speed difference between runners cannot move. The on and traced
-// rows document what opting in costs (small, but not zero: FW's tracing
-// path recomputes the objective per iteration).
+// rows document what opting in costs (small, but not zero: the bush
+// solver's tracing path recomputes the objective per iteration).
 #include <benchmark/benchmark.h>
 
 #include "bench_main.h"
@@ -17,7 +17,7 @@
 #include "stackroute/network/generators.h"
 #include "stackroute/obs/counters.h"
 #include "stackroute/obs/trace.h"
-#include "stackroute/solver/frank_wolfe.h"
+#include "stackroute/solver/bush.h"
 #include "stackroute/solver/traffic_assignment.h"
 #include "stackroute/solver/water_filling.h"
 #include "stackroute/util/rng.h"
@@ -37,9 +37,9 @@ AssignmentOptions equilibration_opts() {
   return opts;
 }
 
-FrankWolfeOptions fw_opts() {
-  FrankWolfeOptions opts;
-  opts.max_iters = 40;
+BushOptions bush_opts() {
+  BushOptions opts;
+  opts.max_iters = 20;
   opts.rel_gap_tol = 0.0;  // fixed budget: identical work in every mode
   return opts;
 }
@@ -84,33 +84,33 @@ void BM_PathEquilibrationTraced(benchmark::State& state) {
 }
 BENCHMARK(BM_PathEquilibrationTraced)->Unit(benchmark::kMillisecond);
 
-// ---- Frank–Wolfe ---------------------------------------------------------
+// ---- Bush ----------------------------------------------------------------
 
-void BM_FrankWolfeCountersOff(benchmark::State& state) {
+void BM_BushCountersOff(benchmark::State& state) {
   const NetworkInstance inst = bench_grid();
-  const FrankWolfeOptions opts = fw_opts();
+  const BushOptions opts = bush_opts();
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        frank_wolfe(inst, FlowObjective::kBeckmann, {}, opts));
+        solve_bush(inst, FlowObjective::kBeckmann, {}, opts));
   }
 }
-BENCHMARK(BM_FrankWolfeCountersOff)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_BushCountersOff)->Unit(benchmark::kMillisecond);
 
-void BM_FrankWolfeCountersOn(benchmark::State& state) {
+void BM_BushCountersOn(benchmark::State& state) {
   const NetworkInstance inst = bench_grid();
-  const FrankWolfeOptions opts = fw_opts();
+  const BushOptions opts = bush_opts();
   obs::SolveCounters sink;
   obs::CountersScope scope(sink);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        frank_wolfe(inst, FlowObjective::kBeckmann, {}, opts));
+        solve_bush(inst, FlowObjective::kBeckmann, {}, opts));
   }
 }
-BENCHMARK(BM_FrankWolfeCountersOn)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_BushCountersOn)->Unit(benchmark::kMillisecond);
 
-void BM_FrankWolfeTraced(benchmark::State& state) {
+void BM_BushTraced(benchmark::State& state) {
   const NetworkInstance inst = bench_grid();
-  const FrankWolfeOptions opts = fw_opts();
+  const BushOptions opts = bush_opts();
   obs::SolveCounters sink;
   obs::TraceSession session;
   obs::ConvergenceTrace convergence;
@@ -119,10 +119,10 @@ void BM_FrankWolfeTraced(benchmark::State& state) {
   obs::ConvergenceScope conv(convergence);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        frank_wolfe(inst, FlowObjective::kBeckmann, {}, opts));
+        solve_bush(inst, FlowObjective::kBeckmann, {}, opts));
   }
 }
-BENCHMARK(BM_FrankWolfeTraced)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_BushTraced)->Unit(benchmark::kMillisecond);
 
 // ---- Water filling -------------------------------------------------------
 // The finest-grained solver: per-solve cost is microseconds, so the

@@ -1,8 +1,7 @@
 // E10c — solver ablations called out in DESIGN.md:
 //  * water-filling with closed-form vs generic numeric latency inverses
 //    (the same affine function expressed as AffineLatency vs Polynomial),
-//  * Frank–Wolfe exact line search vs harmonic steps at a fixed budget,
-//  * Frank–Wolfe vs path equilibration to comparable accuracy,
+//  * path equilibration to a tight tolerance, small and large instances,
 //  * the free-flow max-flow step of MOP.
 #include <benchmark/benchmark.h>
 
@@ -13,7 +12,6 @@
 #include "stackroute/network/dijkstra.h"
 #include "stackroute/network/generators.h"
 #include "stackroute/network/maxflow.h"
-#include "stackroute/solver/frank_wolfe.h"
 #include "stackroute/solver/traffic_assignment.h"
 #include "stackroute/solver/water_filling.h"
 #include "stackroute/util/numeric.h"
@@ -65,50 +63,11 @@ void BM_WaterFillNumericInverse(benchmark::State& state) {
 BENCHMARK(BM_WaterFillNumericInverse)->Arg(1000)->Arg(10000)
     ->Unit(benchmark::kMicrosecond);
 
-void BM_FrankWolfeExactStep(benchmark::State& state) {
-  Rng rng(2);
-  const NetworkInstance inst = grid_city(rng, 5, 5, 2.0);
-  FrankWolfeOptions opts;
-  opts.max_iters = static_cast<int>(state.range(0));
-  opts.rel_gap_tol = 0.0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        frank_wolfe(inst, FlowObjective::kBeckmann, {}, opts));
-  }
-}
-BENCHMARK(BM_FrankWolfeExactStep)->Arg(100)->Unit(benchmark::kMillisecond);
-
-void BM_FrankWolfeHarmonicStep(benchmark::State& state) {
-  Rng rng(2);
-  const NetworkInstance inst = grid_city(rng, 5, 5, 2.0);
-  FrankWolfeOptions opts;
-  opts.max_iters = static_cast<int>(state.range(0));
-  opts.rel_gap_tol = 0.0;
-  opts.step_rule = FwStepRule::kHarmonic;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        frank_wolfe(inst, FlowObjective::kBeckmann, {}, opts));
-  }
-}
-BENCHMARK(BM_FrankWolfeHarmonicStep)->Arg(100)->Unit(benchmark::kMillisecond);
-
-void BM_FrankWolfeToModestGap(benchmark::State& state) {
-  Rng rng(2);
-  const NetworkInstance inst = grid_city(rng, 5, 5, 2.0);
-  FrankWolfeOptions opts;
-  opts.rel_gap_tol = 1e-4;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        frank_wolfe(inst, FlowObjective::kBeckmann, {}, opts));
-  }
-}
-BENCHMARK(BM_FrankWolfeToModestGap)->Unit(benchmark::kMillisecond);
-
 void BM_PathEquilibrationToTightTol(benchmark::State& state) {
   Rng rng(2);
   const NetworkInstance inst = grid_city(rng, 5, 5, 2.0);
   AssignmentOptions opts;
-  opts.tol = 1e-10;  // far tighter than FW's 1e-4 gap, usually faster too
+  opts.tol = 1e-10;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         assign_traffic(inst, FlowObjective::kBeckmann, {}, opts));
@@ -117,37 +76,11 @@ void BM_PathEquilibrationToTightTol(benchmark::State& state) {
 BENCHMARK(BM_PathEquilibrationToTightTol)->Unit(benchmark::kMillisecond);
 
 // ---- Large-instance hot-path cases -------------------------------------
-// The kernel/workspace acceptance targets: the largest Frank–Wolfe and
-// path-equilibration cases in this suite. Fixed iteration budgets (FW) and
-// tolerances (equilibration) keep the measured work identical across
-// implementations. The layered DAG is affine (dispatch-bound: virtual-call
-// and allocation overhead dominates), the grid is BPR (pow-bound).
-
-void BM_FrankWolfeLayeredLarge(benchmark::State& state) {
-  Rng rng(7);
-  const NetworkInstance inst = random_layered_dag(rng, 30, 16, 0.35, 4.0);
-  FrankWolfeOptions opts;
-  opts.max_iters = 60;
-  opts.rel_gap_tol = 0.0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        frank_wolfe(inst, FlowObjective::kBeckmann, {}, opts));
-  }
-}
-BENCHMARK(BM_FrankWolfeLayeredLarge)->Unit(benchmark::kMillisecond);
-
-void BM_FrankWolfeGridLarge(benchmark::State& state) {
-  Rng rng(8);
-  const NetworkInstance inst = grid_city(rng, 12, 12, 3.0);
-  FrankWolfeOptions opts;
-  opts.max_iters = 40;
-  opts.rel_gap_tol = 0.0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        frank_wolfe(inst, FlowObjective::kBeckmann, {}, opts));
-  }
-}
-BENCHMARK(BM_FrankWolfeGridLarge)->Unit(benchmark::kMillisecond);
+// The kernel/workspace acceptance targets: the largest path-equilibration
+// cases in this suite. Fixed tolerances keep the measured work identical
+// across implementations. The layered DAG is affine (dispatch-bound:
+// virtual-call and allocation overhead dominates), the grid is BPR
+// (pow-bound).
 
 void BM_PathEquilibrationLayeredLarge(benchmark::State& state) {
   Rng rng(7);

@@ -1,17 +1,15 @@
 // Warm-start solve chains (ISSUE 4): cold vs warm wall-clock over the two
 // demand-axis sweeps that dominate the paper's β curves — an M/M/1
 // parallel-links system (OpTop water-filling chains) and a generated
-// grid-bpr network (MOP / path-equilibration chains) — plus the raw
-// Frank–Wolfe warm entry point. Everything runs at one thread, matching
-// the acceptance criterion; the Warm/Cold row pairs in BENCH_warm.json are
-// the tracked headline (CI fails the bench-perf job on >25% regression of
-// the warm counters).
+// grid-bpr network (MOP / path-equilibration chains). Everything runs at
+// one thread, matching the acceptance criterion; the Warm/Cold row pairs
+// in BENCH_warm.json are the tracked headline (CI fails the bench-perf job
+// on >25% regression of the warm counters).
 #include <benchmark/benchmark.h>
 
 #include "bench_main.h"
 #include "stackroute/gen/registry.h"
 #include "stackroute/network/generators.h"
-#include "stackroute/solver/frank_wolfe.h"
 #include "stackroute/sweep/runner.h"
 #include "stackroute/sweep/scenarios.h"
 #include "stackroute/util/parallel.h"
@@ -93,46 +91,6 @@ void BM_GridBprDemandSweepWarm(benchmark::State& state) {
   run_sweep(state, spec, true);
 }
 BENCHMARK(BM_GridBprDemandSweepWarm)->Unit(benchmark::kMillisecond);
-
-// The raw Frank–Wolfe warm entry: a 16-point demand chain on a BPR grid,
-// each solve seeded with the previous converged flow rescaled by the
-// demand ratio (vs. the all-or-nothing bootstrap every time).
-void fw_chain(benchmark::State& state, bool warm) {
-  const int saved = max_threads_setting();
-  set_max_threads(1);
-  Rng rng(8);
-  const NetworkInstance base = grid_city(rng, 12, 12, 3.0);
-  FrankWolfeOptions opts;
-  opts.rel_gap_tol = 1e-4;
-  for (auto _ : state) {
-    SolverWorkspace ws;
-    std::vector<double> prev_flow;
-    double prev_demand = 0.0;
-    for (int i = 0; i < 16; ++i) {
-      NetworkInstance inst = base;
-      const double f = 1.0 + 0.05 * i;
-      for (auto& c : inst.commodities) c.demand *= f;
-      FrankWolfeResult r =
-          warm ? frank_wolfe(inst, FlowObjective::kBeckmann, {}, opts, ws,
-                             prev_flow, prev_demand)
-               : frank_wolfe(inst, FlowObjective::kBeckmann, {}, opts, ws);
-      prev_flow = std::move(r.edge_flow);
-      prev_demand = inst.total_demand();
-    }
-    benchmark::DoNotOptimize(prev_flow);
-  }
-  set_max_threads(saved);
-}
-
-void BM_FrankWolfeDemandChainCold(benchmark::State& state) {
-  fw_chain(state, false);
-}
-BENCHMARK(BM_FrankWolfeDemandChainCold)->Unit(benchmark::kMillisecond);
-
-void BM_FrankWolfeDemandChainWarm(benchmark::State& state) {
-  fw_chain(state, true);
-}
-BENCHMARK(BM_FrankWolfeDemandChainWarm)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

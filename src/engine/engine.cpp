@@ -322,7 +322,7 @@ SolveResponse Engine::solve_on(SolveSession* session,
           const LinkAssignment& a = eval.parallel_nash();
           resp.cost = cost(eval.links(), a.flows);
         } else {
-          // The backend seam: every network equilibrium — pe, fw, bush —
+          // The backend seam: every network equilibrium — pe or bush —
           // funnels through the dispatcher, and the session's tagged warm
           // state carries whichever payload the backend produces.
           eval.set_backend(req.backend);

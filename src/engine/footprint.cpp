@@ -41,16 +41,11 @@ std::size_t footprint_bytes(const DijkstraWorkspace& ws) {
 }
 
 std::size_t footprint_bytes(const SolverWorkspace& ws) {
-  std::size_t bytes = sizeof(ws) + ws.table.footprint_bytes() +
-                      footprint_bytes(ws.dijkstra) +
-                      footprint_bytes(ws.dijkstra_rev) + vec_bytes(ws.costs) +
-                      vec_bytes(ws.direction) + vec_bytes(ws.aon_flow) +
-                      vec_bytes(ws.nonzero) + vec_bytes(ws.dists) +
-                      vec_bytes(ws.paths) + vec_bytes(ws.path_scratch) +
-                      vec_bytes(ws.delta_mask) + vec_bytes(ws.weights) +
-                      vec_bytes(ws.settled_scratch);
-  for (const Path& p : ws.paths) bytes += vec_bytes(p);
-  return bytes;
+  return sizeof(ws) + ws.table.footprint_bytes() +
+         footprint_bytes(ws.dijkstra) + footprint_bytes(ws.dijkstra_rev) +
+         vec_bytes(ws.costs) + vec_bytes(ws.dists) +
+         vec_bytes(ws.path_scratch) + vec_bytes(ws.delta_mask) +
+         vec_bytes(ws.weights) + vec_bytes(ws.settled_scratch);
 }
 
 std::size_t footprint_bytes(const AssignmentWarmStart& warm) {
@@ -70,8 +65,7 @@ std::size_t footprint_bytes(const OpTopWarmStart& warm) {
 }
 
 std::size_t footprint_bytes(const EquilibriumWarmState& warm) {
-  return footprint_bytes(warm.paths) + vec_bytes(warm.fw_flow) +
-         vec_bytes(warm.fw_demands) + warm.bush.footprint_bytes();
+  return footprint_bytes(warm.paths) + warm.bush.footprint_bytes();
 }
 
 std::size_t footprint_bytes(const SolveSession& session) {

@@ -37,11 +37,11 @@ struct SolveSession {
   /// pointer-identity test is sound (and warm_compatible has an anchor).
   Instance prev_instance;
   /// Converged equilibrium warm state, tagged by the backend that produced
-  /// it (see solver/backend.h): the path-equalization decomposition, the
-  /// Frank–Wolfe edge flow + demand snapshot, or the per-origin bushes —
-  /// whichever the last equilibrium request ran. Switching backends inside
-  /// a session clears the other backend's payload (prepare()), so a chain
-  /// that flips backends re-warms from cold instead of mis-seeding.
+  /// it (see solver/backend.h): the path-equalization decomposition or
+  /// the per-origin bushes — whichever the last equilibrium request ran.
+  /// Switching backends inside a session clears the other backend's
+  /// payload (prepare()), so a chain that flips backends re-warms from
+  /// cold instead of mis-seeding.
   EquilibriumWarmState equilibrium;
   MopWarmStart mop;          // optimum + induced decompositions (the
                              // .optimum half also feeds plain optimum

@@ -99,9 +99,10 @@ class BprLatency final : public LatencyFunction {
 };
 
 /// M/M/1 queueing delay ℓ(x) = 1/(mu − x) on [0, mu). To keep intermediate
-/// solver iterates finite (Frank–Wolfe line-search endpoints can exceed mu)
-/// the function continues C¹-linearly beyond x_break = mu·(1 − 1e-7); every
-/// feasible equilibrium with demand < mu lies far below the break point.
+/// solver iterates finite (a bisection bracket end or a Newton flow shift
+/// can overshoot mu) the function continues C¹-linearly beyond
+/// x_break = mu·(1 − 1e-7); every feasible equilibrium with demand < mu
+/// lies far below the break point.
 class Mm1Latency final : public LatencyFunction {
  public:
   explicit Mm1Latency(double mu);

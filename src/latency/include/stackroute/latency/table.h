@@ -115,18 +115,6 @@ class LatencyTable {
     return value(i, x) + x * derivative(i, x);
   }
 
-  /// True when every entry is an unwrapped affine latency — the dominant
-  /// large-network shape. The flat slope/intercept arrays below then let
-  /// hot loops (Frank–Wolfe's line search) run without the per-entry
-  /// family dispatch; evaluation stays bit-identical (same expressions).
-  [[nodiscard]] bool homogeneous_affine() const { return all_affine_; }
-  [[nodiscard]] std::span<const double> affine_slopes() const {
-    return aff_a_;
-  }
-  [[nodiscard]] std::span<const double> affine_intercepts() const {
-    return aff_b_;
-  }
-
   /// Clamped inverse of ℓ_i; closed-form when the whole wrapper chain has
   /// one, otherwise the source object's own (possibly numeric) inverse.
   [[nodiscard]] double inverse(std::size_t i, double target) const {

@@ -1,23 +1,23 @@
 // Solver work counters: what the solvers actually did, as plain integers.
 //
 // Collection is opt-in per thread: a caller installs a SolveCounters sink
-// with CountersScope, and every instrumented call site below it (Frank-
-// Wolfe iterations, Dijkstra runs, water-filling evaluations, warm-start
+// with CountersScope, and every instrumented call site below it (bush
+// flow shifts, Dijkstra runs, water-filling evaluations, warm-start
 // attempts, ...) adds into that sink through the thread-local pointer.
 // With no scope installed — the default — count() is a thread-local load
 // and a branch, which Release benches show is indistinguishable from no
 // instrumentation at all (bench/bench_obs_overhead.cpp guards this).
 //
 // Thread-count invariance: instrumented code never counts from inside a
-// parallel region. Work done by a worker team (e.g. Frank-Wolfe's per-
-// commodity all-or-nothing Dijkstras) is tallied into per-item scratch
+// parallel region. Work done by a worker team (e.g. the bush solver's
+// per-origin gap-check Dijkstras) is tallied into per-item scratch
 // and summed on the calling thread after the join, so the same solve
 // produces the same counters at any thread count.
 //
 // Solvers wrap their body in a ScopedCounterDelta: when a sink is
 // installed it reroutes counting into a private struct for the call's
 // duration, letting the solver snapshot its own delta into its result
-// (FrankWolfeResult::counters etc.) before the destructor merges the
+// (BushResult::counters etc.) before the destructor merges the
 // delta back into the surrounding sink. Nested solves compose: an inner
 // solve's delta merges into the outer solve's delta, which merges into
 // the caller's sink.
@@ -33,9 +33,6 @@ namespace stackroute::obs {
 // table, and every exporter stay in sync by construction.
 //   X(field, "glossary line")
 #define STACKROUTE_OBS_COUNTER_FIELDS(X)                                      \
-  X(fw_iterations, "Frank-Wolfe iterations (one all-or-nothing + step)")      \
-  X(fw_line_search_evals, "directional-derivative evaluations in the exact "  \
-                          "line search")                                      \
   X(equalization_steps, "path-equalization steps (one flow shift between a "  \
                         "costliest and a cheapest path)")                     \
   X(equalization_evals, "cost-pair evaluations inside equalization "          \
@@ -46,7 +43,7 @@ namespace stackroute::obs {
   X(dijkstra_calls, "Dijkstra runs (forward and reverse)")                    \
   X(dijkstra_settled, "nodes settled across all Dijkstra runs")               \
   X(table_batch_evals, "whole-table latency/objective batch evaluations")     \
-  X(gap_checks, "convergence re-checks (FW relative gap, equalization "       \
+  X(gap_checks, "convergence re-checks (bush relative gap, equalization "     \
                 "spread)")                                                    \
   X(warm_attempts, "solves offered a non-empty warm-start payload")           \
   X(warm_hits, "warm payloads accepted and used (attempts - hits = misses)")  \

@@ -1,13 +1,15 @@
 // Convergence traces and span traces.
 //
 // ConvergenceTrace is a bounded ring buffer of per-iteration solver
-// samples (iteration, relative gap, step size, objective). Frank-Wolfe
-// records one sample per iteration; path equilibration records one per
-// outer sweep. Exported as JSONL, one object per retained sample.
+// samples (iteration, relative gap, step, objective). The bush solver
+// records one sample per outer iteration (step 0); path equilibration
+// records one per outer sweep, with its path-cost spread as the gap and
+// its cumulative equalization steps as the step. Exported as JSONL, one
+// object per retained sample.
 //
-// TraceSession records begin/end span events (solve -> iteration phases
-// -> Dijkstra/line-search) with monotonic now_ns() timestamps, exported
-// in the chrome://tracing / Perfetto JSON format ("traceEvents" with
+// TraceSession records begin/end span events (pipeline -> solve ->
+// iteration phases) with monotonic now_ns() timestamps, exported in the
+// chrome://tracing / Perfetto JSON format ("traceEvents" with
 // "ph":"B"/"E" duration events; ts in microseconds from a shared epoch).
 // Sessions are single-threaded by design — the sweep runner keeps one per
 // chain, tagged with the chain index as the trace "tid", and merges them
@@ -50,7 +52,7 @@ class ConvergenceTrace {
   explicit ConvergenceTrace(std::size_t capacity = 1 << 16);
 
   /// Starts a new context: subsequent samples are tagged with `label`
-  /// (e.g. "task 3 frank_wolfe"). Returns the context index.
+  /// (e.g. "task 3 bush"). Returns the context index.
   std::int32_t push_context(std::string label);
 
   void record(std::int32_t iteration, double rel_gap, double step,

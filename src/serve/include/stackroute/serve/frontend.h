@@ -72,8 +72,8 @@ struct FrontEndOptions {
   std::size_t prototype_cache_capacity = 64;
   /// Append "bytes" (engine resident bytes) to ok responses.
   bool show_bytes = false;
-  /// Backend for requests that set neither "backend" nor "method" — the
-  /// server's --backend flag (see solver/backend.h).
+  /// Backend for requests that do not set "backend" — the server's
+  /// --backend flag (see solver/backend.h).
   EquilibriumBackend default_backend = EquilibriumBackend::kPathEqualization;
 };
 

@@ -65,8 +65,8 @@ struct ParsedLine {
 /// field (message has no "line N:" prefix — the transport adds it). When
 /// `id_seen` is non-null it is updated as soon as the id field parses, so
 /// a later failure can still be answered under the client's id.
-/// `default_backend` is what solves run on when the request carries
-/// neither "backend" nor "method" — the server's --backend flag.
+/// `default_backend` is what solves run on when the request carries no
+/// "backend" field — the server's --backend flag.
 ParsedLine parse_line(
     const std::string& text, PrototypeCache& prototypes,
     std::uint64_t* id_seen,

@@ -25,14 +25,6 @@ engine::StrategyKind parse_strategy(const std::string& name) {
               "' (expected aloof, scale or llf)");
 }
 
-EquilibriumBackend parse_backend_field(const std::string& name) {
-  // "path" predates the backend registry ("method":"path" in old clients);
-  // everything else — pe/fw/bush and their long aliases — is the
-  // registry's own parse, so new backends need no transport change.
-  if (name == "path") return EquilibriumBackend::kPathEqualization;
-  return parse_equilibrium_backend(name);
-}
-
 /// Field accessors that throw with the field name in the message, so the
 /// transport's per-line errors read "field 'alpha': expected number, ...".
 double number_field(const JsonValue& v, const char* key) {
@@ -121,7 +113,7 @@ std::string source_key(const JsonValue& req) {
 const char* const kKnownKeys[] = {
     "op",     "id",       "session",  "instance_file", "generate",
     "size",   "gen_seed", "instance", "demand",        "alpha",
-    "strategy", "method", "backend", "deadline_ms", "max_iters",
+    "strategy", "backend", "deadline_ms", "max_iters",
 };
 
 void reject_unknown_keys(const JsonValue& req) {
@@ -206,20 +198,13 @@ ParsedLine parse_line(const std::string& text, PrototypeCache& prototypes,
   if (const JsonValue* v = req.find("strategy")) {
     out.solve.strategy = parse_strategy(string_field(*v, "strategy"));
   }
-  // "backend" is the canonical field; "method" is its pre-registry spelling
-  // (kept for old clients). When a request carries both, backend wins;
-  // when it carries neither, the server's configured default applies.
+  // The registry's own parse, so new backends need no transport change;
+  // without the field, the server's configured default applies.
   out.solve.backend = default_backend;
-  if (const JsonValue* v = req.find("method")) {
-    try {
-      out.solve.backend = parse_backend_field(string_field(*v, "method"));
-    } catch (const Error& e) {
-      throw Error(std::string("field 'method': ") + e.what());
-    }
-  }
   if (const JsonValue* v = req.find("backend")) {
     try {
-      out.solve.backend = parse_backend_field(string_field(*v, "backend"));
+      out.solve.backend =
+          parse_equilibrium_backend(string_field(*v, "backend"));
     } catch (const Error& e) {
       throw Error(std::string("field 'backend': ") + e.what());
     }

@@ -1,6 +1,5 @@
 #include "stackroute/solver/backend.h"
 
-#include <cmath>
 #include <string>
 
 #include "stackroute/util/error.h"
@@ -11,28 +10,8 @@ namespace {
 
 constexpr EquilibriumBackend kBackends[] = {
     EquilibriumBackend::kPathEqualization,
-    EquilibriumBackend::kFrankWolfe,
     EquilibriumBackend::kBush,
 };
-
-/// Frank–Wolfe's warm contract is proportionality of the commodity split
-/// (see frank_wolfe.h) — a bare edge flow cannot prove it, so the warm
-/// state carries the demand snapshot and this check compares against it.
-bool fw_seed_usable(const EquilibriumWarmState& warm,
-                    const NetworkInstance& inst) {
-  const auto ne = static_cast<std::size_t>(inst.graph.num_edges());
-  if (warm.fw_flow.size() != ne || !(warm.fw_demand > 0.0)) return false;
-  if (warm.fw_demands.size() != inst.commodities.size()) return false;
-  const double ratio = inst.total_demand() / warm.fw_demand;
-  for (std::size_t i = 0; i < inst.commodities.size(); ++i) {
-    const double got = inst.commodities[i].demand;
-    if (std::fabs(got - warm.fw_demands[i] * ratio) >
-        1e-12 * std::fmax(1.0, std::fabs(got))) {
-      return false;
-    }
-  }
-  return true;
-}
 
 }  // namespace
 
@@ -40,8 +19,6 @@ const char* to_string(EquilibriumBackend backend) noexcept {
   switch (backend) {
     case EquilibriumBackend::kPathEqualization:
       return "pe";
-    case EquilibriumBackend::kFrankWolfe:
-      return "fw";
     case EquilibriumBackend::kBush:
       return "bush";
   }
@@ -52,15 +29,10 @@ std::span<const EquilibriumBackend> equilibrium_backends() noexcept {
   return kBackends;
 }
 
-const char* equilibrium_backend_names() noexcept { return "pe, fw or bush"; }
+const char* equilibrium_backend_names() noexcept { return "pe or bush"; }
 
 EquilibriumBackend parse_equilibrium_backend(std::string_view name) {
-  if (name == "pe" || name == "path-equalization") {
-    return EquilibriumBackend::kPathEqualization;
-  }
-  if (name == "fw" || name == "frank-wolfe") {
-    return EquilibriumBackend::kFrankWolfe;
-  }
+  if (name == "pe") return EquilibriumBackend::kPathEqualization;
   if (name == "bush") return EquilibriumBackend::kBush;
   throw Error("unknown backend '" + std::string(name) + "' (expected " +
               equilibrium_backend_names() + ")");
@@ -69,9 +41,6 @@ EquilibriumBackend parse_equilibrium_backend(std::string_view name) {
 void EquilibriumWarmState::clear() {
   paths.commodity_paths.clear();
   paths.demands.clear();
-  fw_flow.clear();
-  fw_demands.clear();
-  fw_demand = 0.0;
   bush.clear();
 }
 
@@ -116,38 +85,6 @@ EquilibriumResult solve_equilibrium(const NetworkInstance& inst,
         warm_out->paths.demands.reserve(inst.commodities.size());
         for (const Commodity& com : inst.commodities) {
           warm_out->paths.demands.push_back(com.demand);
-        }
-      }
-      break;
-    }
-    case EquilibriumBackend::kFrankWolfe: {
-      FrankWolfeOptions opts = req.frank_wolfe;
-      if (req.budget.active()) opts.budget = req.budget;
-      std::span<const double> seed_flow = {};
-      double seed_demand = 0.0;
-      if (warm_in != nullptr &&
-          warm_in->backend == EquilibriumBackend::kFrankWolfe &&
-          fw_seed_usable(*warm_in, inst)) {
-        seed_flow = warm_in->fw_flow;
-        seed_demand = warm_in->fw_demand;
-      }
-      FrankWolfeResult r = frank_wolfe(inst, req.objective, preload, opts, ws,
-                                       seed_flow, seed_demand);
-      out.edge_flow = std::move(r.edge_flow);
-      out.objective = r.objective;
-      out.rel_gap = r.rel_gap;
-      out.iterations = r.iterations;
-      out.converged = r.converged;
-      out.status = r.status;
-      out.counters = r.counters;
-      if (warm_out != nullptr) {
-        warm_out->prepare(EquilibriumBackend::kFrankWolfe);
-        warm_out->fw_flow = out.edge_flow;
-        warm_out->fw_demand = inst.total_demand();
-        warm_out->fw_demands.clear();
-        warm_out->fw_demands.reserve(inst.commodities.size());
-        for (const Commodity& com : inst.commodities) {
-          warm_out->fw_demands.push_back(com.demand);
         }
       }
       break;

@@ -367,8 +367,8 @@ bool equilibrate_pass(const Graph& g, const LatencyTable& table,
 }
 
 /// Structural fit of a warm payload, and the proportional demand ratio.
-/// Mirrors the FW warm contract: everything checkable without the old
-/// graph is checked; graph identity is the caller's precondition.
+/// Everything checkable without the old graph is checked; graph identity
+/// is the caller's precondition (see BushWarmState).
 bool warm_usable(const NetworkInstance& inst,
                  const std::vector<OriginGroup>& groups,
                  const BushWarmState& warm, double& ratio) {
@@ -673,9 +673,10 @@ BushResult solve_bush(const NetworkInstance& inst, FlowObjective objective,
   BushResult result =
       bush_run(inst, objective, opts, gate, ws, bw, warm, used_warm);
 
-  // Warm-start guard, same policy as frank_wolfe: a warm seed that went
-  // numerically bad, stalled, or burned the iteration cap without
-  // converging gets one cold retry; a deadline hit is not retried.
+  // Warm-start guard: a warm seed that went numerically bad, stalled, or
+  // burned the iteration cap without converging gets one cold retry — the
+  // seed, not the instance, is the prime suspect. A deadline hit is not
+  // retried (no time left to retry with).
   if (used_warm && !solve_ok(result.status) &&
       result.status != SolveStatus::kDeadlineExceeded) {
     obs::count(&obs::SolveCounters::warm_fallbacks);

@@ -2,24 +2,23 @@
 //
 // Every layer that needs a Wardrop equilibrium — equilibrium/'s
 // solve_nash, the engine's typed batch requests, sweep scenarios, the
-// serve protocol — now names a backend from the registry below instead of
-// a solver function, and funnels through solve_equilibrium(). The three
+// serve protocol — names a backend from the registry below instead of a
+// solver function, and funnels through solve_equilibrium(). The two
 // backends minimize the same convex program and agree on the equilibrium
 // cost to their tolerances; they differ in what they return and where they
 // are fast:
 //
 //   kPathEqualization  explicit path decomposition per commodity (what MOP
-//                      and the Wardrop checker need); linear convergence;
-//                      the default — golden sweep tables are frozen on it.
-//   kFrankWolfe        edge flows only; O(1/k) — cheap loose gaps, stalls
-//                      at tight ones; kept as cross-check and baseline.
+//                      and the Wardrop checker need); converges to a path
+//                      cost spread; the default — golden sweep tables are
+//                      frozen on it.
 //   kBush              edge flows via per-origin acyclic bushes (Dial's
-//                      Algorithm B style); reaches 1e-10-and-below gaps on
-//                      city-scale TNTP networks where FW stalls.
+//                      Algorithm B style); reaches 1e-10-and-below relative
+//                      gaps on city-scale TNTP networks.
 //
 // Warm state is backend-tagged: a session or sweep chain that switches
-// backend drops the other backend's payload instead of feeding, say, FW
-// edge flows to a bush solve (EquilibriumWarmState::prepare).
+// backend drops the other backend's payload instead of feeding, say, a
+// path decomposition to a bush solve (EquilibriumWarmState::prepare).
 #pragma once
 
 #include <cstdint>
@@ -30,30 +29,27 @@
 
 #include "stackroute/network/instance.h"
 #include "stackroute/solver/bush.h"
-#include "stackroute/solver/frank_wolfe.h"
 #include "stackroute/solver/traffic_assignment.h"
 
 namespace stackroute {
 
 enum class EquilibriumBackend : std::uint8_t {
   kPathEqualization = 0,
-  kFrankWolfe = 1,
-  kBush = 2,
+  kBush = 1,
 };
 
-/// Canonical short name ("pe", "fw", "bush") — what tables, the CLI and
+/// The backend's one name ("pe" or "bush") — what tables, the CLI and
 /// the serve protocol print.
 const char* to_string(EquilibriumBackend backend) noexcept;
 
 /// All registered backends, in enum order.
 std::span<const EquilibriumBackend> equilibrium_backends() noexcept;
 
-/// The canonical names joined for usage/error text: "pe, fw or bush".
+/// The names joined for usage/error text: "pe or bush".
 const char* equilibrium_backend_names() noexcept;
 
-/// Parses a canonical name or its long alias ("path-equalization",
-/// "frank-wolfe"); throws stackroute::Error naming the accepted values on
-/// anything else.
+/// Parses a backend name; throws stackroute::Error naming the accepted
+/// values on anything else.
 EquilibriumBackend parse_equilibrium_backend(std::string_view name);
 
 /// One equilibrium solve, backend-agnostically: which backend, which
@@ -62,9 +58,8 @@ EquilibriumBackend parse_equilibrium_backend(std::string_view name);
 struct EquilibriumRequest {
   EquilibriumBackend backend = EquilibriumBackend::kPathEqualization;
   FlowObjective objective = FlowObjective::kBeckmann;
-  /// Knobs of the backend that runs; the others are ignored.
+  /// Knobs of the backend that runs; the other's are ignored.
   AssignmentOptions assignment;
-  FrankWolfeOptions frank_wolfe;
   BushOptions bush;
   /// When active, overrides the chosen backend's own opts.budget — the
   /// engine/sweep layers set deadlines here once, backend-independently.
@@ -73,7 +68,7 @@ struct EquilibriumRequest {
 
 /// The uniform result: edge flows plus the honest quality bound in the
 /// backend's native metric (spread for path equalization, relative gap
-/// for FW/bush; the unused one keeps its zero/NaN default).
+/// for bush; the unused one keeps its zero default).
 struct EquilibriumResult {
   std::vector<double> edge_flow;
   /// Path decomposition — kPathEqualization only (empty otherwise).
@@ -94,16 +89,11 @@ struct EquilibriumWarmState {
   EquilibriumBackend backend = EquilibriumBackend::kPathEqualization;
   /// kPathEqualization: converged path decomposition + demand snapshot.
   AssignmentWarmStart paths;
-  /// kFrankWolfe: converged edge flow + the demands it routed (the
-  /// proportionality certificate frank_wolfe's projection needs).
-  std::vector<double> fw_flow;
-  std::vector<double> fw_demands;
-  double fw_demand = 0.0;
   /// kBush: the per-origin bushes.
   BushWarmState bush;
 
   [[nodiscard]] bool empty() const {
-    return paths.empty() && fw_flow.empty() && bush.empty();
+    return paths.empty() && bush.empty();
   }
   /// Drops every payload (shrinking nothing; buffers are reused).
   void clear();

@@ -2,16 +2,16 @@
 //
 // Groups commodities by origin and maintains, per origin, an acyclic
 // subgraph (a "bush") that carries all of that origin's flow. Each outer
-// iteration measures the relative gap ((c·f − SPTT)/c·f, identical to the
-// Frank–Wolfe gap) with one full-graph Dijkstra per origin — parallelized
-// across origins on the existing thread pool — then sequentially, origin
-// by origin, (a) improves the bush (drops zero-flow edges, adds strictly
-// cost-improving edges, re-topological-sorts) and (b) equilibrates it with
-// Newton flow shifts from the max-cost to the min-cost path segment below
-// their divergence node. Shifts re-evaluate the touched edge costs
-// immediately, so the method reaches gaps near machine precision where
-// Frank–Wolfe's O(1/k) tail stalls — the reason this backend exists (see
-// solver/backend.h).
+// iteration measures the relative gap (c·f − SPTT)/c·f — total cost at
+// the current costs against the shortest-path total travel time, zero
+// exactly at equilibrium — with one full-graph Dijkstra per origin
+// (parallelized across origins on the existing thread pool), then
+// sequentially, origin by origin, (a) improves the bush (drops zero-flow
+// edges, adds strictly cost-improving edges, re-topological-sorts) and (b)
+// equilibrates it with Newton flow shifts from the max-cost to the
+// min-cost path segment below their divergence node. Shifts re-evaluate
+// the touched edge costs immediately, so the method reaches gaps near
+// machine precision on city-scale networks (see solver/backend.h).
 //
 // Determinism: the shift phase is strictly sequential in origin order and
 // the parallel Dijkstra fan-out only fills per-origin slots that are
@@ -74,11 +74,11 @@ struct OriginBush {
 
 /// Converged state of a prior solve_bush run on the *same* graph and
 /// latencies at (possibly) different demands — the warm-start payload for
-/// chained solves along a sweep axis. Mirrors frank_wolfe's warm contract:
-/// the payload is structurally validated (edge counts, origin set, sinks,
-/// per-commodity demand proportionality against the snapshot below) and an
-/// ill-fitting payload falls back to the cold start, but topology identity
-/// of the graph itself is the caller's unchecked precondition.
+/// chained solves along a sweep axis. The payload is structurally
+/// validated (edge counts, origin set, sinks, per-commodity demand
+/// proportionality against the snapshot below) and an ill-fitting payload
+/// falls back to the cold start, but topology identity of the graph itself
+/// is the caller's unchecked precondition.
 struct BushWarmState {
   std::vector<OriginBush> bushes;       // ascending by origin
   /// The commodities those bushes routed (endpoints + demands snapshot).

@@ -1,6 +1,6 @@
 // Solve outcome taxonomy and cooperative solve budgets.
 //
-// Every iterative solver in the repo (Frank–Wolfe, path equilibration,
+// Every iterative solver in the repo (path equilibration, bush,
 // water-filling) and every pipeline built on them (MOP, OpTop, strategy
 // evaluation) reports a SolveStatus instead of a bare converged flag, and
 // accepts a SolveBudget that unifies iteration caps with an amortized
@@ -46,7 +46,7 @@ inline SolveStatus worst_status(SolveStatus a, SolveStatus b) noexcept {
 /// constructed = inactive: solvers behave exactly as without a budget, so
 /// budget-free runs stay bitwise identical.
 struct SolveBudget {
-  /// Extra iteration cap on top of the solver's own option cap (FW
+  /// Extra iteration cap on top of the solver's own option cap (bush
   /// iterations, equilibration steps, root-finder probes). 0 = none.
   long long max_iters = 0;
 

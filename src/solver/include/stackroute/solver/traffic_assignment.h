@@ -10,10 +10,10 @@
 // total-cost objective decreases monotonically, and for strictly
 // increasing latencies the unique edge flows are recovered to ~tol.
 //
-// Compared to Frank–Wolfe (frank_wolfe.h) this converges linearly rather
-// than O(1/k) and returns an explicit path decomposition per commodity —
-// which MOP needs anyway. FW is kept as an independent cross-check and
-// ablation baseline.
+// Unlike the bush backend (bush.h), which returns edge flows only, this
+// solver returns an explicit path decomposition per commodity — which MOP
+// and the Wardrop checker need. Its warm start (AssignmentWarmStart) is
+// that decomposition, rescaled per commodity and polished.
 #pragma once
 
 #include <span>

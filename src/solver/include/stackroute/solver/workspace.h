@@ -1,6 +1,6 @@
 // Reusable scratch for the solver hot paths.
 //
-// frank_wolfe, assign_traffic and water_fill compile their latencies into a
+// assign_traffic, solve_bush and water_fill compile their latencies into a
 // LatencyTable and run every inner loop on preallocated buffers from one of
 // these. The workspace-less public overloads create a workspace per call —
 // the *per-iteration* loops are allocation-free either way — while callers
@@ -38,15 +38,11 @@ struct SolverWorkspace {
   DijkstraWorkspace dijkstra_rev;  // reverse-tree buffers (MOP's
                                    // tight-subgraph step)
   std::vector<double> costs;      // per-edge costs, maintained incrementally
-  std::vector<double> direction;  // Frank–Wolfe: AON flow minus current flow
-  std::vector<double> aon_flow;   // Frank–Wolfe: all-or-nothing edge flows
-  std::vector<EdgeId> nonzero;    // Frank–Wolfe: edges with direction != 0
   std::vector<double> dists;      // per-commodity shortest-path distances
-  std::vector<Path> paths;        // per-commodity path buffers
   Path path_scratch;              // single-path buffer (equalization)
   std::vector<int> delta_mask;    // equalization ±1 mask; all-zero at rest
   std::vector<double> weights;    // water-filling residual weights
-  std::vector<std::uint64_t> settled_scratch;  // per-commodity Dijkstra
+  std::vector<std::uint64_t> settled_scratch;  // per-origin Dijkstra
                                                // settled counts, summed on
                                                // the calling thread after
                                                // parallel fan-outs

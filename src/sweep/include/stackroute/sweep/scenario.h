@@ -51,7 +51,13 @@ struct ScenarioSpec {
 Instance load_instance_text(const std::string& text);
 
 /// load_instance_text over a file's contents; throws on unreadable paths.
+/// A TNTP `X_net.tntp` gets the OD matrix of its trips_sibling() when one
+/// exists, else a unit commodity from the first node to the last.
 Instance load_instance_file(const std::string& path);
+
+/// The existing `X_trips.tntp` next to a `X_net.tntp` path, or "" when the
+/// path is not a `_net.tntp` file or has no such sibling.
+std::string trips_sibling(const std::string& path);
 
 /// Resolves a repo-relative data file (e.g. the shipped SiouxFalls TNTP)
 /// for builtin scenarios, trying in order: the relative path itself from

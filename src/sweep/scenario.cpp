@@ -78,17 +78,9 @@ Instance load_instance_file(const std::string& path) {
     // without one, attach a unit single commodity across the network
     // (first node -> last node) so the file is still sweepable. Either
     // way a "demand" axis rescales the result like any other instance.
-    bool have_trips = false;
-    if (has_suffix(path, "_net.tntp")) {
-      const std::string trips_path =
-          path.substr(0, path.size() - std::strlen("_net.tntp")) +
-          "_trips.tntp";
-      if (std::ifstream probe(trips_path); probe.good()) {
-        net.commodities = read_tntp_trips_file(trips_path);
-        have_trips = true;
-      }
-    }
-    if (!have_trips) {
+    if (const std::string trips = trips_sibling(path); !trips.empty()) {
+      net.commodities = read_tntp_trips_file(trips);
+    } else {
       net.commodities.push_back(
           Commodity{0, static_cast<NodeId>(net.graph.num_nodes() - 1), 1.0});
     }
@@ -100,6 +92,14 @@ Instance load_instance_file(const std::string& path) {
   std::ostringstream buffer;
   buffer << in.rdbuf();
   return load_instance_text(buffer.str());
+}
+
+std::string trips_sibling(const std::string& path) {
+  if (!has_suffix(path, "_net.tntp")) return {};
+  std::string trips =
+      path.substr(0, path.size() - std::strlen("_net.tntp")) + "_trips.tntp";
+  if (!std::ifstream(trips).good()) return {};
+  return trips;
 }
 
 void override_demand(Instance& instance, double demand) {

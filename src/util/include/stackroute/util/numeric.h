@@ -44,7 +44,7 @@ inline bool almost_leq(double a, double b, double tol = 1e-9) {
 }
 
 /// Kahan–Babuska compensated accumulator. Water-filling over 10^6 links and
-/// Frank–Wolfe objective evaluations sum many same-signed small terms; naive
+/// whole-network objective evaluations sum many same-signed small terms; naive
 /// summation loses enough precision to trip equilibrium checkers.
 class KahanSum {
  public:

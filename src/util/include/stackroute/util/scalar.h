@@ -2,8 +2,8 @@
 //
 // These are the numeric primitives the equilibrium solvers are built on:
 // inverting strictly increasing latency / marginal-cost functions, finding
-// the common-latency level in water-filling, exact line search inside
-// Frank–Wolfe, and minimizing the convex split objective of Theorem 2.4.
+// the common-latency level in water-filling, the flow shift of one path
+// equalization step, and minimizing the convex split objective of Theorem 2.4.
 // All routines are templates over callables so they inline into hot loops.
 #pragma once
 

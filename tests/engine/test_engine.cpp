@@ -27,7 +27,7 @@ Instance links_instance(double demand) {
 
 /// Two commodities (0->2 and 1->2) sharing the congested 1->2 edges, so
 /// the equilibrium genuinely depends on how the total demand splits
-/// between them — the shape that exposes a stale FW seed.
+/// between them — the shape that exposes a stale warm seed.
 Instance two_commodity_instance(double d0, double d1) {
   NetworkInstance net;
   net.graph = Graph(3);
@@ -187,7 +187,7 @@ TEST(EngineTest, AloofStrategyIgnoresAlpha) {
 TEST(EngineTest, BudgetDegradesInsteadOfFailing) {
   Engine eng;
   SolveRequest req = request(RequestKind::kEquilibrium, grid_instance(2.0));
-  req.backend = EquilibriumBackend::kFrankWolfe;
+  req.backend = EquilibriumBackend::kBush;
   req.budget.max_iters = 1;
   const SolveResponse r = eng.solve(req);
   ASSERT_TRUE(r.ok) << r.error;
@@ -201,7 +201,7 @@ TEST(EngineTest, DefaultBudgetAppliesWhenRequestHasNone) {
   opts.default_budget.max_iters = 1;
   Engine eng(opts);
   SolveRequest req = request(RequestKind::kEquilibrium, grid_instance(2.0));
-  req.backend = EquilibriumBackend::kFrankWolfe;
+  req.backend = EquilibriumBackend::kBush;
   const SolveResponse r = eng.solve(req);
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_FALSE(solve_ok(r.status));
@@ -296,59 +296,60 @@ TEST(EngineTest, BatchSessionsWarmInSubmissionOrder) {
   EXPECT_TRUE(resps[2].warm);
 }
 
-TEST(EngineTest, FwSeedRejectedAfterDemandSplitChange) {
-  // Regression: the FW warm seed's proportional-split precondition must be
-  // checked against the demands the seed actually routed, not against the
-  // session's last-seen instance. Converge FW at split (1,1), slide the
-  // split to (1.5,0.5) through a non-FW request (total demand unchanged —
-  // it overwrites the warm anchor but not the seed), then solve FW at
-  // (1.5,0.5): against the anchor the ratio is exactly 1, so a stale seed
-  // would be accepted even though it routes the wrong split. The solve
-  // must fall back to a cold start and match a cold reference bit for bit.
+TEST(EngineTest, BushSeedRejectedAfterDemandSplitChange) {
+  // Regression: the bush warm seed's proportional-split precondition must
+  // be checked against the demands the seed actually routed, not against
+  // the session's last-seen instance. Converge bush at split (1,1), slide
+  // the split to (1.5,0.5) through a non-equilibrium request (total demand
+  // unchanged — it overwrites the warm anchor but not the seed), then
+  // solve bush at (1.5,0.5): against the anchor the ratio is exactly 1, so
+  // a stale seed would be accepted even though it routes the wrong split.
+  // The solve must fall back to a cold start and match a cold reference
+  // bit for bit.
   Engine eng;
   const std::uint64_t s = eng.open_session();
-  SolveRequest fw1 =
+  SolveRequest eq1 =
       request(RequestKind::kEquilibrium, two_commodity_instance(1.0, 1.0), s);
-  fw1.backend = EquilibriumBackend::kFrankWolfe;
-  ASSERT_TRUE(eng.solve(fw1).ok);
+  eq1.backend = EquilibriumBackend::kBush;
+  ASSERT_TRUE(eng.solve(eq1).ok);
   ASSERT_TRUE(
       eng.solve(
              request(RequestKind::kOptimum, two_commodity_instance(1.5, 0.5), s))
           .ok);
-  SolveRequest fw2 =
+  SolveRequest eq2 =
       request(RequestKind::kEquilibrium, two_commodity_instance(1.5, 0.5), s);
-  fw2.backend = EquilibriumBackend::kFrankWolfe;
-  const SolveResponse chained = eng.solve(fw2);
+  eq2.backend = EquilibriumBackend::kBush;
+  const SolveResponse chained = eng.solve(eq2);
   ASSERT_TRUE(chained.ok) << chained.error;
 
-  SolveRequest cold = fw2;
+  SolveRequest cold = eq2;
   cold.session = 0;
   const SolveResponse reference = eng.solve(cold);
   ASSERT_TRUE(reference.ok) << reference.error;
   EXPECT_EQ(chained.cost, reference.cost);
 }
 
-TEST(EngineTest, FwSeedAcceptedOnProportionalRescale) {
+TEST(EngineTest, BushSeedAcceptedOnProportionalRescale) {
   // The complement: a genuinely proportional demand change through a
-  // non-FW request keeps the seed usable, and the warm solve still lands
-  // on the cold answer to tolerance.
+  // non-equilibrium request keeps the seed usable, and the warm solve
+  // still lands on the cold answer to tolerance.
   Engine eng;
   const std::uint64_t s = eng.open_session();
-  SolveRequest fw1 =
+  SolveRequest eq1 =
       request(RequestKind::kEquilibrium, two_commodity_instance(1.0, 1.0), s);
-  fw1.backend = EquilibriumBackend::kFrankWolfe;
-  ASSERT_TRUE(eng.solve(fw1).ok);
+  eq1.backend = EquilibriumBackend::kBush;
+  ASSERT_TRUE(eng.solve(eq1).ok);
   ASSERT_TRUE(
       eng.solve(
              request(RequestKind::kOptimum, two_commodity_instance(1.2, 1.2), s))
           .ok);
-  SolveRequest fw2 =
+  SolveRequest eq2 =
       request(RequestKind::kEquilibrium, two_commodity_instance(1.2, 1.2), s);
-  fw2.backend = EquilibriumBackend::kFrankWolfe;
-  const SolveResponse warm = eng.solve(fw2);
+  eq2.backend = EquilibriumBackend::kBush;
+  const SolveResponse warm = eng.solve(eq2);
   ASSERT_TRUE(warm.ok) << warm.error;
   EXPECT_TRUE(warm.warm);
-  SolveRequest cold = fw2;
+  SolveRequest cold = eq2;
   cold.session = 0;
   const SolveResponse reference = eng.solve(cold);
   ASSERT_TRUE(reference.ok) << reference.error;

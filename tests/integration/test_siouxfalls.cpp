@@ -1,15 +1,18 @@
 // SiouxFalls end-to-end: the shipped TNTP instance loads, solves through
-// Frank-Wolfe and path equilibration, and runs the full MOP pipeline.
+// the bush backend and path equilibration — each flow checked by the
+// solver-independent certificate — and runs the full MOP pipeline.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <variant>
+#include <vector>
 
 #include "stackroute/core/mop.h"
 #include "stackroute/equilibrium/network.h"
 #include "stackroute/io/tntp.h"
-#include "stackroute/solver/frank_wolfe.h"
+#include "stackroute/solver/bush.h"
 #include "stackroute/sweep/scenario.h"
+#include "support/equilibrium_certificate.h"
 
 namespace stackroute {
 namespace {
@@ -28,27 +31,33 @@ NetworkInstance sioux_falls(double demand) {
   return inst;
 }
 
-TEST(SiouxFalls, FrankWolfeSolvesNashAndOptimum) {
+using test_support::expect_certified;
+
+TEST(SiouxFalls, BushSolvesNashAndOptimum) {
   const NetworkInstance inst = sioux_falls(10000.0);
-  const FrankWolfeResult nash =
-      frank_wolfe(inst, FlowObjective::kBeckmann);
+  const BushResult nash = solve_bush(inst, FlowObjective::kBeckmann);
   EXPECT_TRUE(nash.converged);
-  const FrankWolfeResult opt = frank_wolfe(inst, FlowObjective::kTotalCost);
+  const BushResult opt = solve_bush(inst, FlowObjective::kTotalCost);
   EXPECT_TRUE(opt.converged);
-
-  // Flow conservation at the source: everything leaves node 0.
-  double out = 0.0, in = 0.0;
-  for (EdgeId e = 0; e < inst.graph.num_edges(); ++e) {
-    if (inst.graph.edge(e).tail == 0) out += nash.edge_flow[e];
-    if (inst.graph.edge(e).head == 0) in += nash.edge_flow[e];
+  // Gap, node conservation and non-negativity, recomputed from scratch.
+  {
+    SCOPED_TRACE("bush nash");
+    expect_certified(inst, {}, FlowObjective::kBeckmann, nash.edge_flow);
   }
-  EXPECT_NEAR(out - in, 10000.0, 1e-3);
+  {
+    SCOPED_TRACE("bush optimum");
+    expect_certified(inst, {}, FlowObjective::kTotalCost, opt.edge_flow);
+  }
 
-  // FW's optimum agrees with the path-equilibration solver.
+  // The bush optimum agrees with the path-equilibration solver, whose
+  // flow passes the same certificate.
   const NetworkAssignment eq = solve_optimum(inst);
-  const double fw_cost = cost(inst, opt.edge_flow);
   EXPECT_TRUE(eq.converged);
-  EXPECT_NEAR(fw_cost, eq.cost, 1e-3 * eq.cost);
+  EXPECT_NEAR(cost(inst, opt.edge_flow), eq.cost, 1e-6 * eq.cost);
+  {
+    SCOPED_TRACE("pe optimum");
+    expect_certified(inst, {}, FlowObjective::kTotalCost, eq.edge_flow);
+  }
   // And the Nash cost dominates the optimum cost.
   EXPECT_GE(cost(inst, nash.edge_flow), eq.cost * (1.0 - 1e-9));
 }

@@ -16,7 +16,7 @@
 #include "stackroute/obs/counters.h"
 #include "stackroute/obs/profile.h"
 #include "stackroute/obs/trace.h"
-#include "stackroute/solver/frank_wolfe.h"
+#include "stackroute/solver/bush.h"
 #include "stackroute/solver/traffic_assignment.h"
 #include "stackroute/solver/water_filling.h"
 #include "stackroute/solver/workspace.h"
@@ -51,15 +51,15 @@ TEST(Counters, MergeClearAnyAndToString) {
   a.warm_hits = 1;
   obs::SolveCounters b;
   b.dijkstra_calls = 2;
-  b.fw_iterations = 7;
+  b.bush_shifts = 7;
   a.merge(b);
   EXPECT_EQ(a.dijkstra_calls, 5u);
-  EXPECT_EQ(a.fw_iterations, 7u);
+  EXPECT_EQ(a.bush_shifts, 7u);
   EXPECT_EQ(a.warm_hits, 1u);
   EXPECT_TRUE(a.any());
   const std::string s = a.to_string();
   EXPECT_NE(s.find("dijkstra_calls=5"), std::string::npos) << s;
-  EXPECT_NE(s.find("fw_iterations=7"), std::string::npos) << s;
+  EXPECT_NE(s.find("bush_shifts=7"), std::string::npos) << s;
   // Zero fields stay out of the one-liner.
   EXPECT_EQ(s.find("water_fill_evals"), std::string::npos) << s;
 
@@ -125,22 +125,22 @@ TEST(Counters, SolverResultsSnapshotTheirOwnWork) {
   const NetworkInstance inst = grid_city(rng, 4, 4, 2.0);
 
   // Without a sink the result counters stay all-zero.
-  FrankWolfeOptions fw_opts;
-  fw_opts.max_iters = 10;
-  fw_opts.rel_gap_tol = 0.0;
-  EXPECT_FALSE(frank_wolfe(inst, FlowObjective::kBeckmann, {}, fw_opts)
+  BushOptions bush_opts;
+  bush_opts.max_iters = 10;
+  bush_opts.rel_gap_tol = 0.0;
+  EXPECT_FALSE(solve_bush(inst, FlowObjective::kBeckmann, {}, bush_opts)
                    .counters.any());
 
   obs::SolveCounters sink;
   {
     obs::CountersScope scope(sink);
-    const FrankWolfeResult fw =
-        frank_wolfe(inst, FlowObjective::kBeckmann, {}, fw_opts);
-    EXPECT_EQ(fw.counters.fw_iterations,
-              static_cast<std::uint64_t>(fw.iterations));
-    EXPECT_GT(fw.counters.dijkstra_calls, 0u);
-    EXPECT_GT(fw.counters.dijkstra_settled, 0u);
-    EXPECT_GT(fw.counters.fw_line_search_evals, 0u);
+    const BushResult bush =
+        solve_bush(inst, FlowObjective::kBeckmann, {}, bush_opts);
+    EXPECT_EQ(bush.counters.gap_checks,
+              static_cast<std::uint64_t>(bush.iterations));
+    EXPECT_GT(bush.counters.dijkstra_calls, 0u);
+    EXPECT_GT(bush.counters.dijkstra_settled, 0u);
+    EXPECT_GT(bush.counters.bush_shifts, 0u);
 
     const AssignmentResult eq =
         assign_traffic(inst, FlowObjective::kBeckmann, {});
@@ -149,26 +149,29 @@ TEST(Counters, SolverResultsSnapshotTheirOwnWork) {
     EXPECT_GT(eq.counters.dijkstra_calls, 0u);
   }
   // Both solves' deltas merged into the sink.
-  EXPECT_GT(sink.fw_iterations, 0u);
+  EXPECT_GT(sink.bush_shifts, 0u);
   EXPECT_GT(sink.equalization_steps, 0u);
 }
 
 TEST(Counters, MonotoneInTheIterationBudget) {
+  // Many commodities on a congested grid: the bush solver needs well over
+  // the larger budget to close the gap, so both runs use all of theirs.
   Rng rng(5);
-  const NetworkInstance inst = grid_city(rng, 4, 4, 2.0);
+  const NetworkInstance inst =
+      grid_city_multicommodity(rng, 6, 6, 10, 0.5, 2.0);
   auto run = [&](int iters) {
-    FrankWolfeOptions opts;
+    BushOptions opts;
     opts.max_iters = iters;
     opts.rel_gap_tol = 0.0;
     obs::SolveCounters sink;
     obs::CountersScope scope(sink);
-    (void)frank_wolfe(inst, FlowObjective::kBeckmann, {}, opts);
+    (void)solve_bush(inst, FlowObjective::kBeckmann, {}, opts);
     return sink;
   };
-  const obs::SolveCounters small = run(5);
-  const obs::SolveCounters large = run(20);
-  EXPECT_EQ(small.fw_iterations, 5u);
-  EXPECT_EQ(large.fw_iterations, 20u);
+  const obs::SolveCounters small = run(2);
+  const obs::SolveCounters large = run(6);
+  EXPECT_EQ(small.gap_checks, 2u);
+  EXPECT_EQ(large.gap_checks, 6u);
   for (const auto& f : obs::SolveCounters::fields()) {
     EXPECT_GE(large.get(f), small.get(f)) << f.name;
   }
@@ -349,10 +352,10 @@ TEST(SolverTracing, SolversEmitSpansAndSamples) {
     obs::TraceScope trace(session);
     obs::ConvergenceScope conv(convergence);
     (void)assign_traffic(inst, FlowObjective::kBeckmann, {});
-    FrankWolfeOptions opts;
+    BushOptions opts;
     opts.max_iters = 5;
     opts.rel_gap_tol = 0.0;
-    (void)frank_wolfe(inst, FlowObjective::kBeckmann, {}, opts);
+    (void)solve_bush(inst, FlowObjective::kBeckmann, {}, opts);
   }
   EXPECT_TRUE(session.balanced());
   EXPECT_GT(session.events(), 0u);
@@ -362,8 +365,8 @@ TEST(SolverTracing, SolversEmitSpansAndSamples) {
   session.write_chrome_trace(os);
   const std::string out = os.str();
   EXPECT_NE(out.find("\"name\":\"assign_traffic\""), std::string::npos);
-  EXPECT_NE(out.find("\"name\":\"frank_wolfe\""), std::string::npos);
-  EXPECT_NE(out.find("\"name\":\"all_or_nothing\""), std::string::npos);
+  EXPECT_NE(out.find("\"name\":\"equalize_sweep\""), std::string::npos);
+  EXPECT_NE(out.find("\"name\":\"bush\""), std::string::npos);
 }
 
 // ---- Quantiles -----------------------------------------------------------

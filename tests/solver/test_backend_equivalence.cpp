@@ -1,15 +1,18 @@
-// Cross-backend equivalence: the three equilibrium backends (path
-// equalization, Frank–Wolfe, bush) minimize the same convex programs, so
-// they must agree on the equilibrium cost to their gap tolerances — not
-// bitwise — across generator families and seeds. Plus the bush solver's
-// own contracts: warm-vs-cold agreement, honest degraded statuses, and
-// bitwise thread-count invariance (solver level here; the sweep-table
-// level lives in sweep/test_warm_chains-style coverage below).
+// Cross-backend equivalence: the two equilibrium backends (path
+// equalization, bush) minimize the same convex programs, so they must
+// agree on the equilibrium cost to their gap tolerances — not bitwise —
+// across generator families and seeds, and each must pass the
+// solver-independent certificate of support/equilibrium_certificate.h.
+// Plus the bush solver's own contracts: warm-vs-cold agreement, honest
+// degraded statuses, and bitwise thread-count invariance (solver level
+// here; the sweep-table level lives in sweep/test_warm_chains-style
+// coverage below).
 #include "stackroute/solver/backend.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "stackroute/equilibrium/network.h"
@@ -22,24 +25,35 @@
 #include "stackroute/util/numeric.h"
 #include "stackroute/util/parallel.h"
 #include "stackroute/util/rng.h"
+#include "support/equilibrium_certificate.h"
 
 namespace stackroute {
 namespace {
+
+using test_support::certify_equilibrium;
+using test_support::EquilibriumCertificate;
+using test_support::expect_certified;
 
 double rel_diff(double a, double b) {
   return std::fabs(a - b) / std::fmax(1.0, std::fmax(std::fabs(a), std::fabs(b)));
 }
 
 TEST(BackendRegistry, NamesRoundTrip) {
+  ASSERT_EQ(equilibrium_backends().size(), 2u);
   for (EquilibriumBackend b : equilibrium_backends()) {
     EXPECT_EQ(parse_equilibrium_backend(to_string(b)), b);
   }
-  EXPECT_EQ(parse_equilibrium_backend("path-equalization"),
-            EquilibriumBackend::kPathEqualization);
-  EXPECT_EQ(parse_equilibrium_backend("frank-wolfe"),
-            EquilibriumBackend::kFrankWolfe);
+  EXPECT_STREQ(to_string(EquilibriumBackend::kPathEqualization), "pe");
+  EXPECT_STREQ(to_string(EquilibriumBackend::kBush), "bush");
   EXPECT_THROW(parse_equilibrium_backend("simplex"), Error);
   EXPECT_THROW(parse_equilibrium_backend(""), Error);
+}
+
+TEST(BackendRegistry, RetiredSpellingsAreRejected) {
+  for (const char* retired :
+       {"fw", "frank-wolfe", "path-equalization", "path"}) {
+    EXPECT_THROW(parse_equilibrium_backend(retired), Error) << retired;
+  }
 }
 
 TEST(Bush, PigouNashAndOptimum) {
@@ -75,11 +89,9 @@ TEST(Bush, ReachesTightGapOnMulticommodityGrid) {
   EXPECT_LE(r.rel_gap, 1e-10);
 }
 
-// The headline equivalence sweep: three backends, several generator
-// families, several seeds; equilibrium *costs* agree to the loosest
-// backend's tolerance (FW at 1e-5, like its own suite — the O(1/k) tail
-// makes tighter gaps impractical, which is the bush backend's whole
-// point).
+// The headline equivalence sweep: both backends, several generator
+// families, several seeds; equilibrium *costs* agree, and each backend's
+// flow passes the certificate on its own.
 TEST(BackendEquivalence, NashCostAgreesAcrossFamiliesAndSeeds) {
   struct Family {
     const char* name;
@@ -104,12 +116,6 @@ TEST(BackendEquivalence, NashCostAgreesAcrossFamiliesAndSeeds) {
       ASSERT_TRUE(pe.converged) << fam.name << " seed " << seed;
       EXPECT_FALSE(pe.commodity_paths.empty());
 
-      req.backend = EquilibriumBackend::kFrankWolfe;
-      req.frank_wolfe.rel_gap_tol = 1e-5;
-      const EquilibriumResult fw =
-          solve_equilibrium(inst, {}, req, ws, nullptr, nullptr);
-      ASSERT_TRUE(fw.converged) << fam.name << " seed " << seed;
-
       req.backend = EquilibriumBackend::kBush;
       const EquilibriumResult bush =
           solve_equilibrium(inst, {}, req, ws, nullptr, nullptr);
@@ -117,14 +123,13 @@ TEST(BackendEquivalence, NashCostAgreesAcrossFamiliesAndSeeds) {
           << fam.name << " seed " << seed << " gap " << bush.rel_gap;
 
       const double c_pe = cost(inst, pe.edge_flow);
-      const double c_fw = cost(inst, fw.edge_flow);
       const double c_bush = cost(inst, bush.edge_flow);
       EXPECT_LE(rel_diff(c_pe, c_bush), 1e-6)
           << fam.name << " seed " << seed << ": pe " << c_pe << " bush "
           << c_bush;
-      EXPECT_LE(rel_diff(c_fw, c_bush), 1e-3)
-          << fam.name << " seed " << seed << ": fw " << c_fw << " bush "
-          << c_bush;
+      SCOPED_TRACE(std::string(fam.name) + " seed " + std::to_string(seed));
+      expect_certified(inst, {}, FlowObjective::kBeckmann, pe.edge_flow);
+      expect_certified(inst, {}, FlowObjective::kBeckmann, bush.edge_flow);
     }
   }
 }
@@ -138,6 +143,49 @@ TEST(BackendEquivalence, OptimumCostAgreesOnGrid) {
   ASSERT_TRUE(bush.converged);
   EXPECT_LE(rel_diff(cost(inst, pe.edge_flow), cost(inst, bush.edge_flow)),
             1e-6);
+  expect_certified(inst, {}, FlowObjective::kTotalCost, pe.edge_flow);
+  expect_certified(inst, {}, FlowObjective::kTotalCost, bush.edge_flow);
+}
+
+// With a Leader preload both backends solve the followers' program on the
+// shifted latencies; they agree, and the certificate checks each flow at
+// the preloaded costs.
+TEST(BackendEquivalence, PreloadedNashAgreesOnFig7) {
+  NetworkInstance inst = fig7_instance(0.05);
+  inst.commodities[0].demand = 0.4;
+  const std::vector<double> preload = {0.3, 0.3, 0.0, 0.3, 0.3};
+  const auto pe = assign_traffic(inst, FlowObjective::kBeckmann, preload);
+  ASSERT_TRUE(pe.converged);
+  const BushResult bush = solve_bush(inst, FlowObjective::kBeckmann, preload);
+  ASSERT_TRUE(bush.converged);
+  EXPECT_LE(max_abs_diff(pe.edge_flow, bush.edge_flow), 1e-6);
+  expect_certified(inst, preload, FlowObjective::kBeckmann, pe.edge_flow);
+  expect_certified(inst, preload, FlowObjective::kBeckmann, bush.edge_flow);
+}
+
+// The certificate itself must not be vacuous: a feasible but
+// non-equilibrium flow (Braess, all flow on the two outer routes) shows a
+// clearly positive gap.
+TEST(EquilibriumCertificate, DetectsNonEquilibriumFlow) {
+  const NetworkInstance inst = braess_classic();
+  const BushResult nash = solve_bush(inst, FlowObjective::kBeckmann);
+  ASSERT_TRUE(nash.converged);
+  const EquilibriumCertificate good =
+      certify_equilibrium(inst, {}, FlowObjective::kBeckmann, nash.edge_flow);
+  EXPECT_LE(good.rel_gap, 1e-10);
+  // The system optimum is feasible but not a Wardrop flow.
+  const BushResult opt = solve_bush(inst, FlowObjective::kTotalCost);
+  ASSERT_TRUE(opt.converged);
+  const EquilibriumCertificate bad =
+      certify_equilibrium(inst, {}, FlowObjective::kBeckmann, opt.edge_flow);
+  EXPECT_GT(bad.rel_gap, 1e-3);
+  EXPECT_LE(bad.conservation, 1e-12);
+  // A flow that drops demand fails conservation.
+  std::vector<double> short_flow = nash.edge_flow;
+  for (double& f : short_flow) f *= 0.5;
+  EXPECT_GT(certify_equilibrium(inst, {}, FlowObjective::kBeckmann, short_flow)
+                .conservation,
+            0.1);
 }
 
 TEST(Bush, WarmMatchesColdAcrossDemandScale) {
@@ -263,15 +311,15 @@ TEST(BackendWarmState, SwitchingBackendsDropsPayloads) {
   EquilibriumWarmState warm;
 
   EquilibriumRequest req;
-  req.backend = EquilibriumBackend::kFrankWolfe;
+  req.backend = EquilibriumBackend::kPathEqualization;
   ASSERT_TRUE(solve_equilibrium(inst, {}, req, ws, &warm, &warm).converged);
-  EXPECT_EQ(warm.backend, EquilibriumBackend::kFrankWolfe);
-  EXPECT_FALSE(warm.fw_flow.empty());
+  EXPECT_EQ(warm.backend, EquilibriumBackend::kPathEqualization);
+  EXPECT_FALSE(warm.paths.empty());
 
   req.backend = EquilibriumBackend::kBush;
   ASSERT_TRUE(solve_equilibrium(inst, {}, req, ws, &warm, &warm).converged);
   EXPECT_EQ(warm.backend, EquilibriumBackend::kBush);
-  EXPECT_TRUE(warm.fw_flow.empty()) << "FW payload must not survive a switch";
+  EXPECT_TRUE(warm.paths.empty()) << "pe payload must not survive a switch";
   EXPECT_FALSE(warm.bush.empty());
 
   req.backend = EquilibriumBackend::kPathEqualization;

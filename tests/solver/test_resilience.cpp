@@ -13,7 +13,7 @@
 #include "stackroute/latency/families.h"
 #include "stackroute/network/generators.h"
 #include "stackroute/obs/counters.h"
-#include "stackroute/solver/frank_wolfe.h"
+#include "stackroute/solver/bush.h"
 #include "stackroute/solver/status.h"
 #include "stackroute/solver/traffic_assignment.h"
 #include "stackroute/solver/water_filling.h"
@@ -78,19 +78,18 @@ TEST(BudgetGate, IterationCapAndDeadline) {
   EXPECT_TRUE(expired_gate.expired());  // sticky
 }
 
-TEST(FrankWolfe, IterCapDegradesWithHonestGap) {
-  // Braess's equilibrium coincides with the all-or-nothing start, so FW
-  // finishes it in one iteration; a congested grid city does not.
+TEST(Bush, BudgetIterCapDegradesWithHonestGap) {
+  // The budget's cap (not the solver's own max_iters) stops a congested
+  // grid city short of the tolerance.
   Rng rng(11);
   const NetworkInstance inst = grid_city(rng, 4, 4, 3.0);
-  FrankWolfeOptions opts;
+  BushOptions opts;
   opts.rel_gap_tol = 1e-10;
-  opts.step_rule = FwStepRule::kHarmonic;
   opts.budget.max_iters = 2;
-  const FrankWolfeResult r =
-      frank_wolfe(inst, FlowObjective::kBeckmann, {}, opts);
+  const BushResult r = solve_bush(inst, FlowObjective::kBeckmann, {}, opts);
   EXPECT_EQ(r.status, SolveStatus::kIterLimit);
   EXPECT_FALSE(r.converged);
+  EXPECT_EQ(r.iterations, 2);
   EXPECT_GT(r.rel_gap, opts.rel_gap_tol);  // the honest quality bound
   // Best-so-far flow is still feasible and finite.
   double total = 0.0;
@@ -101,14 +100,14 @@ TEST(FrankWolfe, IterCapDegradesWithHonestGap) {
   EXPECT_GT(total, 0.0);
 }
 
-TEST(FrankWolfe, ExpiredDeadlineDegradesImmediately) {
+TEST(Bush, ExpiredDeadlineDegradesImmediately) {
   const NetworkInstance inst = braess_classic();
-  FrankWolfeOptions opts;
+  BushOptions opts;
   opts.budget.deadline_ns = 1;
-  const FrankWolfeResult r =
-      frank_wolfe(inst, FlowObjective::kBeckmann, {}, opts);
+  const BushResult r = solve_bush(inst, FlowObjective::kBeckmann, {}, opts);
   EXPECT_EQ(r.status, SolveStatus::kDeadlineExceeded);
   EXPECT_FALSE(r.converged);
+  EXPECT_EQ(r.iterations, 0);
   for (double f : r.edge_flow) EXPECT_TRUE(std::isfinite(f));
 }
 

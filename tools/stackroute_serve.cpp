@@ -33,10 +33,8 @@
 //   demand        demand override (scaled proportionally on networks)
 //   alpha         Leader fraction for op=strategy (scale/llf)
 //   strategy      "aloof" | "scale" | "llf" (op=strategy, default aloof)
-//   backend       "pe" | "fw" | "bush" equilibrium backend on networks
+//   backend       "pe" | "bush" equilibrium backend on networks
 //                 (default: the server's --backend flag, itself pe)
-//   method        legacy spelling of "backend" ("path" means pe); when a
-//                 request carries both, backend wins
 //   deadline_ms   per-request wall-clock budget
 //   max_iters     per-request iteration budget
 //
@@ -97,8 +95,8 @@ int usage(std::ostream& os, int code) {
         "off)\n"
         "  --session-budget-mb N  session/workspace byte budget (0 = off)\n"
         "  --backend NAME       default equilibrium backend for requests\n"
-        "                       that set neither \"backend\" nor \"method\":\n"
-        "                       pe (default) | fw | bush\n"
+        "                       that do not set \"backend\":\n"
+        "                       pe (default) | bush\n"
         "  --quiet              suppress the stderr run summary\n"
         "  --help               show this message\n"
         "Serves line-delimited JSON requests (one object per line) against\n"

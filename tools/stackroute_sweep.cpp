@@ -23,6 +23,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "stackroute/gen/registry.h"
@@ -43,10 +44,10 @@ int usage(std::ostream& os, int code) {
         "                        (NAME may be any unambiguous prefix of a\n"
         "                        generator family, e.g. 'grid')\n"
         "  --backend NAME        equilibrium backend for network Nash solves:\n"
-        "                        pe (path equalization, default) | fw\n"
-        "                        (Frank-Wolfe) | bush (origin-based bushes);\n"
-        "                        reports the equilibrium metric columns and\n"
-        "                        needs --file/--generate\n"
+        "                        pe (path equalization, default) | bush\n"
+        "                        (origin-based bushes); reports the\n"
+        "                        equilibrium metric columns and needs\n"
+        "                        --file/--generate\n"
         "  --strategy NAME       aloof | scale | llf | optop: report the\n"
         "                        named Leader baseline's C(S+T)/C(O) column\n"
         "                        instead of the default metrics (needs\n"
@@ -58,9 +59,10 @@ int usage(std::ostream& os, int code) {
         "                        converged follower flow\n"
         "  --size N              generator size knob (0 = family default)\n"
         "  --gen-seed N          generator seed (default 1)\n"
-        "  --demand LO HI COUNT  demand axis for --file/--generate\n"
+        "  --demand LO HI COUNT  total-demand axis for --file/--generate\n"
         "                        (default 0.5 3.0 11; needs 0 < LO < HI,\n"
-        "                        COUNT >= 2)\n"
+        "                        COUNT >= 2); required for a X_net.tntp\n"
+        "                        with a sibling X_trips.tntp OD matrix\n"
         "  --seed N              base seed for per-task RNG derivation\n"
         "  --warm-start on|off   chain solves along the scenario's warm axis,\n"
         "                        reusing the neighboring point's converged\n"
@@ -478,6 +480,19 @@ int main(int argc, char** argv) {
         spec.factory = sweep::generated_instance_source(
             gen::sized_spec(family, args.gen_size), args.gen_seed);
       } else {
+        const std::string trips = sweep::trips_sibling(args.file);
+        if (demand_swept && !args.demand_given && !trips.empty()) {
+          // The default axis is an absolute total demand of 0.5-3.0 —
+          // free flow on any real OD matrix, a meaningless sweep.
+          std::ostringstream native;
+          native << std::get<NetworkInstance>(
+                        sweep::load_instance_file(args.file))
+                        .total_demand();
+          throw Error(args.file + " takes its OD matrix from " + trips +
+                      " (native total demand " + native.str() +
+                      "); --demand LO HI COUNT is required and sweeps "
+                      "that absolute total");
+        }
         spec.name = "file:" + args.file;
         spec.description = "sweep over " + args.file;
         spec.factory = sweep::file_instance_source(args.file);
@@ -495,7 +510,7 @@ int main(int argc, char** argv) {
         // like unknown scenario or generator names.
         spec.backend = parse_equilibrium_backend(args.backend);
         // A backend run is about the equilibrium itself: report the Nash
-        // cost (the column the FW-vs-bush comparisons use) instead of the
+        // cost (the column the pe-vs-bush comparisons use) instead of the
         // Stackelberg battery, whose β/C(S+T) solves bypass the backend.
         spec.metrics = {sweep::metric_nash_cost()};
       } else {

@@ -9,8 +9,13 @@ Run with the binary path as the only argument:
 
   test_cli_exit_codes.py /path/to/stackroute-sweep
 """
+import os
 import subprocess
 import sys
+
+INSTANCES = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "..", "examples", "instances"
+)
 
 
 def run(binary, *args):
@@ -130,6 +135,33 @@ def main():
             failures.append(
                 f"backend-agree: pe {pe_costs} vs bush {bush_costs}"
             )
+
+    # 1: a TNTP network with a sibling _trips.tntp OD matrix has a native
+    # demand scale (Anaheim's is ~81k); the default 0.5-3.0 absolute axis
+    # would sweep free flow, so the sweep refuses it and names the native
+    # total instead. With --demand it runs; a network without trips keeps
+    # the default axis (it attaches a unit commodity).
+    anaheim = os.path.join(INSTANCES, "Anaheim_net.tntp")
+    no_demand = check(
+        "trips-need-demand", 1, "--file", anaheim, "--backend", "bush",
+        stderr_contains="native total demand 81354",
+    )
+    if (
+        no_demand is not None
+        and no_demand.stderr.count("usage: stackroute-sweep") != 1
+    ):
+        failures.append(
+            "trips-need-demand: expected exactly one usage block on stderr"
+        )
+    check(
+        "trips-with-demand", 0, "--file", anaheim, "--backend", "bush",
+        "--demand", "40000", "80000", "2", "--format", "csv",
+    )
+    check(
+        "net-without-trips-default-demand", 0,
+        "--file", os.path.join(INSTANCES, "SiouxFalls_net.tntp"),
+        "--backend", "bush", "--format", "csv",
+    )
 
     # 2: completed with a failed row (fail twice to defeat the one cold
     # retry), with the per-task error line on stderr.

@@ -121,7 +121,7 @@ def main():
             '{"id":1e300,"op":"mop","generate":"grid-bpr"}',
             '{"id":1.5,"op":"mop","generate":"grid-bpr"}',
             '{"id":2,"op":"equilibrium","generate":"grid-bpr",'
-            '"method":"fw","max_iters":1e300}',
+            '"backend":"bush","max_iters":1e300}',
             '{"id":3,"op":"mop","generate":"grid-bpr","size":1e100}',
             '{"id":4,"op":"mop","generate":"grid-bpr","session":-1}',
             '{"id":5,"op":"mop","generate":"grid-bpr"}',
@@ -189,7 +189,7 @@ def main():
             "op": "equilibrium",
             "generate": "grid-bpr",
             "demand": 2.0,
-            "method": "fw",
+            "backend": "bush",
             "max_iters": 1,
         }
     )
@@ -202,9 +202,10 @@ def main():
         proc.stdout,
     )
 
-    # --- backend selection: "backend" is canonical, "method" the legacy
-    # spelling, bush solves for real, and unknown names are per-line
-    # errors that do not kill the stream ----------------------------------
+    # --- backend selection: "backend" names pe or bush, bush solves for
+    # real, and unknown names — the retired "fw"/"path" spellings among
+    # them — are per-line errors that do not kill the stream. The retired
+    # "method" field is an unknown request field like any other typo ------
     backend_stream = "\n".join(
         [
             '{"id":1,"op":"equilibrium","generate":"grid-bpr",'
@@ -214,34 +215,40 @@ def main():
             '{"id":3,"op":"equilibrium","generate":"grid-bpr",'
             '"backend":"simplex"}',
             '{"id":4,"op":"equilibrium","generate":"grid-bpr",'
-            '"method":"simplex"}',
-            '{"id":5,"op":"equilibrium","generate":"grid-bpr"}',
+            '"backend":"fw"}',
+            '{"id":5,"op":"equilibrium","generate":"grid-bpr",'
+            '"backend":"path"}',
+            '{"id":6,"op":"equilibrium","generate":"grid-bpr"}',
         ]
     )
     proc = run(binary, stdin=backend_stream)
     expect(proc.returncode == 2, "backend-exit", f"exit {proc.returncode}")
     resps = parse_lines(proc.stdout)
-    expect(len(resps) == 5, "backend-count", f"{len(resps)} responses")
-    for idx, name in [(0, "backend"), (1, "method")]:
-        r = resps[idx]
-        expect(
-            r["ok"] and r["status"] == "converged",
-            f"backend-bush-via-{name}",
-            str(r),
-        )
-    for idx, line_no, field in [(2, 3, "backend"), (3, 4, "method")]:
+    expect(len(resps) == 6, "backend-count", f"{len(resps)} responses")
+    r = resps[0]
+    expect(r["ok"] and r["status"] == "converged", "backend-bush", str(r))
+    r = resps[1]
+    expect(
+        not r["ok"]
+        and r.get("error", "").startswith("line 2:")
+        and "unknown request field 'method'" in r.get("error", ""),
+        "backend-method-field-rejected",
+        str(r),
+    )
+    for idx, name in [(2, "simplex"), (3, "fw"), (4, "path")]:
         r = resps[idx]
         expect(
             not r["ok"]
-            and f"field '{field}'" in r.get("error", "")
+            and r.get("error", "").startswith(f"line {idx + 1}:")
+            and "field 'backend'" in r.get("error", "")
             and "unknown backend" in r.get("error", ""),
-            f"backend-unknown-{field}",
+            f"backend-unknown-{name}",
             str(r),
         )
-    expect(resps[4]["ok"], "backend-stream-survives", str(resps[4]))
+    expect(resps[5]["ok"], "backend-stream-survives", str(resps[5]))
     # The default pe path and the bush backend agree on equilibrium cost.
-    rel = abs(resps[0]["cost"] - resps[4]["cost"]) / max(
-        abs(resps[4]["cost"]), 1.0
+    rel = abs(resps[0]["cost"] - resps[5]["cost"]) / max(
+        abs(resps[5]["cost"]), 1.0
     )
     expect(rel <= 1e-6, "backend-costs-agree", proc.stdout)
 
