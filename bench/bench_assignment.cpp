@@ -22,7 +22,6 @@
 #include "stackroute/network/instance.h"
 #include "stackroute/solver/bush.h"
 #include "stackroute/sweep/scenario.h"
-#include "stackroute/util/parallel.h"
 
 namespace {
 
@@ -62,8 +61,6 @@ void free_flow_trees(benchmark::State& state, const NetworkInstance& inst) {
 
 void bush_to_gap(benchmark::State& state, const NetworkInstance& inst,
                  double tol) {
-  const int saved = max_threads_setting();
-  set_max_threads(1);
   BushOptions opts;
   opts.rel_gap_tol = tol;
   double gap = 0.0;
@@ -75,7 +72,6 @@ void bush_to_gap(benchmark::State& state, const NetworkInstance& inst,
     iters = r.iterations;
     benchmark::DoNotOptimize(r.objective);
   }
-  set_max_threads(saved);
   state.counters["rel_gap"] = gap;
   state.counters["iters"] = iters;
 }

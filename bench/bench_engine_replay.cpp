@@ -27,7 +27,6 @@
 #include "stackroute/network/generators.h"
 #include "stackroute/obs/profile.h"
 #include "stackroute/sweep/scenario.h"
-#include "stackroute/util/parallel.h"
 
 namespace {
 
@@ -54,8 +53,6 @@ std::vector<engine::SolveRequest> ramp_requests(const engine::Instance& proto,
 
 void replay(benchmark::State& state,
             const std::vector<engine::SolveRequest>& stream, bool warm) {
-  const int saved = max_threads_setting();
-  set_max_threads(1);
   engine::EngineOptions opts;
   if (!warm) opts.table_cache_capacity = 0;  // no reuse of any kind
   engine::Engine eng(opts);
@@ -79,7 +76,6 @@ void replay(benchmark::State& state,
     if (warm) eng.close_session(session);
     benchmark::DoNotOptimize(served);
   }
-  set_max_threads(saved);
   const obs::QuantileSummary q = obs::QuantileSummary::of(latency_ms);
   state.counters["p50_us"] = q.p50 * 1000.0;
   state.counters["p99_us"] = q.p99 * 1000.0;

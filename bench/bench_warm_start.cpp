@@ -53,7 +53,6 @@ sweep::ScenarioSpec grid_bpr_demand_spec(int points) {
 
 void run_sweep(benchmark::State& state, const sweep::ScenarioSpec& spec,
                bool warm) {
-  const int saved = max_threads_setting();
   set_max_threads(1);
   sweep::SweepOptions opts;
   opts.warm_start = warm;
@@ -63,7 +62,7 @@ void run_sweep(benchmark::State& state, const sweep::ScenarioSpec& spec,
     failed += r.num_failed();
     benchmark::DoNotOptimize(failed);
   }
-  set_max_threads(saved);
+  set_max_threads(0);
   state.counters["tasks"] = static_cast<double>(spec.grid.size());
   state.counters["failed"] = static_cast<double>(failed);
 }

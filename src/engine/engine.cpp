@@ -6,10 +6,6 @@
 #include <optional>
 #include <utility>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "stackroute/engine/footprint.h"
 #include "stackroute/obs/timing.h"
 #include "stackroute/util/error.h"
@@ -185,60 +181,7 @@ std::vector<LatencyPtr> instance_latencies(const Instance& inst) {
   return std::get<NetworkInstance>(inst).graph.latencies();
 }
 
-/// Serializes nested solver parallelism exactly the way SweepRunner does,
-/// so engine responses are bitwise identical at any thread count: inside a
-/// sharded batch the inner OpenMP regions are nested (and collapse to one
-/// thread under max_active_levels = 1); a lone request/group never opens
-/// the outer region, so it is pinned to one thread explicitly.
-///
-/// The pinned settings are process-global OpenMP state, so overlapping
-/// save/apply/restore from concurrent solve()/solve_batch() calls would
-/// race and could restore the wrong settings permanently (e.g. leave
-/// max_threads stuck at 1). The pin therefore holds a process-global mutex
-/// for its whole lifetime: top-level engine entry points serialize against
-/// each other (across all Engine objects — the state they touch is shared
-/// anyway), while the parallelism that matters lives *inside* one batch,
-/// across its session groups.
-class ParallelPin {
- public:
-  explicit ParallelPin(bool pin_single) : lock_(pin_mutex()) {
-#ifdef _OPENMP
-    saved_levels_ = omp_get_max_active_levels();
-    omp_set_max_active_levels(1);
-#endif
-    saved_threads_ = max_threads_setting();
-    if (pin_single) set_max_threads(1);
-    pinned_ = pin_single;
-  }
-  ~ParallelPin() {
-    if (pinned_) set_max_threads(saved_threads_);
-#ifdef _OPENMP
-    omp_set_max_active_levels(saved_levels_);
-#endif
-  }
-
- private:
-  static std::mutex& pin_mutex() {
-    static std::mutex mu;
-    return mu;
-  }
-
-  std::unique_lock<std::mutex> lock_;
-#ifdef _OPENMP
-  int saved_levels_ = 1;
-#endif
-  int saved_threads_ = 0;
-  bool pinned_ = false;
-};
-
 }  // namespace
-
-struct SolverPin::Impl {
-  ParallelPin pin{/*pin_single=*/true};
-};
-
-SolverPin::SolverPin() : impl_(std::make_unique<Impl>()) {}
-SolverPin::~SolverPin() = default;
 
 void Engine::prepare_tables(SolverWorkspace& ws, const Instance& inst) {
   if (opts_.table_cache_capacity == 0) return;
@@ -387,7 +330,7 @@ SolveResponse Engine::solve_on(SolveSession* session,
   return resp;
 }
 
-SolveResponse Engine::solve_impl(const SolveRequest& req) {
+SolveResponse Engine::solve(const SolveRequest& req) {
   // Check the cancellation flag once, before any session work: a request
   // whose client gave up while it sat in a queue is answered with a typed
   // shed instead of burning a solve. Warm state is untouched — the request
@@ -437,15 +380,6 @@ SolveResponse Engine::solve_impl(const SolveRequest& req) {
   return resp;
 }
 
-SolveResponse Engine::solve(const SolveRequest& req) {
-  const ParallelPin pin(/*pin_single=*/true);
-  return solve_impl(req);
-}
-
-SolveResponse Engine::solve_pinned(const SolveRequest& req) {
-  return solve_impl(req);
-}
-
 std::vector<SolveResponse> Engine::solve_batch(
     std::span<const SolveRequest> reqs) {
   // Shard by session: one group per session (its requests run in
@@ -465,13 +399,9 @@ std::vector<SolveResponse> Engine::solve_batch(
   }
 
   std::vector<SolveResponse> out(reqs.size());
-  const ParallelPin pin(/*pin_single=*/groups.size() < 2);
-  parallel_for(
-      groups.size(),
-      [&](std::size_t g) {
-        for (const std::size_t i : groups[g]) out[i] = solve_impl(reqs[i]);
-      },
-      /*grain=*/1);
+  parallel_for(groups.size(), [&](std::size_t g) {
+    for (const std::size_t i : groups[g]) out[i] = solve(reqs[i]);
+  });
   return out;
 }
 

@@ -40,12 +40,24 @@ std::size_t footprint_bytes(const DijkstraWorkspace& ws) {
          vec_bytes(ws.heap);
 }
 
+std::size_t footprint_bytes(const BushWorkspace& bw) {
+  std::size_t bytes = vec_bytes(bw.pos) + vec_bytes(bw.dmin) +
+                      vec_bytes(bw.dmax) + vec_bytes(bw.pmin) +
+                      vec_bytes(bw.pmax) + vec_bytes(bw.indeg) +
+                      vec_bytes(bw.queue) + vec_bytes(bw.depth) +
+                      vec_bytes(bw.chain) + vec_bytes(bw.total_flow) +
+                      vec_bytes(bw.seg_max) + vec_bytes(bw.seg_min) +
+                      vec_bytes(bw.state);
+  for (const OriginBush& b : bw.state) bytes += b.footprint_bytes();
+  return bytes;
+}
+
 std::size_t footprint_bytes(const SolverWorkspace& ws) {
   return sizeof(ws) + ws.table.footprint_bytes() +
          footprint_bytes(ws.dijkstra) + footprint_bytes(ws.dijkstra_rev) +
          vec_bytes(ws.costs) + vec_bytes(ws.dists) +
          vec_bytes(ws.path_scratch) + vec_bytes(ws.delta_mask) +
-         vec_bytes(ws.weights) + vec_bytes(ws.settled_scratch);
+         vec_bytes(ws.weights) + footprint_bytes(ws.bush);
 }
 
 std::size_t footprint_bytes(const AssignmentWarmStart& warm) {

@@ -16,10 +16,11 @@
 //     recompiling (hash fast path + full value-equality check, so a
 //     collision can never cause wrong reuse — see instance.h).
 //
-// solve_batch shards requests across the existing thread pool, one group
-// per session (a session's requests run in submission order on one
-// thread, exactly the sweep chain discipline), so responses are
-// deterministic at any thread count.
+// Every solve runs single-threaded on one thread. solve() may be called
+// from any number of threads at once; solve_batch fans its requests out
+// over util/parallel.h, one group per session (a session's requests run in
+// submission order on one thread, exactly the sweep chain discipline), so
+// responses are deterministic at any thread count.
 //
 // The sweep layer is a thin client: SweepRunner opens one session per
 // warm chain and evaluates its metrics through the same Evaluation type
@@ -129,10 +130,11 @@ struct EngineOptions {
   /// workspace pool); 0 = unlimited. When a finished solve leaves the
   /// total above budget, pooled spares are dropped and then idle sessions
   /// shed their memory (warm payloads + workspace buffers) LRU-first —
-  /// sessions stay open and correct, they just re-warm from cold. Only
-  /// requests served through solve()/solve_batch()/solve_pinned() are
-  /// accounted; sessions driven directly via session() (the sweep path)
-  /// must not rely on this budget.
+  /// sessions stay open and correct, they just re-warm from cold. Each
+  /// session's charge covers its whole workspace, solver scratch included
+  /// (see footprint.h). Only requests served through solve()/solve_batch()
+  /// are accounted; sessions driven directly via session() (the sweep
+  /// path) must not rely on this budget.
   std::size_t session_budget_bytes = 0;
   /// Applied to requests whose own budget is inactive.
   SolveBudget default_budget;
@@ -165,24 +167,9 @@ struct EngineStats {
                                     // their memory under the byte budget
 };
 
-/// Holds the process-global solver-thread pin (the OpenMP settings
-/// ParallelPin saves, pins to one inner thread, and restores) for its
-/// lifetime. A multi-threaded front end constructs ONE of these for the
-/// server's lifetime and then calls Engine::solve_pinned from any number
-/// of worker threads concurrently — per-request pinning would serialize
-/// the workers on the pin's global mutex. While a SolverPin exists, every
-/// plain solve()/solve_batch() call in the process blocks (they acquire
-/// the same mutex), so do not mix the two styles.
-class SolverPin {
- public:
-  SolverPin();
-  ~SolverPin();
-  SolverPin(const SolverPin&) = delete;
-  SolverPin& operator=(const SolverPin&) = delete;
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
+/// Holds nothing; kept only because perfbench/ still declares one.
+struct SolverPin {
+  SolverPin() {}  // user-provided, so an unused `const SolverPin` is silent
 };
 
 class Engine {
@@ -201,32 +188,22 @@ class Engine {
   /// The caller owns the thread discipline (one session, one thread).
   [[nodiscard]] SolveSession* session(std::uint64_t id);
 
-  /// Serves one request (in the caller's thread). Never throws: failures
-  /// come back as !ok responses and reset the session's warm state.
-  ///
-  /// solve() and solve_batch() may be called from multiple threads, but
-  /// they serialize against each other on a process-global pin: they
-  /// save/restore OpenMP's process-global thread settings, which cannot
-  /// be held at two different values at once. Concurrency comes from
-  /// batching (solve_batch shards across sessions), from overlapping
-  /// solve_pinned calls under one SolverPin — not from overlapping plain
-  /// entry calls. Concurrent calls naming the same session id are safe
-  /// either way: a session serves one request at a time, and contenders
-  /// queue on it in arrival order.
+  /// Serves one request, single-threaded, in the caller's thread. Never
+  /// throws: failures come back as !ok responses and reset the session's
+  /// warm state. Safe to call from any number of threads at once, on any
+  /// number of engines; a sessionless response is identical to a serial
+  /// call's. Concurrent calls naming the same session id queue on it in
+  /// arrival order — a session serves one request at a time.
   SolveResponse solve(const SolveRequest& req);
 
-  /// solve() minus the per-call pin: requires a live SolverPin in the
-  /// process (the caller's responsibility) and may then be called from
-  /// many threads concurrently — each solve runs single-threaded, and
-  /// concurrency comes from the callers. Responses for a given request
-  /// sequence per session are identical to serial solve() calls.
-  SolveResponse solve_pinned(const SolveRequest& req);
+  /// solve() under its former name, kept only because perfbench/ calls it.
+  SolveResponse solve_pinned(const SolveRequest& req) { return solve(req); }
 
   /// Serves a batch: requests are grouped by session id (group order =
   /// first appearance, intra-group order = submission order) and the
-  /// groups run in parallel over the thread pool. Responses line up
-  /// index-for-index with the requests and are bitwise identical at any
-  /// thread count.
+  /// groups fan out over util/parallel.h's threads, each group on one.
+  /// Responses line up index-for-index with the requests and are bitwise
+  /// identical at any thread count.
   std::vector<SolveResponse> solve_batch(std::span<const SolveRequest> reqs);
 
   [[nodiscard]] const EngineOptions& options() const { return opts_; }
@@ -237,8 +214,6 @@ class Engine {
   /// The typed-request core: runs `req` on `session` (null = pooled
   /// workspace, cold). Assumes exclusive use of the session.
   SolveResponse solve_on(SolveSession* session, const SolveRequest& req);
-  /// solve() without the per-call pin — shared by solve/solve_pinned.
-  SolveResponse solve_impl(const SolveRequest& req);
   /// Seeds `ws.table` for `inst` from the content-hash cache (adopt) or
   /// compiles and caches. The sweep client never comes through here — its
   /// chains keep the pointer-identity fast path untouched.

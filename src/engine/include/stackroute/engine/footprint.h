@@ -30,6 +30,7 @@ std::size_t footprint_bytes(const NetworkInstance& inst);
 std::size_t footprint_bytes(const Instance& inst);
 
 std::size_t footprint_bytes(const DijkstraWorkspace& ws);
+std::size_t footprint_bytes(const BushWorkspace& bw);
 std::size_t footprint_bytes(const SolverWorkspace& ws);
 
 std::size_t footprint_bytes(const AssignmentWarmStart& warm);

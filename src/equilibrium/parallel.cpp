@@ -6,7 +6,6 @@
 #include "stackroute/latency/families.h"
 #include "stackroute/util/error.h"
 #include "stackroute/util/numeric.h"
-#include "stackroute/util/parallel.h"
 
 namespace stackroute {
 
@@ -122,19 +121,23 @@ LinkAssignment solve_induced(const ParallelLinks& m,
 
 double cost(const ParallelLinks& m, std::span<const double> flows) {
   SR_REQUIRE(flows.size() == m.size(), "flow vector size mismatch");
-  return parallel_sum(m.size(), [&](std::size_t i) {
-    return flows[i] * m.links[i]->value(flows[i]);
-  });
+  double total = 0.0;
+  for (std::size_t i = 0; i < m.size(); ++i) {
+    total += flows[i] * m.links[i]->value(flows[i]);
+  }
+  return total;
 }
 
 double stackelberg_cost(const ParallelLinks& m, std::span<const double> preload,
                         std::span<const double> induced) {
   SR_REQUIRE(preload.size() == m.size() && induced.size() == m.size(),
              "flow vector size mismatch");
-  return parallel_sum(m.size(), [&](std::size_t i) {
+  double total = 0.0;
+  for (std::size_t i = 0; i < m.size(); ++i) {
     const double x = preload[i] + induced[i];
-    return x * m.links[i]->value(x);
-  });
+    total += x * m.links[i]->value(x);
+  }
+  return total;
 }
 
 namespace {

@@ -5,9 +5,9 @@
 //
 // Two call shapes: the value-returning functions allocate a fresh tree per
 // call; the workspace overloads reuse dist/parent/heap buffers across calls
-// (the solvers keep one workspace per thread, making repeated shortest-path
-// queries allocation-free). Both run on the graph's cached CSR adjacency
-// and produce identical trees: with all queue keys distinct — guaranteed,
+// (each SolverWorkspace owns one, making repeated shortest-path queries
+// allocation-free). Both run on the graph's cached CSR adjacency and
+// produce identical trees: with all queue keys distinct — guaranteed,
 // since a node is only re-pushed with a strictly smaller distance — the
 // relaxation order is independent of the heap implementation.
 //
@@ -41,14 +41,13 @@ struct DijkstraWorkspace {
   std::vector<std::pair<double, NodeId>> heap;
   /// Nodes settled (non-stale pops) by the most recent run on this
   /// workspace — always recorded (one register increment per pop), so
-  /// telemetry can be tallied outside parallel regions (obs/counters.h).
+  /// call sites can tally it (count_dijkstra, obs/counters.h).
   std::uint64_t settled = 0;
 };
 
 /// Tallies one Dijkstra run into the calling thread's counter sink (no-op
-/// when collection is off). Counting lives at the call sites — never
-/// inside dijkstra() itself — so runs made by a worker team can be summed
-/// deterministically on the calling thread after the join.
+/// when collection is off). Counting lives at the call sites, never inside
+/// dijkstra() itself.
 inline void count_dijkstra(const DijkstraWorkspace& ws) {
   obs::count(&obs::SolveCounters::dijkstra_calls);
   obs::count(&obs::SolveCounters::dijkstra_settled, ws.settled);

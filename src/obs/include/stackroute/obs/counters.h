@@ -8,11 +8,9 @@
 // and a branch, which Release benches show is indistinguishable from no
 // instrumentation at all (bench/bench_obs_overhead.cpp guards this).
 //
-// Thread-count invariance: instrumented code never counts from inside a
-// parallel region. Work done by a worker team (e.g. the bush solver's
-// per-origin gap-check Dijkstras) is tallied into per-item scratch
-// and summed on the calling thread after the join, so the same solve
-// produces the same counters at any thread count.
+// Thread-count invariance: every solve runs single-threaded on the thread
+// that installed the sink, so the same solve produces the same counters
+// whatever else runs in the process.
 //
 // Solvers wrap their body in a ScopedCounterDelta: when a sink is
 // installed it reroutes counting into a private struct for the call's

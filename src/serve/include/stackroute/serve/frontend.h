@@ -24,11 +24,9 @@
 //     request with a typed shed and touches no warm state), and releases
 //     the client's engine sessions once the in-flight solve drains.
 //
-// The FrontEnd holds an engine::SolverPin for its lifetime and calls
-// solve_pinned from its workers: each solve runs single-threaded, and
-// all parallelism comes from the worker pool — so any plain
-// Engine::solve()/solve_batch() caller in the process would block until
-// the FrontEnd is destroyed.
+// Workers call Engine::solve directly: each solve runs single-threaded on
+// its worker, all parallelism comes from the worker pool, and other
+// callers of the same or any other Engine are never blocked by it.
 //
 // Thread model: submit_line / next_response / finish_client /
 // abort_client are safe from any thread; a client's lines must be
@@ -185,7 +183,6 @@ class FrontEnd {
   engine::Engine& engine_;
   FrontEndOptions opts_;
   PrototypeCache prototypes_;
-  engine::SolverPin pin_;
 
   mutable std::mutex mu_;
   std::condition_variable work_cv_;   // workers: runnable client appeared

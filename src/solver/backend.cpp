@@ -92,8 +92,6 @@ EquilibriumResult solve_equilibrium(const NetworkInstance& inst,
     case EquilibriumBackend::kBush: {
       BushOptions opts = req.bush;
       if (req.budget.active()) opts.budget = req.budget;
-      static thread_local BushWorkspace tl_bush_ws;  // scratch only; sized on
-                                                     // use, carries no state
       const BushWarmState* seed = nullptr;
       if (warm_in != nullptr && warm_in->backend == EquilibriumBackend::kBush) {
         seed = &warm_in->bush;
@@ -105,8 +103,8 @@ EquilibriumResult solve_equilibrium(const NetworkInstance& inst,
         warm_out->prepare(EquilibriumBackend::kBush);
         publish = &warm_out->bush;
       }
-      BushResult r = solve_bush(inst, req.objective, preload, opts, ws,
-                                tl_bush_ws, seed, publish);
+      BushResult r =
+          solve_bush(inst, req.objective, preload, opts, ws, seed, publish);
       out.edge_flow = std::move(r.edge_flow);
       out.objective = r.objective;
       out.rel_gap = r.rel_gap;

@@ -8,7 +8,6 @@
 #include "stackroute/obs/trace.h"
 #include "stackroute/util/error.h"
 #include "stackroute/util/numeric.h"
-#include "stackroute/util/parallel.h"
 
 namespace stackroute {
 
@@ -63,18 +62,20 @@ double cost_slope(const LatencyTable& table, std::size_t e, double x,
 /// (dist, tree depth, id) over the nodes reachable from the origin — the
 /// shortest-path tree always goes forward in that order, so the bush (all
 /// forward edges) contains it — then all-or-nothing demand on tree paths.
-std::uint64_t build_initial_bush(const Graph& g, const NetworkInstance& inst,
-                                 const OriginGroup& group,
-                                 std::span<const double> costs,
-                                 OriginBush& b) {
-  thread_local DijkstraWorkspace dijkstra_ws;
-  thread_local std::vector<std::int32_t> depth;
-  thread_local std::vector<std::int32_t> pos;
-  thread_local std::vector<NodeId> chain;
+/// Runs on ws.costs, with ws.dijkstra and ws.bush's depth/pos/chain as
+/// scratch.
+void build_initial_bush(const Graph& g, const NetworkInstance& inst,
+                        const OriginGroup& group, SolverWorkspace& ws,
+                        OriginBush& b) {
+  std::vector<std::int32_t>& depth = ws.bush.depth;
+  std::vector<std::int32_t>& pos = ws.bush.pos;
+  std::vector<NodeId>& chain = ws.bush.chain;
 
   const auto nv = static_cast<std::size_t>(g.num_nodes());
   const auto ne = static_cast<std::size_t>(g.num_edges());
-  const ShortestPathTree& tree = dijkstra(g, group.origin, costs, dijkstra_ws);
+  const ShortestPathTree& tree =
+      dijkstra(g, group.origin, ws.costs, ws.dijkstra);
+  count_dijkstra(ws.dijkstra);
 
   depth.assign(nv, -1);
   depth[static_cast<std::size_t>(group.origin)] = 0;
@@ -133,7 +134,6 @@ std::uint64_t build_initial_bush(const Graph& g, const NetworkInstance& inst,
       v = g.edge(pe).tail;
     }
   }
-  return dijkstra_ws.settled;
 }
 
 /// Min/max path labels over the bush, in topological order. The max tree
@@ -437,14 +437,14 @@ bool warm_bush_consistent(const Graph& g, const OriginBush& b,
 /// the per-solve delta and the warm-fallback rerun.
 BushResult bush_run(const NetworkInstance& inst, FlowObjective objective,
                     const BushOptions& opts, BudgetGate& gate,
-                    SolverWorkspace& ws, BushWorkspace& bw,
-                    const BushWarmState* warm, bool& used_warm) {
+                    SolverWorkspace& ws, const BushWarmState* warm,
+                    bool& used_warm) {
+  BushWorkspace& bw = ws.bush;
   const Graph& g = inst.graph;
   const auto ne = static_cast<std::size_t>(g.num_edges());
   const auto nv = static_cast<std::size_t>(g.num_nodes());
   const std::size_t k = inst.commodities.size();
   const LatencyTable& table = ws.table;
-  const bool counting = obs::counting();
   const bool tracing = obs::convergence() != nullptr;
 
   const std::vector<OriginGroup> groups = group_by_origin(inst);
@@ -481,25 +481,12 @@ BushResult bush_run(const NetworkInstance& inst, FlowObjective objective,
   }
   if (!used_warm) {
     // Cold start: shortest-path bushes + all-or-nothing at empty-network
-    // costs, built origin-parallel (per-origin outputs, thread_local
-    // Dijkstra scratch, settled counts summed in order after the join).
+    // costs.
     std::fill(bw.total_flow.begin(), bw.total_flow.end(), 0.0);
     edge_costs(table, bw.total_flow, objective, ws.costs);
     bw.state.assign(ng, OriginBush{});
-    if (counting) ws.settled_scratch.assign(ng, 0);
-    parallel_for(
-        ng,
-        [&](std::size_t i) {
-          const std::uint64_t settled =
-              build_initial_bush(g, inst, groups[i], ws.costs, bw.state[i]);
-          if (counting) ws.settled_scratch[i] = settled;
-        },
-        /*grain=*/1);
-    if (counting) {
-      std::uint64_t settled = 0;
-      for (std::size_t i = 0; i < ng; ++i) settled += ws.settled_scratch[i];
-      obs::count(&obs::SolveCounters::dijkstra_calls, ng);
-      obs::count(&obs::SolveCounters::dijkstra_settled, settled);
+    for (std::size_t i = 0; i < ng; ++i) {
+      build_initial_bush(g, inst, groups[i], ws, bw.state[i]);
     }
   }
 
@@ -536,28 +523,16 @@ BushResult bush_run(const NetworkInstance& inst, FlowObjective objective,
       break;
     }
 
-    // SPTT: one full-graph Dijkstra per origin, origin-parallel; the
-    // per-commodity distances land in preassigned slots and are reduced
-    // in commodity order below (thread-count invariant).
-    if (counting) ws.settled_scratch.assign(ng, 0);
-    parallel_for(
-        ng,
-        [&](std::size_t i) {
-          thread_local DijkstraWorkspace dijkstra_ws;
-          const ShortestPathTree& tree =
-              dijkstra(g, groups[i].origin, ws.costs, dijkstra_ws);
-          for (std::size_t ci : groups[i].commodities) {
-            ws.dists[ci] =
-                tree.dist[static_cast<std::size_t>(inst.commodities[ci].sink)];
-          }
-          if (counting) ws.settled_scratch[i] = dijkstra_ws.settled;
-        },
-        /*grain=*/1);
-    if (counting) {
-      std::uint64_t settled = 0;
-      for (std::size_t i = 0; i < ng; ++i) settled += ws.settled_scratch[i];
-      obs::count(&obs::SolveCounters::dijkstra_calls, ng);
-      obs::count(&obs::SolveCounters::dijkstra_settled, settled);
+    // SPTT: one full-graph Dijkstra per origin; the per-commodity
+    // distances are reduced in commodity order below.
+    for (const OriginGroup& group : groups) {
+      const ShortestPathTree& tree =
+          dijkstra(g, group.origin, ws.costs, ws.dijkstra);
+      count_dijkstra(ws.dijkstra);
+      for (std::size_t ci : group.commodities) {
+        ws.dists[ci] =
+            tree.dist[static_cast<std::size_t>(inst.commodities[ci].sink)];
+      }
     }
     double sptt = 0.0;
     for (std::size_t i = 0; i < k; ++i) {
@@ -646,20 +621,13 @@ BushResult solve_bush(const NetworkInstance& inst, FlowObjective objective,
                       std::span<const double> preload,
                       const BushOptions& opts) {
   SolverWorkspace ws;
-  BushWorkspace bw;
-  return solve_bush(inst, objective, preload, opts, ws, bw);
+  return solve_bush(inst, objective, preload, opts, ws);
 }
 
 BushResult solve_bush(const NetworkInstance& inst, FlowObjective objective,
                       std::span<const double> preload, const BushOptions& opts,
-                      SolverWorkspace& ws, BushWorkspace& bw) {
-  return solve_bush(inst, objective, preload, opts, ws, bw, nullptr, nullptr);
-}
-
-BushResult solve_bush(const NetworkInstance& inst, FlowObjective objective,
-                      std::span<const double> preload, const BushOptions& opts,
-                      SolverWorkspace& ws, BushWorkspace& bw,
-                      const BushWarmState* warm, BushWarmState* warm_out) {
+                      SolverWorkspace& ws, const BushWarmState* warm,
+                      BushWarmState* warm_out) {
   obs::ScopedCounterDelta tally;
   obs::ScopedSpan span("bush");
   inst.validate();
@@ -671,7 +639,7 @@ BushResult solve_bush(const NetworkInstance& inst, FlowObjective objective,
   BudgetGate gate(opts.budget);
   bool used_warm = false;
   BushResult result =
-      bush_run(inst, objective, opts, gate, ws, bw, warm, used_warm);
+      bush_run(inst, objective, opts, gate, ws, warm, used_warm);
 
   // Warm-start guard: a warm seed that went numerically bad, stalled, or
   // burned the iteration cap without converging gets one cold retry — the
@@ -682,16 +650,16 @@ BushResult solve_bush(const NetworkInstance& inst, FlowObjective objective,
     obs::count(&obs::SolveCounters::warm_fallbacks);
     bool cold_used_warm = false;
     result =
-        bush_run(inst, objective, opts, gate, ws, bw, nullptr, cold_used_warm);
+        bush_run(inst, objective, opts, gate, ws, nullptr, cold_used_warm);
   }
 
   if (warm_out != nullptr) {
     if (result.status == SolveStatus::kNumericFailure) {
       warm_out->clear();
     } else {
-      warm_out->bushes = std::move(bw.state);
+      warm_out->bushes = std::move(ws.bush.state);
       warm_out->commodities = inst.commodities;
-      bw.state.clear();
+      ws.bush.state.clear();
     }
   }
   if (tally.active()) result.counters = tally.current();

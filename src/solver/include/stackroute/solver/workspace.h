@@ -8,6 +8,11 @@
 // sweep metrics) pass one workspace across calls so even the per-call
 // setup stops allocating once the buffers have grown to the instance size.
 //
+// Solves are single-threaded, so a workspace serves one solve at a time
+// and needs no per-thread copies: its owner (a call, a session, a sweep
+// chain) is its only user. The bush scratch lives here too, which is what
+// lets the engine's session byte accounting see it.
+//
 // Buffers are sized on use and never shrunk; a workspace carries no state
 // between calls beyond capacity (delta_mask is the one exception: it must
 // stay all-zero between equalization steps, which equalize_once maintains
@@ -21,20 +26,50 @@
 // forced one.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "stackroute/latency/table.h"
 #include "stackroute/network/dijkstra.h"
+#include "stackroute/network/graph.h"
 #include "stackroute/network/paths.h"
 #include "stackroute/obs/counters.h"
 
 namespace stackroute {
 
+/// One origin's bush: a topological order over the nodes it reaches, the
+/// edge set consistent with that order, and the origin's edge flows.
+struct OriginBush {
+  NodeId origin = kInvalidNode;
+  std::vector<NodeId> order;    // topological order (origin first)
+  std::vector<char> in_bush;    // by EdgeId
+  std::vector<double> flow;     // by EdgeId, this origin's share
+
+  [[nodiscard]] std::size_t footprint_bytes() const;
+};
+
+/// Scratch for the bush hot loops (solver/bush.h); sized on use, never
+/// shrunk, carries no state between calls.
+struct BushWorkspace {
+  std::vector<std::int32_t> pos;     // node -> position in topo order
+  std::vector<double> dmin;          // min-path cost from origin, per node
+  std::vector<double> dmax;          // max used-path cost from origin
+  std::vector<EdgeId> pmin;          // min-tree parent edge, per node
+  std::vector<EdgeId> pmax;          // max-tree parent edge, per node
+  std::vector<std::int32_t> indeg;   // Kahn in-degrees / bush in-degrees
+  std::vector<NodeId> queue;         // Kahn FIFO scratch
+  std::vector<std::int32_t> depth;   // tree depth scratch (initial order)
+  std::vector<NodeId> chain;         // parent-chase scratch
+  std::vector<double> total_flow;    // summed origin flows, by EdgeId
+  std::vector<EdgeId> seg_max;       // max-segment edges of one shift
+  std::vector<EdgeId> seg_min;       // min-segment edges of one shift
+  std::vector<OriginBush> state;     // the live bushes during a solve
+};
+
 struct SolverWorkspace {
   LatencyTable table;             // compiled effective latencies
-  DijkstraWorkspace dijkstra;     // shortest-path buffers (serial contexts;
-                                  // parallel fan-outs use thread_local ones)
+  DijkstraWorkspace dijkstra;     // shortest-path buffers
   DijkstraWorkspace dijkstra_rev;  // reverse-tree buffers (MOP's
                                    // tight-subgraph step)
   std::vector<double> costs;      // per-edge costs, maintained incrementally
@@ -42,10 +77,7 @@ struct SolverWorkspace {
   Path path_scratch;              // single-path buffer (equalization)
   std::vector<int> delta_mask;    // equalization ±1 mask; all-zero at rest
   std::vector<double> weights;    // water-filling residual weights
-  std::vector<std::uint64_t> settled_scratch;  // per-origin Dijkstra
-                                               // settled counts, summed on
-                                               // the calling thread after
-                                               // parallel fan-outs
+  BushWorkspace bush;             // solve_bush scratch
 
   /// Cumulative solver-work counters of every counted solve run on this
   /// workspace (see obs/counters.h). Collection is opt-in: install the

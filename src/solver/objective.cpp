@@ -5,7 +5,6 @@
 #include "stackroute/util/error.h"
 #include "stackroute/util/fault.h"
 #include "stackroute/util/numeric.h"
-#include "stackroute/util/parallel.h"
 
 namespace stackroute {
 
@@ -28,11 +27,11 @@ void edge_costs(std::span<const LatencyPtr> lat, std::span<const double> flow,
                 FlowObjective objective, std::span<double> out) {
   SR_REQUIRE(lat.size() == flow.size() && out.size() == lat.size(),
              "edge cost size mismatch");
-  parallel_for(lat.size(), [&](std::size_t e) {
+  for (std::size_t e = 0; e < lat.size(); ++e) {
     out[e] = objective == FlowObjective::kBeckmann
                  ? lat[e]->value(flow[e])
                  : lat[e]->marginal(flow[e]);
-  });
+  }
 }
 
 std::vector<double> edge_costs(std::span<const LatencyPtr> lat,
@@ -48,13 +47,12 @@ void edge_costs(const LatencyTable& lat, std::span<const double> flow,
   SR_REQUIRE(lat.size() == flow.size() && out.size() == lat.size(),
              "edge cost size mismatch");
   obs::count(&obs::SolveCounters::table_batch_evals);
-  parallel_for(lat.size(), [&](std::size_t e) {
+  for (std::size_t e = 0; e < lat.size(); ++e) {
     out[e] = edge_cost_at(lat, e, flow[e], objective);
-  });
+  }
   // Fault-injection seam: each batch evaluation is one event, corrupted
-  // after the join on the calling thread (the armed scope is thread-local,
-  // so this stays invariant under the worker count). One thread-local load
-  // and branch when no plan is armed.
+  // after the loop. One thread-local load and branch when no plan is
+  // armed.
   if (fault::armed()) {
     double bad;
     if (fault::next_eval_faulted(bad) && !out.empty()) {
@@ -66,22 +64,26 @@ void edge_costs(const LatencyTable& lat, std::span<const double> flow,
 double objective_value(std::span<const LatencyPtr> lat,
                        std::span<const double> flow, FlowObjective objective) {
   SR_REQUIRE(lat.size() == flow.size(), "objective size mismatch");
-  return parallel_sum(lat.size(), [&](std::size_t e) {
-    return objective == FlowObjective::kBeckmann
-               ? lat[e]->integral(flow[e])
-               : flow[e] * lat[e]->value(flow[e]);
-  });
+  double total = 0.0;
+  for (std::size_t e = 0; e < lat.size(); ++e) {
+    total += objective == FlowObjective::kBeckmann
+                 ? lat[e]->integral(flow[e])
+                 : flow[e] * lat[e]->value(flow[e]);
+  }
+  return total;
 }
 
 double objective_value(const LatencyTable& lat, std::span<const double> flow,
                        FlowObjective objective) {
   SR_REQUIRE(lat.size() == flow.size(), "objective size mismatch");
   obs::count(&obs::SolveCounters::table_batch_evals);
-  return parallel_sum(lat.size(), [&](std::size_t e) {
-    return objective == FlowObjective::kBeckmann
-               ? lat.integral(e, flow[e])
-               : flow[e] * lat.value(e, flow[e]);
-  });
+  double total = 0.0;
+  for (std::size_t e = 0; e < lat.size(); ++e) {
+    total += objective == FlowObjective::kBeckmann
+                 ? lat.integral(e, flow[e])
+                 : flow[e] * lat.value(e, flow[e]);
+  }
+  return total;
 }
 
 double total_cost(std::span<const LatencyPtr> lat,

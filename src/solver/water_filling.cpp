@@ -10,7 +10,6 @@
 #include "stackroute/util/error.h"
 #include "stackroute/util/fault.h"
 #include "stackroute/util/numeric.h"
-#include "stackroute/util/parallel.h"
 #include "stackroute/util/scalar.h"
 
 namespace stackroute {
@@ -109,9 +108,10 @@ WaterFillingResult water_fill(std::span<const LatencyPtr> links, double demand,
     }
     if (gate.expired()) throw SupplyInterrupt{SolveStatus::kDeadlineExceeded};
     ++supply_evals;
-    double s = parallel_sum(m, [&](std::size_t i) {
-      return table.is_constant(i) ? 0.0 : response(i, level);
-    });
+    double s = 0.0;
+    for (std::size_t i = 0; i < m; ++i) {
+      s += table.is_constant(i) ? 0.0 : response(i, level);
+    }
     if (fault::armed()) {
       double bad;
       if (fault::next_eval_faulted(bad)) s = bad;
@@ -231,11 +231,11 @@ WaterFillingResult water_fill(std::span<const LatencyPtr> links, double demand,
   }
 
   // Fill flows at the computed level.
-  parallel_for(m, [&](std::size_t i) {
+  for (std::size_t i = 0; i < m; ++i) {
     if (!table.is_constant(i)) {
       result.flows[i] = response(i, level);
     }
-  });
+  }
 
   // Hand the residual to the plateau constants (equal split), or absorb the
   // bisection roundoff into the increasing links proportionally to their

@@ -1,6 +1,8 @@
 // SweepRunner: expands a ScenarioSpec's grid into tasks, partitions them
-// into warm-start chains, executes the chains through util/parallel.h, and
-// aggregates metric rows into io::Table.
+// into warm-start chains, fans the chains out over util/parallel.h's
+// threads (one chain per thread at a time, every solve single-threaded),
+// and aggregates metric rows into io::Table. The runner reads the
+// max_threads() cap and writes no process-wide state.
 //
 // Chains: when the scenario declares a warm axis (ScenarioSpec::warm_axis,
 // typically "demand") and warm-starting is enabled, the grid decomposes
@@ -16,16 +18,16 @@
 //
 // Determinism contract: the metric values in a SweepResult — and therefore
 // to_markdown()/to_csv()/to_json() — are bitwise identical at any thread
-// count (set_max_threads(1) vs default). The chain decomposition is a pure
-// function of the grid, each chain runs its tasks in axis order on one
-// thread, warm-start hand-off happens only inside a chain, and every task
-// derives its Rng from mix_seed(base_seed, flat index) — so neither
-// scheduling nor thread count can perturb any record. Warm and cold runs
-// of the same spec agree to solver tolerance (equal at table precision),
-// not bitwise: a warm-started solve converges to the same equilibrium
-// along a different iterate sequence. Wall-clock timings are the one
-// nondeterministic output and live apart: per-task in TaskRecord::millis,
-// aggregated in timing_table()/summary().
+// count. The chain decomposition is a pure function of the grid, each chain
+// runs its tasks in axis order on one thread, every solve is
+// single-threaded, warm-start hand-off happens only inside a chain, and
+// every task derives its Rng from mix_seed(base_seed, flat index) — so
+// neither scheduling nor thread count can perturb any record. Warm and cold
+// runs of the same spec agree to solver tolerance (equal at table
+// precision), not bitwise: a warm-started solve converges to the same
+// equilibrium along a different iterate sequence. Wall-clock timings are the
+// one nondeterministic output and live apart: per-task in
+// TaskRecord::millis, aggregated in timing_table()/summary().
 //
 // A task that throws stackroute::Error (infeasible instance, solver
 // failure) is recorded as a failed row with NaN metrics rather than
@@ -135,6 +137,8 @@ struct SweepResult {
   std::vector<TaskRecord> records;
   int digits = 6;
   double total_millis = 0.0;
+  /// Threads the chains actually ran on: threads_for(chains), i.e.
+  /// min(max_threads(), chains), and 1 for a single chain.
   int threads = 1;
   /// Number of chains the grid decomposed into (== num_tasks() when no
   /// warm axis applied), and the axis used (empty when none did).
@@ -181,7 +185,7 @@ class SweepRunner {
  public:
   explicit SweepRunner(SweepOptions opts = {}) : opts_(opts) {}
 
-  /// Runs every grid point of `spec` (in parallel unless
+  /// Runs every grid point of `spec` (chains in parallel unless
   /// set_max_threads(1)); requires a factory, >= 1 metric, and column
   /// names (axes + metrics) to be pairwise distinct.
   [[nodiscard]] SweepResult run(const ScenarioSpec& spec) const;

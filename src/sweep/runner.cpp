@@ -7,10 +7,6 @@
 #include <sstream>
 #include <utility>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "stackroute/engine/engine.h"
 #include "stackroute/obs/profile.h"
 #include "stackroute/obs/timing.h"
@@ -287,18 +283,7 @@ SweepResult SweepRunner::run(const ScenarioSpec& spec,
     }
   }
 
-  // The determinism contract needs the solvers' own parallel reductions
-  // serialized: inside the fan-out below they are nested OpenMP regions and
-  // collapse to one thread, but a single-chain sweep never opens the outer
-  // region, so pin it to one thread explicitly. Capping active levels
-  // guards the nested case even under OMP_MAX_ACTIVE_LEVELS overrides.
-#ifdef _OPENMP
-  const int saved_levels = omp_get_max_active_levels();
-  omp_set_max_active_levels(1);
-#endif
-  const int saved_threads = max_threads_setting();
-  if (layout.chains < 2) set_max_threads(1);
-  result.threads = max_threads();  // after the pin, so summary() is honest
+  result.threads = threads_for(layout.chains);
 
   // The runner is a thin client of the engine: every chain is an engine
   // session (workspace + warm payloads), opened up front so the chain
@@ -315,10 +300,6 @@ SweepResult SweepRunner::run(const ScenarioSpec& spec,
   }
 
   obs::Timer total;
-  // grain = 1: chains are sequences of whole equilibrium computations,
-  // orders of magnitude heavier than the OpenMP dispatch overhead the
-  // default grain guards against — and 100-chain grids should still fan
-  // out.
   parallel_for(
       layout.chains,
       [&](std::size_t c) {
@@ -349,8 +330,8 @@ SweepResult SweepRunner::run(const ScenarioSpec& spec,
             task_span.emplace(label);
           }
           obs::Timer sw;
-          // Exceptions must not escape an OpenMP region: record and move
-          // on, decide about rethrowing once the loop has joined.
+          // A failed task is a row, not an abort: record and move on,
+          // decide about rethrowing once every chain has finished.
           // grid.at() is inside too — even a bad_alloc there must become a
           // failed row. A failed attempt drops the chain's warm state and
           // may be re-attempted cold per RetryPolicy; faults for this task
@@ -424,13 +405,8 @@ SweepResult SweepRunner::run(const ScenarioSpec& spec,
           }
           rec.millis = sw.milliseconds();
         }
-      },
-      /*grain=*/1);
+      });
   result.total_millis = total.milliseconds();
-  if (layout.chains < 2) set_max_threads(saved_threads);
-#ifdef _OPENMP
-  omp_set_max_active_levels(saved_levels);
-#endif
 
   if (!opts_.keep_going) {
     for (const auto& rec : result.records) {

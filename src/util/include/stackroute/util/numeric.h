@@ -58,14 +58,14 @@ class KahanSum {
     const bool sum_big = std::fabs(sum_) >= std::fabs(x);
     const double big = sum_big ? sum_ : x;
     const double small = sum_big ? x : sum_;
-    comp_ += (big - t) + small;
+    correction_ += (big - t) + small;
     sum_ = t;
   }
-  [[nodiscard]] double value() const { return sum_ + comp_; }
+  [[nodiscard]] double value() const { return sum_ + correction_; }
 
  private:
   double sum_ = 0.0;
-  double comp_ = 0.0;
+  double correction_ = 0.0;
 };
 
 /// Compensated sum of a span.

@@ -1,61 +1,33 @@
-// Thin OpenMP wrappers.
+// The one parallel primitive: a std::thread fan-out over independent units.
 //
-// The solver hot loops (all-or-nothing assignment across commodities,
-// water-filling level evaluation across millions of links, randomized
-// instance sweeps) are shared-memory data-parallel. Routing them through
-// these helpers keeps `#pragma omp` out of algorithm code and gives a
-// single spot to disable threading (set_max_threads(1)) when debugging.
+// Parallelism lives only across work that shares nothing mutable — the
+// chains of a sweep (sweep/runner.h) and the session groups of an engine
+// batch (engine/engine.h). Solvers run single-threaded in their caller's
+// thread, so their results never depend on a thread count and no
+// process-wide setting is read or written while they run.
 #pragma once
 
 #include <cstddef>
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
+#include <functional>
 
 namespace stackroute {
 
-/// Maximum threads the wrappers below will use; 0 means the OpenMP default.
+/// Thread cap for parallel_for; 0 (the default) means
+/// std::thread::hardware_concurrency(). Negative values clamp to 0.
 void set_max_threads(int n);
+/// The resolved cap: always >= 1.
 int max_threads();
 
-/// The raw set_max_threads value (0 = default), for save/restore around a
-/// scope that needs to pin the thread count.
-int max_threads_setting();
+/// Threads parallel_for(n, ...) runs on: 1 when n < 2 or the cap is 1,
+/// else min(n, max_threads()).
+int threads_for(std::size_t n);
 
-/// Parallel loop over [0, n). `fn(i)` must be safe to run concurrently for
-/// distinct i. Falls back to a serial loop for small n where spawning a
-/// team costs more than the work.
-template <typename Fn>
-void parallel_for(std::size_t n, Fn&& fn, std::size_t grain = 64) {
-#ifdef _OPENMP
-  if (n >= 2 * grain && max_threads() != 1) {
-#pragma omp parallel for schedule(static) num_threads(max_threads())
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-#else
-  (void)grain;
-#endif
-  for (std::size_t i = 0; i < n; ++i) fn(i);
-}
-
-/// Parallel sum-reduction of fn(i) over [0, n).
-template <typename Fn>
-double parallel_sum(std::size_t n, Fn&& fn, std::size_t grain = 512) {
-  double total = 0.0;
-#ifdef _OPENMP
-  if (n >= 2 * grain && max_threads() != 1) {
-#pragma omp parallel for schedule(static) reduction(+ : total) \
-    num_threads(max_threads())
-    for (std::size_t i = 0; i < n; ++i) total += fn(i);
-    return total;
-  }
-#else
-  (void)grain;
-#endif
-  for (std::size_t i = 0; i < n; ++i) total += fn(i);
-  return total;
-}
+/// Runs fn(i) for every i in [0, n). Inline, in index order, when
+/// threads_for(n) == 1; otherwise threads_for(n) threads — the caller is
+/// one of them — pull indices from a shared counter, so `fn` must be safe
+/// to run concurrently for distinct i. After an exception no further
+/// indices are started; the first one is rethrown once every thread has
+/// joined.
+void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
 }  // namespace stackroute

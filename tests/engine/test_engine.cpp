@@ -1,14 +1,17 @@
 // Engine behavior (engine/engine.h): sessions and warm reuse, the
 // compiled-table cache, batch determinism at any thread count, budget
-// degradation, and the never-throws error contract of solve().
+// degradation, workspace byte accounting, and the never-throws error
+// contract of solve().
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <vector>
 
 #include "stackroute/engine/engine.h"
+#include "stackroute/engine/footprint.h"
 #include "stackroute/gen/registry.h"
 #include "stackroute/latency/families.h"
+#include "stackroute/solver/bush.h"
 #include "stackroute/util/parallel.h"
 
 namespace stackroute::engine {
@@ -251,7 +254,6 @@ TEST(EngineTest, BatchBitwiseIdenticalAcrossThreadCounts) {
   // and in parallel: every numeric response field must match bitwise —
   // the engine-level version of the sweep determinism contract.
   const auto run = [](int threads) {
-    const int saved = max_threads_setting();
     set_max_threads(threads);
     Engine eng;
     const std::uint64_t s1 = eng.open_session();
@@ -263,7 +265,7 @@ TEST(EngineTest, BatchBitwiseIdenticalAcrossThreadCounts) {
     lone.id = 99;
     reqs.push_back(std::move(lone));
     std::vector<SolveResponse> out = eng.solve_batch(reqs);
-    set_max_threads(saved);
+    set_max_threads(0);
     return out;
   };
   const std::vector<SolveResponse> serial = run(1);
@@ -280,6 +282,26 @@ TEST(EngineTest, BatchBitwiseIdenticalAcrossThreadCounts) {
                             serial[i].beta == parallel[i].beta;
     EXPECT_TRUE(beta_match) << i;
   }
+}
+
+TEST(EngineTest, WorkspaceFootprintCountsBushScratch) {
+  // The bush scratch lives in the caller's workspace, so a session's
+  // byte charge covers it.
+  const NetworkInstance net = std::get<NetworkInstance>(grid_instance(1.0));
+  SolverWorkspace ws;
+  ASSERT_TRUE(solve_bush(net, FlowObjective::kBeckmann, {}, {}, ws).converged);
+  const auto nv = static_cast<std::size_t>(net.graph.num_nodes());
+  const auto ne = static_cast<std::size_t>(net.graph.num_edges());
+  // pos, indeg, depth; dmin, dmax; pmin, pmax — per node. total_flow per
+  // edge.
+  const std::size_t bush_floor =
+      nv * (3 * sizeof(std::int32_t) + 2 * sizeof(double) +
+            2 * sizeof(EdgeId)) +
+      ne * sizeof(double);
+  const std::size_t with_bush = footprint_bytes(ws);
+  EXPECT_GE(footprint_bytes(ws.bush), bush_floor);
+  ws.bush = BushWorkspace{};
+  EXPECT_GE(with_bush - footprint_bytes(ws), bush_floor);
 }
 
 TEST(EngineTest, BatchSessionsWarmInSubmissionOrder) {

@@ -1,8 +1,8 @@
 // Engine under concurrency (engine/engine.h): many threads driving
 // solve()/solve_batch()/session open-close with no lost or duplicated
-// responses and thread-count-invariant results; solve_pinned fan-out
-// under one SolverPin; the byte budgets (table cache + session set) and
-// the cancellation fast path that back the serve front end.
+// responses and results bitwise equal to serial solves; the byte budgets
+// (table cache + session set) and the cancellation fast path that back
+// the serve front end.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -49,7 +49,7 @@ SolveRequest stress_request(std::size_t thread, std::size_t step) {
   return request(RequestKind::kEquilibrium, links_instance(demand), id);
 }
 
-TEST(EngineConcurrencyTest, PinnedSolvesAreThreadCountInvariant) {
+TEST(EngineConcurrencyTest, ConcurrentSolvesMatchSerialBitwise) {
   constexpr std::size_t kThreads = 8;
   constexpr std::size_t kPerThread = 16;
 
@@ -73,13 +73,12 @@ TEST(EngineConcurrencyTest, PinnedSolvesAreThreadCountInvariant) {
   std::map<std::uint64_t, double> got;  // id -> cost; map rejects dups
   std::atomic<std::size_t> duplicates{0};
   {
-    const SolverPin pin;
     std::vector<std::thread> threads;
     for (std::size_t t = 0; t < kThreads; ++t) {
       threads.emplace_back([&, t] {
         for (std::size_t i = 0; i < kPerThread; ++i) {
           const SolveRequest req = stress_request(t, i);
-          const SolveResponse r = eng.solve_pinned(req);
+          const SolveResponse r = eng.solve(req);
           ASSERT_TRUE(r.ok) << r.error;
           ASSERT_EQ(r.id, req.id);
           const std::lock_guard<std::mutex> lock(mu);
@@ -150,28 +149,61 @@ TEST(EngineConcurrencyTest, MixedSolveBatchAndSessionChurn) {
 }
 
 TEST(EngineConcurrencyTest, ConcurrentSameSessionRequestsQueueSafely) {
-  Engine eng;
-  const std::uint64_t s = eng.open_session();
   constexpr std::size_t kThreads = 4;
   constexpr std::size_t kPerThread = 8;
-  std::atomic<std::size_t> ok_count{0};
+
+  // Serial reference: the same requests one at a time through one
+  // session, in thread-major order.
+  std::map<std::uint64_t, SolveResponse> expected;
   {
-    const SolverPin pin;
+    Engine serial;
+    const std::uint64_t s = serial.open_session();
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      for (std::size_t i = 0; i < kPerThread; ++i) {
+        SolveRequest req = stress_request(t, i);
+        req.session = s;
+        const SolveResponse r = serial.solve(req);
+        ASSERT_TRUE(r.ok) << r.error;
+        expected[req.id] = r;
+      }
+    }
+  }
+
+  Engine eng;
+  const std::uint64_t s = eng.open_session();
+  std::mutex mu;
+  std::map<std::uint64_t, SolveResponse> got;
+  {
     std::vector<std::thread> threads;
     for (std::size_t t = 0; t < kThreads; ++t) {
       threads.emplace_back([&, t] {
         for (std::size_t i = 0; i < kPerThread; ++i) {
           SolveRequest req = stress_request(t, i);
           req.session = s;
-          const SolveResponse r = eng.solve_pinned(req);
+          const SolveResponse r = eng.solve(req);
           ASSERT_TRUE(r.ok) << r.error;
-          ++ok_count;
+          const std::lock_guard<std::mutex> lock(mu);
+          got.emplace(r.id, r);
         }
       });
     }
     for (std::thread& th : threads) th.join();
   }
-  EXPECT_EQ(ok_count.load(), kThreads * kPerThread);
+  ASSERT_EQ(got.size(), kThreads * kPerThread);
+  // Which request warm-starts which depends on the arrival order, so a
+  // response matches its serial counterpart bitwise exactly when both
+  // solved cold (the first request into the session) and to solver
+  // tolerance otherwise.
+  for (const auto& [id, want] : expected) {
+    ASSERT_TRUE(got.count(id)) << "lost response id " << id;
+    const SolveResponse& r = got[id];
+    if (!r.warm && !want.warm) {
+      EXPECT_EQ(r.cost, want.cost) << "id " << id;
+    } else {
+      EXPECT_NEAR(r.cost, want.cost, 1e-9 * std::fabs(want.cost))
+          << "id " << id;
+    }
+  }
   EXPECT_TRUE(eng.close_session(s));
 }
 

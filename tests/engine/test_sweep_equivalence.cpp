@@ -20,10 +20,9 @@ namespace {
 
 SweepResult run_at(const ScenarioSpec& spec, int threads,
                    const SweepOptions& opts = {}) {
-  const int saved = max_threads_setting();
   set_max_threads(threads);
   SweepResult result = SweepRunner(opts).run(spec);
-  set_max_threads(saved);
+  set_max_threads(0);
   return result;
 }
 

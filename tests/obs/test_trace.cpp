@@ -405,12 +405,11 @@ TEST(SweepProfiling, TablesBitwiseIdenticalOnVsOff) {
   spec.warm_axis = "demand";
 
   auto run = [&](bool profiled, int threads, SweepTrace* trace) {
-    const int saved = max_threads_setting();
     set_max_threads(threads);
     SweepOptions opts;
     opts.collect_counters = profiled;
     SweepResult r = SweepRunner(opts).run(spec, trace);
-    set_max_threads(saved);
+    set_max_threads(0);
     return r;
   };
 

@@ -1,16 +1,19 @@
 // FrontEnd behavior (serve/frontend.h): per-client response ordering,
 // admission control (block vs typed shed), write-buffer backpressure,
-// typed shutdown refusals, and abort/cancel teardown that releases
-// engine sessions without poisoning the engine.
+// typed shutdown refusals, abort/cancel teardown that releases engine
+// sessions without poisoning the engine, and independence from every
+// other Engine in the process.
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <future>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "stackroute/engine/engine.h"
+#include "stackroute/gen/registry.h"
 #include "stackroute/serve/frontend.h"
 
 namespace stackroute::serve {
@@ -302,6 +305,35 @@ TEST(FrontEndTest, ConcurrentClientsEachGetAllTheirResponses) {
   EXPECT_EQ(stats.requests, kClients * kLines);
   EXPECT_EQ(stats.errors, 0u);
   EXPECT_EQ(eng.num_sessions(), 0u);
+}
+
+TEST(FrontEndTest, RunningFrontEndDoesNotBlockOtherEngines) {
+  // Declared before the FrontEnd so that, should the solve ever block on
+  // the FrontEnd, the FrontEnd is destroyed first and the test fails
+  // instead of hanging.
+  Engine other;
+  std::future<engine::SolveResponse> other_solve;
+  Engine eng;
+  FrontEnd fe(eng, FrontEndOptions{});
+  const std::uint64_t c = fe.add_client(Admission::kBlock);
+  fe.submit_line(c, solve_line(1, 0.8), 1);
+
+  engine::SolveRequest req;
+  req.kind = engine::RequestKind::kEquilibrium;
+  req.instance = engine::Instance(gen::generate_sized("grid-bpr", 0, 1.0, 3));
+  req.id = 7;
+  other_solve = std::async(std::launch::async,
+                           [&other, req] { return other.solve(req); });
+  ASSERT_EQ(other_solve.wait_for(std::chrono::seconds(5)),
+            std::future_status::ready)
+      << "Engine::solve blocked while a FrontEnd was running";
+  const engine::SolveResponse r = other_solve.get();
+  EXPECT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(r.id, 7u);
+
+  fe.finish_client(c);
+  EXPECT_EQ(drain_client(fe, c).size(), 1u);
+  fe.remove_client(c);
 }
 
 }  // namespace

@@ -51,10 +51,9 @@ ScenarioSpec network_spec() {
 
 SweepResult run_with(const ScenarioSpec& spec, const SweepOptions& opts,
                      int threads) {
-  const int saved = max_threads_setting();
   set_max_threads(threads);
   SweepResult result = SweepRunner(opts).run(spec);
-  set_max_threads(saved);
+  set_max_threads(0);
   return result;
 }
 

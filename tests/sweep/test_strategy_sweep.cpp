@@ -18,12 +18,11 @@ namespace stackroute::sweep {
 namespace {
 
 SweepResult run_with(const ScenarioSpec& spec, bool warm, int threads) {
-  const int saved = max_threads_setting();
   set_max_threads(threads);
   SweepOptions opts;
   opts.warm_start = warm;
   SweepResult result = SweepRunner(opts).run(spec);
-  set_max_threads(saved);
+  set_max_threads(0);
   return result;
 }
 

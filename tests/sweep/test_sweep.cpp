@@ -131,7 +131,7 @@ TEST(SweepRunner, DeterministicAcrossThreadCounts) {
   const ScenarioSpec spec = randomized_spec();
   set_max_threads(1);
   const SweepResult serial = SweepRunner().run(spec);
-  set_max_threads(0);  // library default: all cores when OpenMP is enabled
+  set_max_threads(0);  // library default: all hardware threads
   const SweepResult threaded = SweepRunner().run(spec);
   set_max_threads(0);
 
@@ -326,21 +326,32 @@ TEST(SweepRunner, RejectsReservedColumnNamesUpFront) {
   EXPECT_THROW((void)SweepRunner().run(spec), Error);
 }
 
-TEST(SweepRunner, SinglePointSweepPinsInnerThreadsAndRestores) {
+TEST(SweepRunner, LeavesThreadCapAloneAndReportsThreadsUsed) {
+  // Each task reads the thread cap: the runner must not rewrite it, and
+  // must report the threads its chains actually ran on.
   ScenarioSpec spec;
-  spec.name = "single";
+  spec.name = "cap";
   spec.factory = [](const ParamPoint&, Rng&) -> Instance { return pigou(); };
-  // Observe the thread setting from inside the lone task: with no outer
-  // fan-out possible, the runner must serialize the solvers' own parallel
-  // reductions to keep the determinism contract.
-  spec.metrics = {{"inner_max_threads", [](TaskEval&) {
+  spec.metrics = {{"seen_max_threads", [](TaskEval&) {
                      return static_cast<double>(max_threads());
                    }}};
+
+  set_max_threads(3);
+  const SweepResult single = SweepRunner().run(spec);
+  ASSERT_EQ(single.num_tasks(), 1u);
+  EXPECT_DOUBLE_EQ(single.records[0].metrics[0], 3.0);
+  EXPECT_EQ(single.threads, 1);
+
+  spec.grid.add("replicate", {0.0, 1.0});
+  set_max_threads(8);
+  const SweepResult two = SweepRunner().run(spec);
+  ASSERT_EQ(two.chains, 2u);
+  EXPECT_EQ(two.threads, 2);
+  for (const TaskRecord& rec : two.records) {
+    EXPECT_DOUBLE_EQ(rec.metrics[0], 8.0);
+  }
+  EXPECT_EQ(max_threads(), 8);
   set_max_threads(0);
-  const SweepResult result = SweepRunner().run(spec);
-  ASSERT_EQ(result.num_tasks(), 1u);
-  EXPECT_DOUBLE_EQ(result.records[0].metrics[0], 1.0);
-  EXPECT_EQ(max_threads_setting(), 0);  // restored afterwards
 }
 
 TEST(SweepResult, TableShapes) {

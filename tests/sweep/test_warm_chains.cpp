@@ -21,12 +21,11 @@ namespace stackroute::sweep {
 namespace {
 
 SweepResult run_with(const ScenarioSpec& spec, bool warm, int threads) {
-  const int saved = max_threads_setting();
   set_max_threads(threads);
   SweepOptions opts;
   opts.warm_start = warm;
   SweepResult result = SweepRunner(opts).run(spec);
-  set_max_threads(saved);
+  set_max_threads(0);
   return result;
 }
 
@@ -232,14 +231,10 @@ TEST(WarmChains, RevisionTagForcesRecompileOnTopologyChange) {
 // and chain_resets land on exactly the task that broke the chain.
 
 SweepResult run_counted(const ScenarioSpec& spec, bool warm) {
-  const int saved = max_threads_setting();
-  set_max_threads(1);
   SweepOptions opts;
   opts.warm_start = warm;
   opts.collect_counters = true;
-  SweepResult result = SweepRunner(opts).run(spec);
-  set_max_threads(saved);
-  return result;
+  return SweepRunner(opts).run(spec);
 }
 
 TEST(WarmChainCounters, CleanChainHitsEveryAttemptAndNeverResets) {

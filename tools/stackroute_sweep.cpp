@@ -1,6 +1,6 @@
 // stackroute-sweep: run a named scenario sweep, a file-backed demand
-// sweep, or a generated-instance demand sweep across all cores and print
-// the metric table.
+// sweep, or a generated-instance demand sweep across all hardware threads
+// and print the metric table.
 //
 //   stackroute-sweep --list-scenarios
 //   stackroute-sweep --list-generators
@@ -68,8 +68,9 @@ int usage(std::ostream& os, int code) {
         "                        reusing the neighboring point's converged\n"
         "                        state (default on; off = independent cold\n"
         "                        tasks, for A/B timing)\n"
-        "  --threads N           worker threads (0 = all cores, 1 = serial;\n"
-        "                        chains are the unit of parallelism)\n"
+        "  --threads N           worker threads (0 = all hardware threads,\n"
+        "                        1 = serial; chains are the unit of\n"
+        "                        parallelism, every solve is single-threaded)\n"
         "  --format FMT          md | csv | json (default md)\n"
         "  --out PATH            write the table to a file instead of stdout\n"
         "  --timing              include the diagnostic chain/wall-clock\n"
@@ -314,7 +315,7 @@ bool parse_args(int argc, char** argv, Args& args) {
   }
   if (args.threads < 0) {
     std::cerr << "bad value for --threads: " << args.threads
-              << " (must be >= 0; 0 = all cores)\n";
+              << " (must be >= 0; 0 = all hardware threads)\n";
     return false;
   }
   if (args.deadline_ms < 0.0) {
