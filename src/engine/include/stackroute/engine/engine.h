@@ -16,9 +16,11 @@
 //     recompiling (hash fast path + full value-equality check, so a
 //     collision can never cause wrong reuse — see instance.h).
 //
-// Every solve runs single-threaded on one thread. solve() may be called
-// from any number of threads at once; solve_batch fans its requests out
-// over util/parallel.h, one group per session (a session's requests run in
+// Every solve runs on its caller's thread; only a bush solve fans its
+// per-origin Dijkstra runs out over util/parallel.h, and runs them inline
+// when the caller is itself a parallel worker. solve() may be called from
+// any number of threads at once; solve_batch fans its requests out over
+// util/parallel.h, one group per session (a session's requests run in
 // submission order on one thread, exactly the sweep chain discipline), so
 // responses are deterministic at any thread count.
 //
@@ -188,12 +190,13 @@ class Engine {
   /// The caller owns the thread discipline (one session, one thread).
   [[nodiscard]] SolveSession* session(std::uint64_t id);
 
-  /// Serves one request, single-threaded, in the caller's thread. Never
-  /// throws: failures come back as !ok responses and reset the session's
-  /// warm state. Safe to call from any number of threads at once, on any
-  /// number of engines; a sessionless response is identical to a serial
-  /// call's. Concurrent calls naming the same session id queue on it in
-  /// arrival order — a session serves one request at a time.
+  /// Serves one request in the caller's thread (a bush solve may fan out,
+  /// see the file comment). Never throws: failures come back as !ok
+  /// responses and reset the session's warm state. Safe to call from any
+  /// number of threads at once, on any number of engines; a sessionless
+  /// response is identical to a serial call's. Concurrent calls naming the
+  /// same session id queue on it in arrival order — a session serves one
+  /// request at a time.
   SolveResponse solve(const SolveRequest& req);
 
   /// solve() under its former name, kept only because perfbench/ calls it.

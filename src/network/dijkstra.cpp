@@ -190,8 +190,8 @@ void extract_path_into(const Graph& g, const ShortestPathTree& tree,
 std::vector<char> shortest_path_edge_mask(const Graph& g, NodeId s, NodeId t,
                                           std::span<const double> edge_cost,
                                           double tol) {
-  thread_local DijkstraWorkspace ws_fwd;
-  thread_local DijkstraWorkspace ws_rev;
+  DijkstraWorkspace ws_fwd;
+  DijkstraWorkspace ws_rev;
   std::vector<char> mask;
   shortest_path_edge_mask_into(g, s, t, edge_cost, tol, ws_fwd, ws_rev, mask);
   return mask;

@@ -95,7 +95,9 @@ void extract_path_into(const Graph& g, const ShortestPathTree& tree,
                        NodeId target, std::vector<EdgeId>& out);
 
 /// Mask (indexed by EdgeId) of edges lying on some shortest s→t path under
-/// `edge_cost`, using absolute slack tolerance `tol`.
+/// `edge_cost`, using absolute slack tolerance `tol`. Allocates its two
+/// Dijkstra workspaces per call, like dijkstra(); repeated callers use the
+/// workspace variant below.
 std::vector<char> shortest_path_edge_mask(const Graph& g, NodeId s, NodeId t,
                                           std::span<const double> edge_cost,
                                           double tol = 1e-9);

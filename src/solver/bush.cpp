@@ -8,6 +8,7 @@
 #include "stackroute/obs/trace.h"
 #include "stackroute/util/error.h"
 #include "stackroute/util/numeric.h"
+#include "stackroute/util/parallel.h"
 
 namespace stackroute {
 
@@ -18,6 +19,16 @@ namespace {
 // close, and far above ulp noise so the bush does not churn on ties.
 constexpr double kAddEps = 1e-12;
 constexpr double kShiftEps = 1e-14;
+
+// Least Dijkstra work, in node + edge visits, that one fan-out lane must
+// carry to pay for its helper thread. Starting, waking and joining a helper
+// cost 80-350 µs per fan-out on a 4-vCPU x86 VM (more when the other cores
+// have gone idle during the serial phases), about what 3,000-12,000 visits
+// take; below this, fewer lanes run, down to one inline. Anaheim's 38
+// origins (~50,000 visits per fan-out) get 4 lanes and run ~15% faster per
+// solve; a 12x12 grid's 24 origins (~10,000) run inline, where 4 lanes
+// made each gap check 3x slower.
+constexpr std::size_t kLaneWork = 8192;
 
 /// Commodities sharing a source, solved as one bush.
 struct OriginGroup {
@@ -58,24 +69,67 @@ double cost_slope(const LatencyTable& table, std::size_t e, double x,
   return 2.0 * d + (curv > 0.0 && std::isfinite(curv) ? x * curv : 0.0);
 }
 
+/// Runs fn(lane, gi) — one Dijkstra on lane.dijkstra plus work on its
+/// tree — for every origin group gi in [0, ng): the groups are split into
+/// contiguous chunks, one lane of bw.lanes each — threads_for(ng) of them,
+/// fewer when a lane would carry under kLaneWork visits — and the chunks
+/// fan out over util/parallel.h. `fn` may write only state owned by its
+/// group, and must not allocate: every buffer it fills is sized beforehand
+/// on the calling thread (a helper thread's first malloc would give it an
+/// allocator arena of its own, resident for the life of the process). The
+/// Dijkstra work is tallied afterwards on the calling thread — one call per
+/// group, plus the lanes' settled counts in lane order — so the counters
+/// never depend on the lane count.
+template <typename Fn>
+void fan_out_origins(const Graph& g, BushWorkspace& bw, std::size_t ng,
+                     const Fn& fn) {
+  const auto nv = static_cast<std::size_t>(g.num_nodes());
+  const auto ne = static_cast<std::size_t>(g.num_edges());
+  const std::size_t nl =
+      std::min(static_cast<std::size_t>(threads_for(ng)),
+               std::max<std::size_t>(1, ng * (nv + ne) / kLaneWork));
+  static_cast<void>(g.out_csr());  // a copied graph builds its CSR lazily
+  if (bw.lanes.size() < nl) bw.lanes.resize(nl);
+  for (std::size_t l = 0; l < nl; ++l) {
+    BushLane& lane = bw.lanes[l];
+    lane.dijkstra.tree.dist.reserve(nv);
+    lane.dijkstra.tree.parent_edge.reserve(nv);
+    lane.dijkstra.heap.reserve(ne + 1);  // one push per relaxation, + root
+    lane.depth.reserve(nv);
+    lane.pos.reserve(nv);
+    lane.chain.reserve(nv);
+  }
+  parallel_for(nl, [&](std::size_t l) {
+    BushLane& lane = bw.lanes[l];
+    lane.settled = 0;
+    for (std::size_t gi = l * ng / nl; gi < (l + 1) * ng / nl; ++gi) {
+      fn(lane, gi);
+      lane.settled += lane.dijkstra.settled;
+    }
+  });
+  obs::count(&obs::SolveCounters::dijkstra_calls, ng);
+  for (std::size_t l = 0; l < nl; ++l) {
+    obs::count(&obs::SolveCounters::dijkstra_settled, bw.lanes[l].settled);
+  }
+}
+
 /// Fills b.order/in_bush/flow for a cold start: topological order by
 /// (dist, tree depth, id) over the nodes reachable from the origin — the
 /// shortest-path tree always goes forward in that order, so the bush (all
 /// forward edges) contains it — then all-or-nothing demand on tree paths.
-/// Runs on ws.costs, with ws.dijkstra and ws.bush's depth/pos/chain as
-/// scratch.
+/// Reads `costs`; runs on the lane's Dijkstra and depth/pos/chain scratch.
 void build_initial_bush(const Graph& g, const NetworkInstance& inst,
-                        const OriginGroup& group, SolverWorkspace& ws,
+                        const OriginGroup& group,
+                        std::span<const double> costs, BushLane& lane,
                         OriginBush& b) {
-  std::vector<std::int32_t>& depth = ws.bush.depth;
-  std::vector<std::int32_t>& pos = ws.bush.pos;
-  std::vector<NodeId>& chain = ws.bush.chain;
+  std::vector<std::int32_t>& depth = lane.depth;
+  std::vector<std::int32_t>& pos = lane.pos;
+  std::vector<NodeId>& chain = lane.chain;
 
   const auto nv = static_cast<std::size_t>(g.num_nodes());
   const auto ne = static_cast<std::size_t>(g.num_edges());
   const ShortestPathTree& tree =
-      dijkstra(g, group.origin, ws.costs, ws.dijkstra);
-  count_dijkstra(ws.dijkstra);
+      dijkstra(g, group.origin, costs, lane.dijkstra);
 
   depth.assign(nv, -1);
   depth[static_cast<std::size_t>(group.origin)] = 0;
@@ -481,13 +535,18 @@ BushResult bush_run(const NetworkInstance& inst, FlowObjective objective,
   }
   if (!used_warm) {
     // Cold start: shortest-path bushes + all-or-nothing at empty-network
-    // costs.
+    // costs, each lane building only its own origins' bushes.
     std::fill(bw.total_flow.begin(), bw.total_flow.end(), 0.0);
     edge_costs(table, bw.total_flow, objective, ws.costs);
     bw.state.assign(ng, OriginBush{});
-    for (std::size_t i = 0; i < ng; ++i) {
-      build_initial_bush(g, inst, groups[i], ws, bw.state[i]);
+    for (OriginBush& b : bw.state) {
+      b.order.reserve(nv);
+      b.in_bush.reserve(ne);
+      b.flow.reserve(ne);
     }
+    fan_out_origins(g, bw, ng, [&](BushLane& lane, std::size_t gi) {
+      build_initial_bush(g, inst, groups[gi], ws.costs, lane, bw.state[gi]);
+    });
   }
 
   std::uint64_t shifts = 0;
@@ -523,17 +582,18 @@ BushResult bush_run(const NetworkInstance& inst, FlowObjective objective,
       break;
     }
 
-    // SPTT: one full-graph Dijkstra per origin; the per-commodity
-    // distances are reduced in commodity order below.
-    for (const OriginGroup& group : groups) {
+    // SPTT: one full-graph Dijkstra per origin, fanned out over the lanes;
+    // each lane writes only its own origins' commodity distances, which
+    // are reduced in commodity order below.
+    fan_out_origins(g, bw, ng, [&](BushLane& lane, std::size_t gi) {
+      const OriginGroup& group = groups[gi];
       const ShortestPathTree& tree =
-          dijkstra(g, group.origin, ws.costs, ws.dijkstra);
-      count_dijkstra(ws.dijkstra);
+          dijkstra(g, group.origin, ws.costs, lane.dijkstra);
       for (std::size_t ci : group.commodities) {
         ws.dists[ci] =
             tree.dist[static_cast<std::size_t>(inst.commodities[ci].sink)];
       }
-    }
+    });
     double sptt = 0.0;
     for (std::size_t i = 0; i < k; ++i) {
       sptt += inst.commodities[i].demand * ws.dists[i];

@@ -12,9 +12,16 @@
 // costs immediately, so the method reaches gaps near machine precision on
 // city-scale networks (see solver/backend.h).
 //
-// Determinism: a solve runs single-threaded on the caller's thread, every
-// phase in origin order, so results and counters are a pure function of
-// the inputs (and of the warm payload, when one is passed).
+// Threads and determinism: the two per-origin Dijkstra fan-outs — the gap
+// check's SPTT and a cold start's initial bushes — only read the costs the
+// calling thread computed, so they run over util/parallel.h on
+// ws.bush.lanes (one lane per contiguous chunk of origins, each writing
+// only its own origins' outputs). Everything else — latency evaluation,
+// improve/equilibrate, counters, spans, budget polls — runs on the calling
+// thread in origin order, and the SPTT sum and the Dijkstra counters are
+// reduced there in a fixed order. So results and counters are a pure
+// function of the inputs (and of the warm payload, when one is passed),
+// never of the thread count.
 #pragma once
 
 #include <span>

@@ -8,10 +8,12 @@
 // sweep metrics) pass one workspace across calls so even the per-call
 // setup stops allocating once the buffers have grown to the instance size.
 //
-// Solves are single-threaded, so a workspace serves one solve at a time
-// and needs no per-thread copies: its owner (a call, a session, a sweep
-// chain) is its only user. The bush scratch lives here too, which is what
-// lets the engine's session byte accounting see it.
+// A workspace serves one solve at a time: its owner (a call, a session, a
+// sweep chain) is its only user. Solves run on the caller's thread except
+// for the bush solver's per-origin Dijkstra fan-outs, which run over
+// util/parallel.h on lanes the workspace owns (BushWorkspace::lanes) — so
+// the bush scratch, lanes included, lives here, where the engine's session
+// byte accounting sees it, and no solver keeps thread-local scratch.
 //
 // Buffers are sized on use and never shrunk; a workspace carries no state
 // between calls beyond capacity (delta_mask is the one exception: it must
@@ -49,6 +51,20 @@ struct OriginBush {
   [[nodiscard]] std::size_t footprint_bytes() const;
 };
 
+/// One lane of the bush solver's per-origin fan-outs (SPTT gap check,
+/// cold bush build): the scratch a contiguous chunk of origins runs on,
+/// possibly on a helper thread. Cache-line aligned so neighbouring lanes'
+/// vector headers, written on every heap push and pop, never share a line.
+struct alignas(64) BushLane {
+  DijkstraWorkspace dijkstra;
+  std::vector<std::int32_t> depth;   // tree depth scratch (initial order)
+  std::vector<std::int32_t> pos;     // node -> position in initial order
+  std::vector<NodeId> chain;         // parent-chase scratch
+  /// Nodes settled by this lane's Dijkstra runs in the current fan-out;
+  /// the caller tallies it after the join.
+  std::uint64_t settled = 0;
+};
+
 /// Scratch for the bush hot loops (solver/bush.h); sized on use, never
 /// shrunk, carries no state between calls.
 struct BushWorkspace {
@@ -59,12 +75,12 @@ struct BushWorkspace {
   std::vector<EdgeId> pmax;          // max-tree parent edge, per node
   std::vector<std::int32_t> indeg;   // Kahn in-degrees / bush in-degrees
   std::vector<NodeId> queue;         // Kahn FIFO scratch
-  std::vector<std::int32_t> depth;   // tree depth scratch (initial order)
-  std::vector<NodeId> chain;         // parent-chase scratch
+  std::vector<NodeId> chain;         // Kahn output-order scratch
   std::vector<double> total_flow;    // summed origin flows, by EdgeId
   std::vector<EdgeId> seg_max;       // max-segment edges of one shift
   std::vector<EdgeId> seg_min;       // min-segment edges of one shift
   std::vector<OriginBush> state;     // the live bushes during a solve
+  std::vector<BushLane> lanes;       // one per fan-out thread, grown on use
 };
 
 struct SolverWorkspace {

@@ -1,8 +1,11 @@
 // SweepRunner: expands a ScenarioSpec's grid into tasks, partitions them
 // into warm-start chains, fans the chains out over util/parallel.h's
-// threads (one chain per thread at a time, every solve single-threaded),
-// and aggregates metric rows into io::Table. The runner reads the
-// max_threads() cap and writes no process-wide state.
+// threads (one chain per thread at a time), and aggregates metric rows
+// into io::Table. Solves inside a multi-chain run are single-threaded (a
+// chain thread is a parallel worker, so inner fan-outs run inline); a
+// single-chain run leaves the idle cores to its bush solves' per-origin
+// Dijkstra fan-out. The runner reads the max_threads() cap and writes no
+// process-wide state.
 //
 // Chains: when the scenario declares a warm axis (ScenarioSpec::warm_axis,
 // typically "demand") and warm-starting is enabled, the grid decomposes
@@ -19,8 +22,8 @@
 // Determinism contract: the metric values in a SweepResult — and therefore
 // to_markdown()/to_csv()/to_json() — are bitwise identical at any thread
 // count. The chain decomposition is a pure function of the grid, each chain
-// runs its tasks in axis order on one thread, every solve is
-// single-threaded, warm-start hand-off happens only inside a chain, and
+// runs its tasks in axis order on one thread, no solve's result depends on
+// its thread count, warm-start hand-off happens only inside a chain, and
 // every task derives its Rng from mix_seed(base_seed, flat index) — so
 // neither scheduling nor thread count can perturb any record. Warm and cold
 // runs of the same spec agree to solver tolerance (equal at table
@@ -138,7 +141,9 @@ struct SweepResult {
   int digits = 6;
   double total_millis = 0.0;
   /// Threads the chains actually ran on: threads_for(chains), i.e.
-  /// min(max_threads(), chains), and 1 for a single chain.
+  /// min(max_threads(), chains), and 1 for a single chain. Counts chain
+  /// threads only — not the helpers a single chain's bush solves fan out
+  /// to.
   int threads = 1;
   /// Number of chains the grid decomposed into (== num_tasks() when no
   /// warm axis applied), and the axis used (empty when none did).

@@ -6,9 +6,10 @@
 // arms one task's faults at a time through a thread-local FaultScope, and
 // the solver evaluation seams (batched edge costs, incremental path cost
 // refreshes, water-filling supply probes) each consume one "evaluation
-// event" from the armed scope. Tasks execute single-threaded inside the
-// runner's chain parallelism, so event indices — and therefore the injected
-// faults — are invariant under the thread count.
+// event" from the armed scope. Every seam runs on the task's own thread
+// (the bush solver's fan-out helpers run only Dijkstra), so event indices
+// — and therefore the injected faults — are invariant under the thread
+// count.
 //
 // With no scope armed every hook is a thread-local load plus a branch, the
 // same zero-overhead-when-off contract as the obs counters.
@@ -98,8 +99,8 @@ class FaultPlan {
 namespace detail {
 
 /// One task attempt's armed latency faults plus its event counter. Lives in
-/// a thread-local pointer; tasks are single-threaded internally, so the
-/// counter advances deterministically regardless of the sweep thread count.
+/// a thread-local pointer; every seam runs on the task's thread, so the
+/// counter advances deterministically regardless of the thread count.
 struct ArmedFaults {
   const TaskFaults* faults = nullptr;
   std::uint64_t next_event = 0;  ///< index of the next evaluation event

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <variant>
 #include <vector>
 
 #include "stackroute/engine/engine.h"
@@ -12,6 +14,7 @@
 #include "stackroute/gen/registry.h"
 #include "stackroute/latency/families.h"
 #include "stackroute/solver/bush.h"
+#include "stackroute/sweep/scenario.h"
 #include "stackroute/util/parallel.h"
 
 namespace stackroute::engine {
@@ -286,18 +289,28 @@ TEST(EngineTest, BatchBitwiseIdenticalAcrossThreadCounts) {
 
 TEST(EngineTest, WorkspaceFootprintCountsBushScratch) {
   // The bush scratch lives in the caller's workspace, so a session's
-  // byte charge covers it.
-  const NetworkInstance net = std::get<NetworkInstance>(grid_instance(1.0));
+  // byte charge covers it — including the per-origin fan-out lanes, one
+  // per thread the solve's Dijkstra runs used (Anaheim: 38 origins, enough
+  // work for four lanes at a cap of 4).
+  const NetworkInstance net = std::get<NetworkInstance>(
+      sweep::load_instance_file(std::string(STACKROUTE_SOURCE_DIR) +
+                                "/examples/instances/Anaheim_net.tntp"));
   SolverWorkspace ws;
-  ASSERT_TRUE(solve_bush(net, FlowObjective::kBeckmann, {}, {}, ws).converged);
+  set_max_threads(4);
+  const BushResult r = solve_bush(net, FlowObjective::kBeckmann, {}, {}, ws);
+  set_max_threads(0);
+  ASSERT_TRUE(r.converged);
   const auto nv = static_cast<std::size_t>(net.graph.num_nodes());
   const auto ne = static_cast<std::size_t>(net.graph.num_edges());
-  // pos, indeg, depth; dmin, dmax; pmin, pmax — per node. total_flow per
-  // edge.
+  ASSERT_EQ(ws.bush.lanes.size(), 4u);
+  // pos, indeg; dmin, dmax; pmin, pmax — per node. total_flow per edge.
+  // Each lane: its Dijkstra dist and parent_edge, plus the cold build's
+  // depth and pos — per node.
   const std::size_t bush_floor =
-      nv * (3 * sizeof(std::int32_t) + 2 * sizeof(double) +
+      nv * (2 * sizeof(std::int32_t) + 2 * sizeof(double) +
             2 * sizeof(EdgeId)) +
-      ne * sizeof(double);
+      ne * sizeof(double) +
+      4 * nv * (sizeof(double) + sizeof(EdgeId) + 2 * sizeof(std::int32_t));
   const std::size_t with_bush = footprint_bytes(ws);
   EXPECT_GE(footprint_bytes(ws.bush), bush_floor);
   ws.bush = BushWorkspace{};

@@ -4,14 +4,18 @@
 // across generator families and seeds, and each must pass the
 // solver-independent certificate of support/equilibrium_certificate.h.
 // Plus the bush solver's own contracts: warm-vs-cold agreement, honest
-// degraded statuses, and a bush sweep table that is bitwise identical at
-// any thread count.
+// degraded statuses, and results that are bitwise identical at any thread
+// count (its per-origin Dijkstra fan-outs run over util/parallel.h), both
+// for single solves and for a bush sweep table.
 #include "stackroute/solver/backend.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <string>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "stackroute/equilibrium/network.h"
@@ -20,6 +24,7 @@
 #include "stackroute/obs/counters.h"
 #include "stackroute/solver/bush.h"
 #include "stackroute/sweep/runner.h"
+#include "stackroute/sweep/scenario.h"
 #include "stackroute/util/error.h"
 #include "stackroute/util/numeric.h"
 #include "stackroute/util/parallel.h"
@@ -239,6 +244,103 @@ TEST(Bush, MismatchedWarmPayloadFallsBackCold) {
   EXPECT_TRUE(r.converged);
   EXPECT_EQ(sink.warm_attempts, 1u);
   EXPECT_EQ(sink.warm_hits, 0u);
+}
+
+bool bitwise_equal(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+/// Everything a bush solve reports, for bitwise comparison across thread
+/// counts: the result, its counters, and the warm payload it hands on.
+struct BushRun {
+  BushResult result;
+  BushWarmState warm_out;
+};
+
+void expect_same_run(const BushRun& want, const BushRun& got,
+                     const std::string& where) {
+  const BushResult& a = want.result;
+  const BushResult& b = got.result;
+  EXPECT_TRUE(bitwise_equal(a.edge_flow, b.edge_flow)) << where;
+  EXPECT_EQ(std::memcmp(&a.rel_gap, &b.rel_gap, sizeof(double)), 0) << where;
+  EXPECT_EQ(a.iterations, b.iterations) << where;
+  EXPECT_EQ(a.status, b.status) << where;
+  EXPECT_EQ(a.counters.dijkstra_calls, b.counters.dijkstra_calls) << where;
+  EXPECT_EQ(a.counters.dijkstra_settled, b.counters.dijkstra_settled) << where;
+  EXPECT_EQ(a.counters.bush_shifts, b.counters.bush_shifts) << where;
+  EXPECT_EQ(a.counters.bush_rebuilds, b.counters.bush_rebuilds) << where;
+  ASSERT_EQ(want.warm_out.bushes.size(), got.warm_out.bushes.size()) << where;
+  for (std::size_t i = 0; i < want.warm_out.bushes.size(); ++i) {
+    const OriginBush& x = want.warm_out.bushes[i];
+    const OriginBush& y = got.warm_out.bushes[i];
+    EXPECT_EQ(x.origin, y.origin) << where << " bush " << i;
+    EXPECT_EQ(x.order, y.order) << where << " bush " << i;
+    EXPECT_EQ(x.in_bush, y.in_bush) << where << " bush " << i;
+    EXPECT_TRUE(bitwise_equal(x.flow, y.flow)) << where << " bush " << i;
+  }
+}
+
+/// A cold solve of `inst`, then a solve of `scaled` seeded with its warm
+/// payload, at the given thread cap.
+std::pair<BushRun, BushRun> cold_then_warm(const NetworkInstance& inst,
+                                           const NetworkInstance& scaled,
+                                           const BushOptions& opts,
+                                           int threads) {
+  set_max_threads(threads);
+  SolverWorkspace ws;
+  obs::SolveCounters sink;
+  obs::CountersScope scope(sink);
+  std::pair<BushRun, BushRun> runs;
+  runs.first.result = solve_bush(inst, FlowObjective::kBeckmann, {}, opts,
+                                 ws, nullptr, &runs.first.warm_out);
+  runs.second.result =
+      solve_bush(scaled, FlowObjective::kBeckmann, {}, opts, ws,
+                 &runs.first.warm_out, &runs.second.warm_out);
+  set_max_threads(0);
+  return runs;
+}
+
+TEST(Bush, EdgeFlowBitwiseInvariantAcrossThreadCounts) {
+  // Anaheim's 38 origins split unevenly over 3 and 4 lanes; the
+  // multi-commodity grid's 23 origins carry work for at most 3 lanes; the
+  // generated grid-bpr instance has one origin, so it runs inline at any
+  // cap.
+  struct Case {
+    std::string name;
+    sweep::Instance instance;
+    double rel_gap_tol;
+  };
+  Rng rng(43);
+  const std::vector<Case> cases = {
+      {"anaheim",
+       sweep::load_instance_file(std::string(STACKROUTE_SOURCE_DIR) +
+                                 "/examples/instances/Anaheim_net.tntp"),
+       1e-10},
+      {"grid-multi", grid_city_multicommodity(rng, 20, 20, 24, 0.5, 2.0),
+       1e-6},
+      {"grid-bpr", gen::generate_sized("grid-bpr", 5, 1.0, 11), 1e-10}};
+  for (const auto& [name, base, tol] : cases) {
+    BushOptions opts;
+    opts.rel_gap_tol = tol;
+    sweep::Instance scaled = base;
+    sweep::scale_demand(scaled, 1.2);
+    const NetworkInstance& inst = std::get<NetworkInstance>(base);
+    const NetworkInstance& next = std::get<NetworkInstance>(scaled);
+
+    const auto serial = cold_then_warm(inst, next, opts, 1);
+    ASSERT_TRUE(serial.first.result.converged) << name;
+    ASSERT_TRUE(serial.second.result.converged) << name;
+    ASSERT_EQ(serial.second.result.counters.warm_hits, 1u) << name;
+    ASSERT_GT(serial.first.result.counters.dijkstra_calls, 0u) << name;
+    for (const int threads : {2, 3, 4}) {
+      const auto parallel = cold_then_warm(inst, next, opts, threads);
+      const std::string where = name + " @" + std::to_string(threads);
+      expect_same_run(serial.first, parallel.first, where + " cold");
+      expect_same_run(serial.second, parallel.second, where + " warm");
+    }
+  }
 }
 
 TEST(Bush, HonestIterLimitStatus) {
