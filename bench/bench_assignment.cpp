@@ -9,7 +9,10 @@
 // free-flow shortest-path tree per origin, the Dijkstra fan-out every
 // bush iteration's gap check repeats — which is the machine-speed
 // calibration for gating the bush rows in BENCH_assignment.json: what CI
-// checks is "bush time per free-flow fan-out", clock-free.
+// checks is "bush time per free-flow fan-out", clock-free. The bush rows
+// fan their per-origin Dijkstras out over every core; the *Serial row caps
+// the solve at one thread, so it times the order-dependent improve and
+// equilibrate loops plus serial Dijkstras, whatever the runner's cores.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -22,6 +25,7 @@
 #include "stackroute/network/instance.h"
 #include "stackroute/solver/bush.h"
 #include "stackroute/sweep/scenario.h"
+#include "stackroute/util/parallel.h"
 
 namespace {
 
@@ -92,6 +96,13 @@ void BM_AssignAnaheimBushGap10(benchmark::State& state) {
   bush_to_gap(state, anaheim(), 1e-10);
 }
 BENCHMARK(BM_AssignAnaheimBushGap10)->Unit(benchmark::kMillisecond);
+
+void BM_AssignAnaheimBushGap10Serial(benchmark::State& state) {
+  set_max_threads(1);
+  bush_to_gap(state, anaheim(), 1e-10);
+  set_max_threads(0);
+}
+BENCHMARK(BM_AssignAnaheimBushGap10Serial)->Unit(benchmark::kMillisecond);
 
 // ---- generated grid-bpr (multicommodity grid) --------------------------
 

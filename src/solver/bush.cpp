@@ -190,40 +190,56 @@ void build_initial_bush(const Graph& g, const NetworkInstance& inst,
   }
 }
 
-/// Min/max path labels over the bush, in topological order. The max tree
-/// is restricted to flow-carrying edges (the paths flow can be shifted
-/// off). Labels are only written for nodes in b.order, so the shared
-/// nv-sized scratch needs no full clear between origins.
-void compute_trees(const Graph& g, const OriginBush& b, BushWorkspace& bw,
-                   std::span<const double> costs, bool want_max) {
+/// Rebuilds `arcs` — b's in-arcs grouped by topological position, each
+/// node's in in-CSR order — from b.order and b.in_bush. Every bush edge's
+/// head is in b.order, so the lists hold exactly the bush's edges.
+void build_in_arcs(const Graph& g, const OriginBush& b, CsrAdjacency& arcs) {
   const CsrAdjacency& in = g.in_csr();
+  arcs.offsets.clear();
+  arcs.arcs.clear();
+  arcs.offsets.push_back(0);
   for (NodeId v : b.order) {
-    const auto vi = static_cast<std::size_t>(v);
-    bw.dmin[vi] = kInf;
-    bw.dmax[vi] = -kInf;
-    bw.pmin[vi] = kInvalidEdge;
-    bw.pmax[vi] = kInvalidEdge;
-  }
-  const auto oi = static_cast<std::size_t>(b.origin);
-  bw.dmin[oi] = 0.0;
-  bw.dmax[oi] = 0.0;
-  for (NodeId v : b.order) {
-    const auto vi = static_cast<std::size_t>(v);
     for (const CsrAdjacency::Arc& arc : in.arcs_of(v)) {
+      if (b.in_bush[static_cast<std::size_t>(arc.edge)]) arcs.arcs.push_back(arc);
+    }
+    arcs.offsets.push_back(static_cast<std::int32_t>(arcs.arcs.size()));
+  }
+}
+
+/// Min/max path labels over the bush, in one topological sweep of its
+/// in-arc lists: every tail precedes its head in the order, so a node's
+/// labels are final once its own arcs are scanned. The max tree is
+/// restricted to flow-carrying edges (the paths flow can be shifted off).
+/// Labels are only written for nodes in b.order, so the shared nv-sized
+/// scratch needs no clear between origins.
+void compute_trees(const OriginBush& b, const CsrAdjacency& arcs,
+                   BushWorkspace& bw, std::span<const double> costs,
+                   bool want_max) {
+  for (std::size_t i = 0; i < b.order.size(); ++i) {
+    const NodeId v = b.order[i];
+    const auto vi = static_cast<std::size_t>(v);
+    double dmin = v == b.origin ? 0.0 : kInf;
+    double dmax = v == b.origin ? 0.0 : -kInf;
+    EdgeId pmin = kInvalidEdge;
+    EdgeId pmax = kInvalidEdge;
+    for (const CsrAdjacency::Arc& arc : arcs.arcs_of(static_cast<NodeId>(i))) {
       const auto e = static_cast<std::size_t>(arc.edge);
-      if (!b.in_bush[e]) continue;
       const auto ui = static_cast<std::size_t>(arc.target);  // tail
       const double c = costs[e];
-      if (bw.dmin[ui] < kInf && bw.dmin[ui] + c < bw.dmin[vi]) {
-        bw.dmin[vi] = bw.dmin[ui] + c;
-        bw.pmin[vi] = arc.edge;
+      // An unreached tail's infinite label never wins either comparison.
+      if (bw.dmin[ui] + c < dmin) {
+        dmin = bw.dmin[ui] + c;
+        pmin = arc.edge;
       }
-      if (want_max && b.flow[e] > 0.0 && bw.dmax[ui] > -kInf &&
-          bw.dmax[ui] + c > bw.dmax[vi]) {
-        bw.dmax[vi] = bw.dmax[ui] + c;
-        bw.pmax[vi] = arc.edge;
+      if (want_max && b.flow[e] > 0.0 && bw.dmax[ui] + c > dmax) {
+        dmax = bw.dmax[ui] + c;
+        pmax = arc.edge;
       }
     }
+    bw.dmin[vi] = dmin;
+    bw.dmax[vi] = dmax;
+    bw.pmin[vi] = pmin;
+    bw.pmax[vi] = pmax;
   }
 }
 
@@ -239,23 +255,15 @@ bool kahn_reorder(const Graph& g, OriginBush& b, BushWorkspace& bw) {
   bw.indeg[static_cast<std::size_t>(b.origin)] = 0;
   for (std::size_t e = 0; e < ne; ++e) {
     if (!b.in_bush[e]) continue;
-    const Edge& ed = g.edge(static_cast<EdgeId>(e));
-    const auto ti = static_cast<std::size_t>(ed.tail);
-    const auto hi = static_cast<std::size_t>(ed.head);
+    const auto ti = static_cast<std::size_t>(bw.tail[e]);
+    const auto hi = static_cast<std::size_t>(bw.head[e]);
     if (bw.indeg[ti] < 0) bw.indeg[ti] = 0;
-    if (bw.indeg[hi] < 0) bw.indeg[hi] = 0;
+    bw.indeg[hi] = std::max(bw.indeg[hi], 0) + 1;
   }
   std::size_t members = 0;
   bw.queue.clear();
   for (std::size_t v = 0; v < nv; ++v) {
     if (bw.indeg[v] >= 0) ++members;
-  }
-  for (std::size_t e = 0; e < ne; ++e) {
-    if (b.in_bush[e]) {
-      ++bw.indeg[static_cast<std::size_t>(g.edge(static_cast<EdgeId>(e)).head)];
-    }
-  }
-  for (std::size_t v = 0; v < nv; ++v) {
     if (bw.indeg[v] == 0) bw.queue.push_back(static_cast<NodeId>(v));
   }
 
@@ -283,62 +291,69 @@ bool kahn_reorder(const Graph& g, OriginBush& b, BushWorkspace& bw) {
 /// One bush-improvement pass: drop zero-flow edges (never the min-tree
 /// edge or a node's last in-edge, so every reachable node keeps a path
 /// from the origin), add strictly cost-improving edges, and re-sort.
-/// Returns true when the edge set changed.
-bool improve_bush(const Graph& g, OriginBush& b, BushWorkspace& bw,
-                  std::span<const double> costs) {
+/// Returns true when the edge set changed, after rebuilding `arcs` to
+/// match.
+bool improve_bush(const Graph& g, OriginBush& b, CsrAdjacency& arcs,
+                  BushWorkspace& bw, std::span<const double> costs) {
   const auto ne = static_cast<std::size_t>(g.num_edges());
-  compute_trees(g, b, bw, costs, /*want_max=*/false);
+  compute_trees(b, arcs, bw, costs, /*want_max=*/false);
 
-  for (NodeId v : b.order) bw.indeg[static_cast<std::size_t>(v)] = 0;
-  for (std::size_t e = 0; e < ne; ++e) {
-    if (b.in_bush[e]) {
-      ++bw.indeg[static_cast<std::size_t>(g.edge(static_cast<EdgeId>(e)).head)];
+  // A drop depends only on its head's min-tree edge and remaining
+  // in-degree, so walking each head's arcs in EdgeId order drops exactly
+  // what one scan of all edges in EdgeId order would.
+  bool dropped = false;
+  for (std::size_t i = 0; i < b.order.size(); ++i) {
+    const EdgeId pmin = bw.pmin[static_cast<std::size_t>(b.order[i])];
+    std::int32_t indeg = arcs.offsets[i + 1] - arcs.offsets[i];
+    for (const CsrAdjacency::Arc& arc : arcs.arcs_of(static_cast<NodeId>(i))) {
+      const auto e = static_cast<std::size_t>(arc.edge);
+      if (b.flow[e] != 0.0 || indeg <= 1 || arc.edge == pmin) continue;
+      b.in_bush[e] = 0;
+      --indeg;
+      dropped = true;
     }
   }
 
-  bool dropped = false;
-  for (std::size_t e = 0; e < ne; ++e) {
-    if (!b.in_bush[e] || b.flow[e] != 0.0) continue;
-    const auto hi = static_cast<std::size_t>(g.edge(static_cast<EdgeId>(e)).head);
-    if (bw.indeg[hi] <= 1 || bw.pmin[hi] == static_cast<EdgeId>(e)) continue;
-    b.in_bush[e] = 0;
-    --bw.indeg[hi];
-    dropped = true;
-  }
-
+  // Additions: every edge between two bush nodes that beats its head's
+  // label. The rarely true cost test goes first, so the loop barely
+  // branches; a stale label off the bush is still an initialized double,
+  // and the position tests reject its edge.
   bw.seg_min.clear();  // reused as the list of added edges
   for (std::size_t e = 0; e < ne; ++e) {
-    if (b.in_bush[e]) continue;
-    const Edge& ed = g.edge(static_cast<EdgeId>(e));
-    const auto ti = static_cast<std::size_t>(ed.tail);
-    const auto hi = static_cast<std::size_t>(ed.head);
-    if (bw.pos[ti] < 0 || bw.pos[hi] < 0) continue;
+    const auto ti = static_cast<std::size_t>(bw.tail[e]);
+    const auto hi = static_cast<std::size_t>(bw.head[e]);
     const double slack = kAddEps * (1.0 + std::fabs(bw.dmin[hi]));
-    if (bw.dmin[ti] + costs[e] < bw.dmin[hi] - slack) {
+    if (bw.dmin[ti] + costs[e] < bw.dmin[hi] - slack && !b.in_bush[e] &&
+        bw.pos[ti] >= 0 && bw.pos[hi] >= 0) {
       b.in_bush[e] = 1;
       bw.seg_min.push_back(static_cast<EdgeId>(e));
     }
   }
 
-  if (bw.seg_min.empty()) return dropped;  // drops keep the old order valid
-  if (!kahn_reorder(g, b, bw)) {
-    // A cycle can only come from the additions (drops are monotone): back
-    // them out and try again next outer iteration at evolved costs.
-    for (EdgeId e : bw.seg_min) b.in_bush[static_cast<std::size_t>(e)] = 0;
-    return dropped;
+  bool changed = dropped;
+  if (!bw.seg_min.empty()) {
+    if (kahn_reorder(g, b, bw)) {
+      changed = true;
+    } else {
+      // A cycle can only come from the additions (drops are monotone, and
+      // keep the old order valid): back them out and try again next outer
+      // iteration at evolved costs.
+      for (EdgeId e : bw.seg_min) b.in_bush[static_cast<std::size_t>(e)] = 0;
+    }
   }
-  return true;
+  if (changed) build_in_arcs(g, b, arcs);
+  return changed;
 }
 
 /// One equilibration pass: rebuild min/max trees, then walk the nodes in
 /// reverse topological order and apply one Newton shift wherever the max
 /// used path costs measurably more than the min path. Touched edge costs
 /// are re-evaluated immediately. Returns true when any flow moved.
-bool equilibrate_pass(const Graph& g, const LatencyTable& table,
-                      FlowObjective objective, OriginBush& b,
+bool equilibrate_pass(const LatencyTable& table, FlowObjective objective,
+                      OriginBush& b, const CsrAdjacency& arcs,
                       BushWorkspace& bw, std::span<double> costs,
                       std::uint64_t& shifts) {
-  compute_trees(g, b, bw, costs, /*want_max=*/true);
+  compute_trees(b, arcs, bw, costs, /*want_max=*/true);
   bool moved = false;
   for (std::size_t idx = b.order.size(); idx-- > 0;) {
     const NodeId v = b.order[idx];
@@ -356,8 +371,8 @@ bool equilibrate_pass(const Graph& g, const LatencyTable& table,
     bw.seg_min.clear();
     bw.seg_max.push_back(pmax);
     bw.seg_min.push_back(bw.pmin[vi]);
-    NodeId a = g.edge(pmax).tail;
-    NodeId c = g.edge(bw.pmin[vi]).tail;
+    NodeId a = bw.tail[static_cast<std::size_t>(pmax)];
+    NodeId c = bw.tail[static_cast<std::size_t>(bw.pmin[vi])];
     bool ok = true;
     while (a != c) {
       if (bw.pos[static_cast<std::size_t>(a)] >
@@ -368,7 +383,7 @@ bool equilibrate_pass(const Graph& g, const LatencyTable& table,
           break;
         }
         bw.seg_max.push_back(e);
-        a = g.edge(e).tail;
+        a = bw.tail[static_cast<std::size_t>(e)];
       } else {
         const EdgeId e = bw.pmin[static_cast<std::size_t>(c)];
         if (e == kInvalidEdge) {
@@ -376,7 +391,7 @@ bool equilibrate_pass(const Graph& g, const LatencyTable& table,
           break;
         }
         bw.seg_min.push_back(e);
-        c = g.edge(e).tail;
+        c = bw.tail[static_cast<std::size_t>(e)];
       }
     }
     if (!ok) continue;
@@ -478,9 +493,8 @@ bool warm_bush_consistent(const Graph& g, const OriginBush& b,
       continue;
     }
     if (!(b.flow[e] >= 0.0)) return false;
-    const Edge& ed = g.edge(static_cast<EdgeId>(e));
-    const std::int32_t pt = bw.pos[static_cast<std::size_t>(ed.tail)];
-    const std::int32_t ph = bw.pos[static_cast<std::size_t>(ed.head)];
+    const std::int32_t pt = bw.pos[static_cast<std::size_t>(bw.tail[e])];
+    const std::int32_t ph = bw.pos[static_cast<std::size_t>(bw.head[e])];
     if (pt < 0 || ph < 0 || pt >= ph) return false;
   }
   return true;
@@ -492,7 +506,7 @@ bool warm_bush_consistent(const Graph& g, const OriginBush& b,
 BushResult bush_run(const NetworkInstance& inst, FlowObjective objective,
                     const BushOptions& opts, BudgetGate& gate,
                     SolverWorkspace& ws, const BushWarmState* warm,
-                    bool& used_warm) {
+                    BushWarmState* consumable, bool& used_warm) {
   BushWorkspace& bw = ws.bush;
   const Graph& g = inst.graph;
   const auto ne = static_cast<std::size_t>(g.num_edges());
@@ -511,6 +525,13 @@ BushResult bush_run(const NetworkInstance& inst, FlowObjective objective,
   bw.pmax.resize(nv);
   bw.indeg.resize(nv);
   bw.total_flow.resize(ne);
+  bw.tail.resize(ne);
+  bw.head.resize(ne);
+  for (std::size_t e = 0; e < ne; ++e) {
+    const Edge& ed = g.edge(static_cast<EdgeId>(e));
+    bw.tail[e] = ed.tail;
+    bw.head[e] = ed.head;
+  }
   ws.costs.resize(ne);
   ws.dists.assign(k, 0.0);
 
@@ -519,18 +540,24 @@ BushResult bush_run(const NetworkInstance& inst, FlowObjective objective,
   double ratio = 0.0;
   if (warm != nullptr && !warm->empty()) {
     obs::count(&obs::SolveCounters::warm_attempts);
-    if (warm_usable(inst, groups, *warm, ratio)) {
-      used_warm = true;
-      bw.state.resize(ng);
-      for (std::size_t i = 0; i < ng; ++i) {
-        if (!warm_bush_consistent(g, warm->bushes[i], bw)) {
-          used_warm = false;
-          break;
-        }
-        bw.state[i] = warm->bushes[i];
-        for (double& f : bw.state[i].flow) f *= ratio;
+    used_warm = warm_usable(inst, groups, *warm, ratio);
+    for (std::size_t i = 0; used_warm && i < ng; ++i) {
+      used_warm = warm_bush_consistent(g, warm->bushes[i], bw);
+    }
+    if (used_warm) {
+      // Every bush fits, so the payload is taken whole: consumed when it
+      // is the caller's warm_out (the solve republishes into it), copied
+      // otherwise.
+      if (consumable != nullptr) {
+        bw.state.swap(consumable->bushes);
+        consumable->clear();
+      } else {
+        bw.state = warm->bushes;
       }
-      if (used_warm) obs::count(&obs::SolveCounters::warm_hits);
+      for (OriginBush& b : bw.state) {
+        for (double& f : b.flow) f *= ratio;
+      }
+      obs::count(&obs::SolveCounters::warm_hits);
     }
   }
   if (!used_warm) {
@@ -624,7 +651,15 @@ BushResult bush_run(const NetworkInstance& inst, FlowObjective objective,
     }
 
     // Improve + equilibrate, strictly sequential in origin order — the
-    // determinism contract's load-bearing wall.
+    // determinism contract's load-bearing wall. The in-arc lists are first
+    // needed here, so a solve that converges at its first check never
+    // builds them.
+    if (iter == 1) {
+      bw.in_arcs.resize(ng);
+      for (std::size_t gi = 0; gi < ng; ++gi) {
+        build_in_arcs(g, bw.state[gi], bw.in_arcs[gi]);
+      }
+    }
     for (std::size_t gi = 0; gi < ng; ++gi) {
       OriginBush& b = bw.state[gi];
       for (std::size_t v = 0; v < nv; ++v) bw.pos[v] = -1;
@@ -632,9 +667,11 @@ BushResult bush_run(const NetworkInstance& inst, FlowObjective objective,
         bw.pos[static_cast<std::size_t>(b.order[i])] =
             static_cast<std::int32_t>(i);
       }
-      if (improve_bush(g, b, bw, ws.costs)) ++rebuilds;
+      CsrAdjacency& arcs = bw.in_arcs[gi];
+      if (improve_bush(g, b, arcs, bw, ws.costs)) ++rebuilds;
       for (int pass = 0; pass < opts.max_inner; ++pass) {
-        if (!equilibrate_pass(g, table, objective, b, bw, ws.costs, shifts)) {
+        if (!equilibrate_pass(table, objective, b, arcs, bw, ws.costs,
+                              shifts)) {
           break;
         }
       }
@@ -698,8 +735,10 @@ BushResult solve_bush(const NetworkInstance& inst, FlowObjective objective,
   // cold fallback below must not get a fresh one.
   BudgetGate gate(opts.budget);
   bool used_warm = false;
+  BushWarmState* consumable =
+      warm != nullptr && warm == warm_out ? warm_out : nullptr;
   BushResult result =
-      bush_run(inst, objective, opts, gate, ws, warm, used_warm);
+      bush_run(inst, objective, opts, gate, ws, warm, consumable, used_warm);
 
   // Warm-start guard: a warm seed that went numerically bad, stalled, or
   // burned the iteration cap without converging gets one cold retry — the
@@ -709,8 +748,8 @@ BushResult solve_bush(const NetworkInstance& inst, FlowObjective objective,
       result.status != SolveStatus::kDeadlineExceeded) {
     obs::count(&obs::SolveCounters::warm_fallbacks);
     bool cold_used_warm = false;
-    result =
-        bush_run(inst, objective, opts, gate, ws, nullptr, cold_used_warm);
+    result = bush_run(inst, objective, opts, gate, ws, nullptr, nullptr,
+                      cold_used_warm);
   }
 
   if (warm_out != nullptr) {

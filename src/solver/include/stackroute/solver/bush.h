@@ -12,6 +12,12 @@
 // costs immediately, so the method reaches gaps near machine precision on
 // city-scale networks (see solver/backend.h).
 //
+// Cost: the min/max trees, the drop scan and every equilibration pass walk
+// only the origin's bush arcs (a compact per-origin in-arc list kept in
+// ws.bush and remade only when the bush's edge set changes), so they cost
+// O(bush arcs), not O(graph edges); only the add scan and the re-sort after
+// an addition see every edge.
+//
 // Threads and determinism: the two per-origin Dijkstra fan-outs — the gap
 // check's SPTT and a cold start's initial bushes — only read the costs the
 // calling thread computed, so they run over util/parallel.h on
@@ -99,6 +105,13 @@ BushResult solve_bush(const NetworkInstance& inst, FlowObjective objective,
 /// start when the payload does not fit. When `warm_out` is non-null the
 /// final bushes are moved into it for the next solve in the chain (cleared
 /// on numeric failure so a poisoned state is never republished).
+///
+/// When `warm` aliases `warm_out` — as in sweep chains and engine sessions
+/// — a payload that fits is consumed rather than copied: every bush is
+/// validated first, then the whole payload is swapped into the workspace
+/// and `warm_out` is left empty until the solve republishes into it. So a
+/// solve that throws leaves `warm_out` either untouched or empty, never
+/// half-moved. A `warm` that does not alias `warm_out` is only read.
 BushResult solve_bush(const NetworkInstance& inst, FlowObjective objective,
                       std::span<const double> preload, const BushOptions& opts,
                       SolverWorkspace& ws, const BushWarmState* warm = nullptr,

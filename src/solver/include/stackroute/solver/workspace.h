@@ -18,7 +18,9 @@
 // Buffers are sized on use and never shrunk; a workspace carries no state
 // between calls beyond capacity (delta_mask is the one exception: it must
 // stay all-zero between equalization steps, which equalize_once maintains
-// by construction).
+// by construction). The bush scratch's per-origin in-arc lists and live
+// bushes are rebuilt or reseeded by every solve; a warm payload swapped in
+// leaves the workspace again when the solve republishes it.
 //
 // The compiled latency table is additionally *reused across calls* when the
 // latency set is pointer-identical to the previous call's (see
@@ -67,19 +69,32 @@ struct alignas(64) BushLane {
 
 /// Scratch for the bush hot loops (solver/bush.h); sized on use, never
 /// shrunk, carries no state between calls.
+///
+/// The inner loops never scan the whole graph per bush: each origin's bush
+/// is walked through `in_arcs`, a compact copy of its in-arcs made once per
+/// solve (before the first improvement pass) and remade only when its edge
+/// set changes, and the few loops that must see every edge read the flat
+/// `tail`/`head` arrays instead of Graph::edge().
 struct BushWorkspace {
   std::vector<std::int32_t> pos;     // node -> position in topo order
   std::vector<double> dmin;          // min-path cost from origin, per node
   std::vector<double> dmax;          // max used-path cost from origin
   std::vector<EdgeId> pmin;          // min-tree parent edge, per node
   std::vector<EdgeId> pmax;          // max-tree parent edge, per node
-  std::vector<std::int32_t> indeg;   // Kahn in-degrees / bush in-degrees
+  std::vector<std::int32_t> indeg;   // Kahn in-degrees
   std::vector<NodeId> queue;         // Kahn FIFO scratch
   std::vector<NodeId> chain;         // Kahn output-order scratch
   std::vector<double> total_flow;    // summed origin flows, by EdgeId
   std::vector<EdgeId> seg_max;       // max-segment edges of one shift
   std::vector<EdgeId> seg_min;       // min-segment edges of one shift
+  std::vector<NodeId> tail;          // per-edge tail, by EdgeId
+  std::vector<NodeId> head;          // per-edge head, by EdgeId
   std::vector<OriginBush> state;     // the live bushes during a solve
+  /// Per origin group, parallel to `state`: the bush's (edge, tail)
+  /// in-arcs grouped by *topological position* — order[i]'s arcs are
+  /// in_arcs[g].arcs_of(i) — in in-CSR (ascending EdgeId) order within
+  /// each node. Never part of a warm payload.
+  std::vector<CsrAdjacency> in_arcs;
   std::vector<BushLane> lanes;       // one per fan-out thread, grown on use
 };
 

@@ -291,7 +291,7 @@ TEST(EngineTest, WorkspaceFootprintCountsBushScratch) {
   // The bush scratch lives in the caller's workspace, so a session's
   // byte charge covers it — including the per-origin fan-out lanes, one
   // per thread the solve's Dijkstra runs used (Anaheim: 38 origins, enough
-  // work for four lanes at a cap of 4).
+  // work for four lanes at a cap of 4), and each origin's in-arc list.
   const NetworkInstance net = std::get<NetworkInstance>(
       sweep::load_instance_file(std::string(STACKROUTE_SOURCE_DIR) +
                                 "/examples/instances/Anaheim_net.tntp"));
@@ -303,14 +303,24 @@ TEST(EngineTest, WorkspaceFootprintCountsBushScratch) {
   const auto nv = static_cast<std::size_t>(net.graph.num_nodes());
   const auto ne = static_cast<std::size_t>(net.graph.num_edges());
   ASSERT_EQ(ws.bush.lanes.size(), 4u);
-  // pos, indeg; dmin, dmax; pmin, pmax — per node. total_flow per edge.
-  // Each lane: its Dijkstra dist and parent_edge, plus the cold build's
-  // depth and pos — per node.
+  // pos, indeg; dmin, dmax; pmin, pmax — per node. total_flow, tail and
+  // head per edge. Each lane: its Dijkstra dist and parent_edge, plus the
+  // cold build's depth and pos — per node. Each origin: its live bush
+  // (order over the nodes it reaches, per-edge in_bush and flow) and at
+  // least one in-arc per node it reaches besides the origin itself.
+  ASSERT_EQ(ws.bush.state.size(), 38u);
+  std::size_t origins_floor = 0;
+  for (const OriginBush& b : ws.bush.state) {
+    origins_floor += b.order.size() * sizeof(NodeId) +
+                     ne * (sizeof(char) + sizeof(double)) +
+                     (b.order.size() - 1) * sizeof(CsrAdjacency::Arc);
+  }
   const std::size_t bush_floor =
       nv * (2 * sizeof(std::int32_t) + 2 * sizeof(double) +
             2 * sizeof(EdgeId)) +
-      ne * sizeof(double) +
-      4 * nv * (sizeof(double) + sizeof(EdgeId) + 2 * sizeof(std::int32_t));
+      ne * (sizeof(double) + 2 * sizeof(NodeId)) +
+      4 * nv * (sizeof(double) + sizeof(EdgeId) + 2 * sizeof(std::int32_t)) +
+      origins_floor;
   const std::size_t with_bush = footprint_bytes(ws);
   EXPECT_GE(footprint_bytes(ws.bush), bush_floor);
   ws.bush = BushWorkspace{};

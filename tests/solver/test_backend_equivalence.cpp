@@ -6,7 +6,8 @@
 // Plus the bush solver's own contracts: warm-vs-cold agreement, honest
 // degraded statuses, and results that are bitwise identical at any thread
 // count (its per-origin Dijkstra fan-outs run over util/parallel.h), both
-// for single solves and for a bush sweep table.
+// for single solves and for a bush sweep table, and whether a warm payload
+// is swapped into the solver (it aliases warm_out) or copied.
 #include "stackroute/solver/backend.h"
 
 #include <gtest/gtest.h>
@@ -283,11 +284,14 @@ void expect_same_run(const BushRun& want, const BushRun& got,
 }
 
 /// A cold solve of `inst`, then a solve of `scaled` seeded with its warm
-/// payload, at the given thread cap.
+/// payload, at the given thread cap. With `aliased` the second solve reads
+/// and republishes one payload object, as sweep chains and engine sessions
+/// do (the payload is swapped into the solver); otherwise it reads its own
+/// copy.
 std::pair<BushRun, BushRun> cold_then_warm(const NetworkInstance& inst,
                                            const NetworkInstance& scaled,
                                            const BushOptions& opts,
-                                           int threads) {
+                                           int threads, bool aliased = false) {
   set_max_threads(threads);
   SolverWorkspace ws;
   obs::SolveCounters sink;
@@ -295,9 +299,16 @@ std::pair<BushRun, BushRun> cold_then_warm(const NetworkInstance& inst,
   std::pair<BushRun, BushRun> runs;
   runs.first.result = solve_bush(inst, FlowObjective::kBeckmann, {}, opts,
                                  ws, nullptr, &runs.first.warm_out);
-  runs.second.result =
-      solve_bush(scaled, FlowObjective::kBeckmann, {}, opts, ws,
-                 &runs.first.warm_out, &runs.second.warm_out);
+  if (aliased) {
+    BushWarmState chain = runs.first.warm_out;
+    runs.second.result = solve_bush(scaled, FlowObjective::kBeckmann, {},
+                                    opts, ws, &chain, &chain);
+    runs.second.warm_out = std::move(chain);
+  } else {
+    runs.second.result =
+        solve_bush(scaled, FlowObjective::kBeckmann, {}, opts, ws,
+                   &runs.first.warm_out, &runs.second.warm_out);
+  }
   set_max_threads(0);
   return runs;
 }
@@ -306,7 +317,7 @@ TEST(Bush, EdgeFlowBitwiseInvariantAcrossThreadCounts) {
   // Anaheim's 38 origins split unevenly over 3 and 4 lanes; the
   // multi-commodity grid's 23 origins carry work for at most 3 lanes; the
   // generated grid-bpr instance has one origin, so it runs inline at any
-  // cap.
+  // cap. Each warm solve also runs with its payload aliasing warm_out.
   struct Case {
     std::string name;
     sweep::Instance instance;
@@ -340,7 +351,72 @@ TEST(Bush, EdgeFlowBitwiseInvariantAcrossThreadCounts) {
       expect_same_run(serial.first, parallel.first, where + " cold");
       expect_same_run(serial.second, parallel.second, where + " warm");
     }
+    // A payload that aliases warm_out is swapped into the solver instead
+    // of copied; the solve must not be able to tell the difference.
+    for (const int threads : {1, 4}) {
+      const auto swapped = cold_then_warm(inst, next, opts, threads, true);
+      const std::string where = name + " swapped @" + std::to_string(threads);
+      ASSERT_EQ(swapped.second.result.counters.warm_hits, 1u) << where;
+      expect_same_run(serial.first, swapped.first, where + " cold");
+      expect_same_run(serial.second, swapped.second, where + " warm");
+    }
   }
+}
+
+TEST(Bush, CyclicWarmPayloadFallsBackColdAliasedOrNot) {
+  // Anaheim has two-way links (the generated grids are acyclic).
+  const NetworkInstance base = std::get<NetworkInstance>(
+      sweep::load_instance_file(std::string(STACKROUTE_SOURCE_DIR) +
+                                "/examples/instances/Anaheim_net.tntp"));
+  NetworkInstance scaled = base;
+  for (Commodity& com : scaled.commodities) com.demand *= 1.15;
+  const Graph& g = base.graph;
+
+  // One solve of `scaled` on a fresh workspace, reading `warm` (null =
+  // cold) and publishing into run.warm_out.
+  const auto solve_into = [&](BushRun& run, const BushWarmState* warm) {
+    SolverWorkspace ws;
+    obs::SolveCounters sink;
+    obs::CountersScope scope(sink);
+    run.result = solve_bush(scaled, FlowObjective::kBeckmann, {}, {}, ws, warm,
+                            &run.warm_out);
+    EXPECT_EQ(sink.warm_attempts, warm != nullptr ? 1u : 0u);
+    EXPECT_EQ(sink.warm_hits, 0u);
+  };
+
+  // Flip one bit of the *last* bush, so every bush before it has already
+  // passed validation when the bad one is found: the reverse of a bush edge
+  // joins the bush and closes a two-edge cycle.
+  BushWarmState bad;
+  {
+    SolverWorkspace ws;
+    ASSERT_TRUE(solve_bush(base, FlowObjective::kBeckmann, {}, {}, ws, nullptr,
+                           &bad)
+                    .converged);
+  }
+  ASSERT_GT(bad.bushes.size(), 1u);
+  OriginBush& last = bad.bushes.back();
+  EdgeId reverse = kInvalidEdge;
+  for (EdgeId e = 0; e < g.num_edges() && reverse == kInvalidEdge; ++e) {
+    if (!last.in_bush[static_cast<std::size_t>(e)]) continue;
+    for (EdgeId r : g.out_edges(g.edge(e).head)) {
+      if (g.edge(r).head == g.edge(e).tail) reverse = r;
+    }
+  }
+  ASSERT_NE(reverse, kInvalidEdge);
+  ASSERT_FALSE(last.in_bush[static_cast<std::size_t>(reverse)]);
+  last.in_bush[static_cast<std::size_t>(reverse)] = 1;
+
+  BushRun cold;
+  solve_into(cold, nullptr);
+  ASSERT_TRUE(cold.result.converged);
+  BushRun copied;
+  solve_into(copied, &bad);
+  BushRun swapped;
+  swapped.warm_out = bad;
+  solve_into(swapped, &swapped.warm_out);
+  expect_same_run(cold, copied, "copied");
+  expect_same_run(cold, swapped, "aliased");
 }
 
 TEST(Bush, HonestIterLimitStatus) {
