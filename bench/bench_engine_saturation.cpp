@@ -58,7 +58,7 @@ double peak_rss_mb() {
 void saturate(benchmark::State& state) {
   const std::size_t factor = static_cast<std::size_t>(state.range(0));
   const std::size_t clients = kWorkers * factor;
-  std::vector<double> latency_ms;
+  obs::LogHistogram latency_ms;
   std::uint64_t submitted = 0;
   std::uint64_t shed = 0;
   std::uint64_t served = 0;
@@ -108,11 +108,10 @@ void saturate(benchmark::State& state) {
     submitted += stats.requests;
     shed += stats.shed;
     served += stats.requests - stats.shed;
-    latency_ms.insert(latency_ms.end(), stats.millis.begin(),
-                      stats.millis.end());
+    latency_ms.merge(stats.millis);
   }
 
-  const obs::QuantileSummary q = obs::QuantileSummary::of(latency_ms);
+  const obs::QuantileSummary q = latency_ms.summary();
   state.counters["p50_us"] = q.p50 * 1000.0;
   state.counters["p99_us"] = q.p99 * 1000.0;
   state.counters["shed_pct"] =

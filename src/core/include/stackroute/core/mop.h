@@ -2,24 +2,30 @@
 // minimum Leader portion β_G inducing the optimum on an arbitrary network,
 // plus the optimal strategy, in polynomial time.
 //
-// Pipeline per the proof of Theorem 2.1:
+// Pipeline per the proof of Theorem 2.1, run per origin (§5):
 //   1. Compute the optimum flow O and fix edge costs ℓ_e(o_e).
-//   2. Per commodity i, find the shortest-path ("tight") subgraph w.r.t.
-//      those costs (footnote 5: Dijkstra from s_i and to t_i).
-//   3. The free flow r'_i is the largest part of commodity i's optimum
-//      routable entirely inside its tight subgraph — a max-flow with
-//      capacities equal to commodity i's optimum edge flows.
+//   2. Per origin s, one Dijkstra under those costs gives the tight DAG:
+//      the edges with d_s(u) + ℓ_e(o_e) = d_s(v) (footnote 5).
+//   3. The free flow is the largest part of s's optimum routable entirely
+//      inside its tight DAG — one max flow from s, with each tight edge
+//      capped at s's own optimum flow on it, into a super-sink fed by an
+//      arc t_j → super-sink capped at d_j per commodity j of s. Commodity
+//      j's free share r'_j is the flow on its arc.
 //   4. The Leader controls everything else: exactly the optimum flow on
-//      every non-shortest path. β_G = 1 − (Σ_i r'_i)/r.
+//      every non-shortest path. β_G = 1 − (Σ_j r'_j)/r.
 //   5. The followers' selfish routing of the free flow under the preload
-//      reproduces O (uniqueness of equilibrium edge flows), so
-//      C(S+T) = C(O): approximation guarantee exactly 1.
+//      reproduces O (every free path is a shortest s→t_j path under ℓ(o),
+//      and equilibrium edge flows are unique), so C(S+T) = C(O):
+//      approximation guarantee exactly 1. `induced_residual` checks it on
+//      every run.
 //
-// k-commodity note: step 3 uses each commodity's own optimum edge flows as
-// capacities (a valid joint decomposition). For k = 1 this is exactly the
-// minimum; for k > 1 a different decomposition of the *total* optimum
-// could in principle free more flow, so β is an upper bound on the
-// minimum portion that is tight in all single-commodity cases.
+// Step 3 needs only each origin's optimum edge flows — what a bush holds
+// (see origin_flows in solver/backend.h) — so β does not depend on how an
+// origin's flow splits across its sinks. For k = 1 it is exactly the
+// minimum. For k > 1 any per-commodity free flow is also a feasible
+// per-origin one, so β is never above the per-commodity construction's;
+// a different per-origin split of the *total* optimum could still free
+// more, so β is an upper bound on the minimum portion.
 #pragma once
 
 #include <vector>
@@ -33,14 +39,15 @@
 namespace stackroute {
 
 struct MopCommodity {
-  /// Optimum flow the Leader must control on non-shortest paths.
+  /// Optimum flow the Leader must control on non-shortest paths: the
+  /// origin's Leader share decomposed into paths, the ones ending at t_i.
   std::vector<PathFlow> leader_paths;
-  /// Optimum flow on shortest paths (left to the followers).
+  /// Optimum flow on shortest paths (left to the followers), likewise.
   std::vector<PathFlow> free_paths;
   double free_flow = 0.0;       // r'_i
   double controlled_flow = 0.0; // r_i − r'_i
   double shortest_cost = 0.0;   // L_i := dist(s_i, t_i) under ℓ_e(o_e)
-  std::vector<char> tight_edges;  // shortest-path subgraph mask
+  std::vector<char> tight_edges;  // the origin's tight-DAG mask
 };
 
 struct MopResult {
@@ -67,7 +74,7 @@ struct MopResult {
   /// Largest achieved path-cost spread over those solves (~tol when
   /// status == kConverged).
   double spread = 0.0;
-  /// Work counters of the whole pipeline (optimum solve, tight-subgraph
+  /// Work counters of the whole pipeline (optimum solve, tight-DAG
   /// Dijkstras, verification solve) — all zero unless the calling thread
   /// had a counter sink installed (obs::CountersScope).
   obs::SolveCounters counters;
@@ -85,7 +92,9 @@ enum class FreeFlowMethod {
 };
 
 struct MopOptions {
-  AssignmentOptions assignment;
+  /// Backend, knobs and budget of the optimum and induced solves (bush by
+  /// default); the budget is armed once and shared by both.
+  EquilibriumRequest equilibrium;
   /// Slack below which an edge counts as lying on a shortest path.
   double tight_tol = 1e-7;
   /// Flows below this are treated as zero.
@@ -100,18 +109,20 @@ MopResult mop(const NetworkInstance& inst, const MopOptions& opts = {});
 
 /// Converged solver state of a prior mop() run on the same network at a
 /// nearby demand — the warm-start payload for chained β_G evaluations
-/// along a sweep axis (see AssignmentWarmStart for the fallback rules; an
-/// ill-fitting payload degrades to cold solves, never to wrong answers).
+/// along a sweep axis (see each backend's warm contract; an ill-fitting
+/// payload degrades to cold solves, never to wrong answers). `optimum`
+/// also carries the optimum's per-origin flows (origin_flows), which LLF
+/// reads after a MOP run.
 struct MopWarmStart {
-  AssignmentWarmStart optimum;  // the optimum solve's decomposition
-  AssignmentWarmStart induced;  // the verification solve's decomposition
+  EquilibriumWarmState optimum;  // the optimum solve's payload
+  EquilibriumWarmState induced;  // the verification solve's payload
 };
 
 /// Workspace/warm-start variant: reuses the caller's workspace across the
-/// optimum solve, every tight-subgraph Dijkstra pair and the induced
-/// verification solve; reads warm state from `warm_in` (null = cold) and,
-/// when `warm_out` is non-null, overwrites it with this run's converged
-/// state for the next chained point. warm_in and warm_out may alias.
+/// optimum solve, every tight-DAG Dijkstra and the induced verification
+/// solve; reads warm state from `warm_in` (null = cold) and, when
+/// `warm_out` is non-null, overwrites it with this run's converged state
+/// for the next chained point. warm_in and warm_out may alias.
 MopResult mop(const NetworkInstance& inst, const MopOptions& opts,
               SolverWorkspace& ws, const MopWarmStart* warm_in,
               MopWarmStart* warm_out);

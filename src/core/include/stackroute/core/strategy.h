@@ -8,8 +8,9 @@
 //             optimally load links in decreasing optimum latency ℓ_i(o_i)
 //             until the αr budget runs out; guarantees
 //             C(S+T) <= (1/α)·C(O) there. On networks, the same greedy
-//             over a path decomposition of the optimum ordered by
-//             decreasing path latency ℓ(O), with a fractional last path —
+//             per commodity over its paths of a per-origin decomposition
+//             of the optimum, ordered by decreasing path latency ℓ(O),
+//             with a fractional last path —
 //             no such guarantee survives on general graphs, which is
 //             exactly the gap the paper's MOP closes (C(S+T) = C(O) at
 //             α = β_G).
@@ -116,9 +117,9 @@ struct NetworkStackelbergOutcome {
   double ratio = 0.0;           // C(S+T)/C(O)
   /// converged == solve_ok(status); kept for existing call sites.
   bool converged = true;
-  /// How the induced assignment solve ended (see solver/status.h), with
-  /// its achieved path-cost spread as the honest quality bound. Budgets
-  /// flow in through AssignmentOptions::budget.
+  /// How the induced solve ended (see solver/status.h), with its achieved
+  /// path-cost spread as the honest quality bound (path equalization
+  /// only). Budgets flow in through EquilibriumRequest::budget.
   SolveStatus status = SolveStatus::kConverged;
   double spread = 0.0;
   /// Work counters of the induced solve — all zero unless the calling
@@ -129,25 +130,25 @@ struct NetworkStackelbergOutcome {
 /// Routes the followers' Wardrop response to the strategy's preload (each
 /// commodity keeps r_i − controlled[i] of selfish flow; fully-controlled
 /// commodities drop out of the solve) and reports C(S+T) and its ratio to
-/// C(O). Solves the optimum itself; throws stackroute::Error on degenerate
-/// instances whose optimum cost is zero.
+/// C(O), both solved on the backend `req` names. Throws stackroute::Error
+/// on degenerate instances whose optimum cost is zero.
 NetworkStackelbergOutcome evaluate_strategy(const NetworkInstance& inst,
                                             const NetworkStrategy& strategy,
-                                            const AssignmentOptions& opts = {});
+                                            const EquilibriumRequest& req = {});
 
 /// Precomputed-optimum / workspace / warm-start variant for chained
 /// α-sweeps: `optimum_cost` must be C(O) > 0; the induced solve runs on
 /// `ws`, warm-started from `warm_in` (null = cold) and, when `warm_out` is
-/// non-null, publishes its converged follower decomposition there for the
-/// next chained point (warm_in and warm_out may alias; an ill-fitting
-/// payload falls back to the cold start, never to a wrong answer).
+/// non-null, publishes its converged follower state there for the next
+/// chained point (warm_in and warm_out may alias; an ill-fitting payload
+/// falls back to the cold start, never to a wrong answer).
 NetworkStackelbergOutcome evaluate_strategy(const NetworkInstance& inst,
                                             const NetworkStrategy& strategy,
                                             double optimum_cost,
-                                            const AssignmentOptions& opts,
+                                            const EquilibriumRequest& req,
                                             SolverWorkspace& ws,
-                                            const AssignmentWarmStart* warm_in,
-                                            AssignmentWarmStart* warm_out);
+                                            const EquilibriumWarmState* warm_in,
+                                            EquilibriumWarmState* warm_out);
 
 /// s = 0 on every edge: the do-nothing baseline.
 NetworkStrategy aloof_strategy(const NetworkInstance& inst);
@@ -156,20 +157,23 @@ NetworkStrategy aloof_strategy(const NetworkInstance& inst);
 NetworkStrategy scale_strategy(const NetworkInstance& inst, double alpha);
 
 /// Precomputed-optimum overload: `optimum` must be solve_optimum's
-/// assignment for `inst` (its edge flows are scaled; its path
-/// decomposition is not needed).
+/// assignment for `inst` (only its edge flows are scaled).
 NetworkStrategy scale_strategy(const NetworkInstance& inst, double alpha,
                                const NetworkAssignment& optimum);
 
-/// LLF on a network: per commodity, order the optimum's path decomposition
-/// by decreasing path latency ℓ(O) and fill greedily up to the budget
-/// min(α·r_i, r_i), the last path fractionally (same 1-ulp budget
+/// LLF on a network: each origin's optimum flow is decomposed into paths
+/// tagged by sink (decompose_origin_flow); per commodity, those paths are
+/// ordered by decreasing path latency ℓ(O) and filled greedily up to the
+/// budget min(α·r_i, r_i), the last path fractionally (same 1-ulp budget
 /// invariant as the parallel-links fill).
 NetworkStrategy llf_strategy(const NetworkInstance& inst, double alpha);
 
 /// Precomputed-optimum overload: `optimum` must be solve_optimum's
-/// assignment for `inst`, including its per-commodity path decomposition.
+/// assignment for `inst`, and `optimum_state` the payload that solve
+/// published (its per-origin flows, see origin_flows in solver/backend.h).
+/// Throws when the payload holds no per-origin flows for `inst`.
 NetworkStrategy llf_strategy(const NetworkInstance& inst, double alpha,
-                             const NetworkAssignment& optimum);
+                             const NetworkAssignment& optimum,
+                             const EquilibriumWarmState& optimum_state);
 
 }  // namespace stackroute

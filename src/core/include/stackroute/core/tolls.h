@@ -39,9 +39,10 @@ struct TollResult {
 /// Marginal-cost tolls on parallel links.
 TollResult marginal_cost_tolls(const ParallelLinks& m);
 
-/// Marginal-cost tolls on a (multicommodity) network.
+/// Marginal-cost tolls on a (multicommodity) network, every solve on the
+/// backend `req` names.
 TollResult marginal_cost_tolls(const NetworkInstance& inst,
-                               const AssignmentOptions& opts = {});
+                               const EquilibriumRequest& req = {});
 
 /// Builds the tolled variant of an instance (each latency wrapped with
 /// make_offset by the given toll vector). Exposed for tests and benches.

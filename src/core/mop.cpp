@@ -66,6 +66,36 @@ MopResult mop(const NetworkInstance& inst, const MopOptions& opts) {
   return mop(inst, opts, ws, nullptr, nullptr);
 }
 
+namespace {
+
+/// Step 3's free flow from one origin into its sinks: the exact max flow,
+/// or the greedy peel ablation (sink by sink on the shared capacities).
+MaxFlowResult free_flow_to_sinks(const Graph& g, NodeId origin,
+                                 std::span<const NodeId> sinks,
+                                 std::span<const double> demands,
+                                 std::span<const double> caps,
+                                 const MopOptions& opts) {
+  if (opts.free_flow_method == FreeFlowMethod::kMaxFlow) {
+    return max_flow_to_sinks(g, origin, sinks, demands, caps, opts.flow_tol);
+  }
+  MaxFlowResult out;
+  out.edge_flow.assign(caps.size(), 0.0);
+  std::vector<double> residual(caps.begin(), caps.end());
+  for (std::size_t j = 0; j < sinks.size(); ++j) {
+    const MaxFlowResult peel = greedy_peel_flow(g, origin, sinks[j], residual,
+                                                demands[j], opts.flow_tol);
+    for (std::size_t e = 0; e < caps.size(); ++e) {
+      residual[e] -= peel.edge_flow[e];
+      out.edge_flow[e] += peel.edge_flow[e];
+    }
+    out.sink_flow.push_back(peel.value);
+    out.value += peel.value;
+  }
+  return out;
+}
+
+}  // namespace
+
 MopResult mop(const NetworkInstance& inst, const MopOptions& opts,
               SolverWorkspace& ws, const MopWarmStart* warm_in,
               MopWarmStart* warm_out) {
@@ -74,24 +104,28 @@ MopResult mop(const NetworkInstance& inst, const MopOptions& opts,
   inst.validate();
   // Arm the budget once so the optimum solve and the induced verification
   // solve draw on a single shared deadline.
-  AssignmentOptions solve_opts = opts.assignment;
-  solve_opts.budget = opts.assignment.budget.armed();
+  EquilibriumRequest req = opts.equilibrium;
+  req.budget = opts.equilibrium.budget.armed();
   const Graph& g = inst.graph;
   const auto ne = static_cast<std::size_t>(g.num_edges());
   const std::size_t k = inst.commodities.size();
   const double r = inst.total_demand();
+  // The optimum's payload holds its per-origin flows, so it is always
+  // published: into the caller's warm_out, or a local one.
+  MopWarmStart local;
+  MopWarmStart& state = warm_out != nullptr ? *warm_out : local;
 
   MopResult result;
   // (1) Optimum flow and the induced edge costs ℓ_e(o_e).
   NetworkAssignment opt = [&] {
     obs::ScopedSpan phase("mop_optimum");
-    return warm_in != nullptr
-               ? solve_optimum(inst, solve_opts, ws, warm_in->optimum)
-               : solve_optimum(inst, solve_opts, ws);
+    return solve_optimum(inst, req, ws,
+                         warm_in != nullptr ? &warm_in->optimum : nullptr,
+                         &state.optimum);
   }();
   result.status = worst_status(result.status, opt.status);
   result.spread = std::fmax(result.spread, opt.spread);
-  result.optimum_edge_flow = opt.edge_flow;
+  result.optimum_edge_flow = std::move(opt.edge_flow);
   result.optimum_cost = opt.cost;
   const std::vector<LatencyPtr> lat = g.latencies();
   // The instance's own latencies, no preload: pointer-identical to the
@@ -99,61 +133,78 @@ MopResult mop(const NetworkInstance& inst, const MopOptions& opts,
   ws.table.ensure_compiled(lat);
   std::vector<double> opt_costs(ne);
   for (std::size_t e = 0; e < ne; ++e) {
-    opt_costs[e] = ws.table.value(e, opt.edge_flow[e]);
+    opt_costs[e] = ws.table.value(e, result.optimum_edge_flow[e]);
   }
 
   result.leader_edge_flow.assign(ne, 0.0);
   result.commodities.resize(k);
-
-  // Per-commodity scratch, hoisted out of the loop (and the Dijkstra pairs
-  // below run on the workspace's reused tree/heap buffers).
-  std::vector<double> commodity_opt(ne);
-  std::vector<double> caps(ne);
-  std::vector<double> leader_i(ne);
-  {
-    obs::ScopedSpan tight_span("mop_tight_subgraphs");
+  std::vector<std::vector<double>> storage;
+  const std::vector<OriginFlow> origins =
+      origin_flows(inst, state.optimum, storage);
+  if (origins.empty()) {
+    // A solve that failed numerically publishes no per-origin split: the
+    // Leader routes all of O, which induces O trivially (β = 1).
+    result.leader_edge_flow = result.optimum_edge_flow;
     for (std::size_t i = 0; i < k; ++i) {
-      const Commodity& com = inst.commodities[i];
-      MopCommodity& trace = result.commodities[i];
-
-      // (2) Tight subgraph of commodity i under optimum costs; the forward
-      // tree the mask computation leaves behind carries dist(s_i, t_i).
-      shortest_path_edge_mask_into(g, com.source, com.sink, opt_costs,
-                                   opts.tight_tol, ws.dijkstra, ws.dijkstra_rev,
-                                   trace.tight_edges);
-      trace.shortest_cost =
-          ws.dijkstra.tree.dist[static_cast<std::size_t>(com.sink)];
-
-      // Commodity i's own optimum edge flows, used as max-flow capacities.
-      std::fill(commodity_opt.begin(), commodity_opt.end(), 0.0);
-      for (const PathFlow& pf : opt.commodity_paths[i]) {
-        for (EdgeId e : pf.path) {
-          commodity_opt[static_cast<std::size_t>(e)] += pf.flow;
-        }
-      }
-      // (3) Free flow: max flow inside the tight subgraph.
+      result.commodities[i].controlled_flow = inst.commodities[i].demand;
+    }
+  } else {
+    obs::ScopedSpan tight_span("mop_tight_dags");
+    std::vector<char> tight(ne);
+    std::vector<double> caps(ne);
+    std::vector<double> leader(ne);
+    std::vector<NodeId> sinks;
+    std::vector<double> demands;
+    std::vector<double> controlled;
+    for (std::size_t o = 0; o < origins.size(); ++o) {
+      const NodeId s = origins[o].origin;
+      const std::span<const double> flow = origins[o].edge_flow;
+      // (2) The origin's tight DAG under optimum costs.
+      const ShortestPathTree& tree = dijkstra(g, s, opt_costs, ws.dijkstra);
+      count_dijkstra(ws.dijkstra);
       for (std::size_t e = 0; e < ne; ++e) {
-        caps[e] = trace.tight_edges[e] ? commodity_opt[e] : 0.0;
+        const Edge& edge = g.edge(static_cast<EdgeId>(e));
+        const double du = tree.dist[static_cast<std::size_t>(edge.tail)];
+        const double dv = tree.dist[static_cast<std::size_t>(edge.head)];
+        tight[e] = std::isfinite(du) && std::isfinite(dv) &&
+                   du + opt_costs[e] <= dv + opts.tight_tol;
+        caps[e] = tight[e] ? flow[e] : 0.0;
       }
+      sinks.clear();
+      demands.clear();
+      for (std::size_t i : origins[o].commodities) {
+        sinks.push_back(inst.commodities[i].sink);
+        demands.push_back(inst.commodities[i].demand);
+      }
+      // (3) Free flow: one max flow inside the tight DAG.
       const MaxFlowResult mf =
-          opts.free_flow_method == FreeFlowMethod::kMaxFlow
-              ? max_flow(g, com.source, com.sink, caps, com.demand,
-                         opts.flow_tol)
-              : greedy_peel_flow(g, com.source, com.sink, caps, com.demand,
-                                 opts.flow_tol);
-      trace.free_flow = mf.value;
-      trace.controlled_flow = com.demand - mf.value;
-      trace.free_paths =
-          decompose_flow(g, com.source, com.sink, mf.edge_flow, opts.flow_tol);
-
-      // (4) Leader controls the remainder of commodity i's optimum.
+          free_flow_to_sinks(g, s, sinks, demands, caps, opts);
+      // (4) The Leader controls the remainder of the origin's optimum.
       for (std::size_t e = 0; e < ne; ++e) {
-        leader_i[e] = std::fmax(0.0, commodity_opt[e] - mf.edge_flow[e]);
-        result.leader_edge_flow[e] += leader_i[e];
+        leader[e] = std::fmax(0.0, flow[e] - mf.edge_flow[e]);
+        result.leader_edge_flow[e] += leader[e];
       }
-      trace.leader_paths =
-          decompose_flow(g, com.source, com.sink, leader_i, opts.flow_tol);
-      result.free_flow_total += trace.free_flow;
+      controlled.clear();
+      for (std::size_t j = 0; j < sinks.size(); ++j) {
+        controlled.push_back(std::fmax(0.0, demands[j] - mf.sink_flow[j]));
+      }
+      // Both shares keep the origin's demand scale for their roundoff.
+      double scale = 0.0;
+      for (double d : demands) scale += d;
+      std::vector<std::vector<PathFlow>> free_paths = decompose_origin_flow(
+          g, s, sinks, mf.sink_flow, mf.edge_flow, scale);
+      std::vector<std::vector<PathFlow>> leader_paths =
+          decompose_origin_flow(g, s, sinks, controlled, leader, scale);
+      for (std::size_t j = 0; j < sinks.size(); ++j) {
+        MopCommodity& trace = result.commodities[origins[o].commodities[j]];
+        trace.tight_edges = tight;
+        trace.shortest_cost = tree.dist[static_cast<std::size_t>(sinks[j])];
+        trace.free_flow = mf.sink_flow[j];
+        trace.controlled_flow = demands[j] - mf.sink_flow[j];
+        trace.free_paths = std::move(free_paths[j]);
+        trace.leader_paths = std::move(leader_paths[j]);
+        result.free_flow_total += trace.free_flow;
+      }
     }
   }
 
@@ -171,12 +222,11 @@ MopResult mop(const NetworkInstance& inst, const MopOptions& opts,
 
   // (5) Verify: followers' selfish routing of the free flow under the
   // Leader's preload reproduces the optimum.
-  MopWarmStart harvest;
   result.follower_edge_flow.assign(ne, 0.0);
+  bool induced_solved = false;
   if (opts.verify_induced) {
     obs::ScopedSpan verify_span("mop_induced");
     NetworkInstance followers;
-    followers.graph = g;
     for (std::size_t i = 0; i < k; ++i) {
       if (result.commodities[i].free_flow > opts.flow_tol) {
         Commodity c = inst.commodities[i];
@@ -185,22 +235,15 @@ MopResult mop(const NetworkInstance& inst, const MopOptions& opts,
       }
     }
     if (!followers.commodities.empty()) {
-      NetworkAssignment induced =
-          warm_in != nullptr
-              ? solve_induced(followers, result.leader_edge_flow,
-                              solve_opts, ws, warm_in->induced)
-              : solve_induced(followers, result.leader_edge_flow,
-                              solve_opts, ws);
+      followers.graph = g;
+      NetworkAssignment induced = solve_induced(
+          followers, result.leader_edge_flow, req, ws,
+          warm_in != nullptr ? &warm_in->induced : nullptr, &state.induced);
+      induced_solved = true;
       result.status = worst_status(result.status, induced.status);
       result.spread = std::fmax(result.spread, induced.spread);
-      result.follower_edge_flow = induced.edge_flow;
+      result.follower_edge_flow = std::move(induced.edge_flow);
       result.induced_cost = induced.cost;
-      if (warm_out != nullptr) {
-        harvest.induced.commodity_paths = std::move(induced.commodity_paths);
-        for (const Commodity& c : followers.commodities) {
-          harvest.induced.demands.push_back(c.demand);
-        }
-      }
     } else {
       // Leader controls everything; the "induced" flow is the strategy.
       result.induced_cost = cost(inst, result.leader_edge_flow);
@@ -211,13 +254,7 @@ MopResult mop(const NetworkInstance& inst, const MopOptions& opts,
   } else {
     result.induced_cost = result.optimum_cost;
   }
-  if (warm_out != nullptr) {
-    harvest.optimum.commodity_paths = std::move(opt.commodity_paths);
-    for (const Commodity& c : inst.commodities) {
-      harvest.optimum.demands.push_back(c.demand);
-    }
-    *warm_out = std::move(harvest);
-  }
+  if (!induced_solved) state.induced.clear();
   if (tally.active()) result.counters = tally.current();
   return result;
 }

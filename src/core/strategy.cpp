@@ -179,20 +179,20 @@ double follower_demand(const Commodity& c, double controlled) {
 
 NetworkStackelbergOutcome evaluate_strategy(const NetworkInstance& inst,
                                             const NetworkStrategy& strategy,
-                                            const AssignmentOptions& opts) {
+                                            const EquilibriumRequest& req) {
   SolverWorkspace ws;
-  const NetworkAssignment opt = solve_optimum(inst, opts, ws);
-  return evaluate_strategy(inst, strategy, opt.cost, opts, ws, nullptr,
+  const NetworkAssignment opt = solve_optimum(inst, req, ws);
+  return evaluate_strategy(inst, strategy, opt.cost, req, ws, nullptr,
                            nullptr);
 }
 
 NetworkStackelbergOutcome evaluate_strategy(const NetworkInstance& inst,
                                             const NetworkStrategy& strategy,
                                             double optimum_cost,
-                                            const AssignmentOptions& opts,
+                                            const EquilibriumRequest& req,
                                             SolverWorkspace& ws,
-                                            const AssignmentWarmStart* warm_in,
-                                            AssignmentWarmStart* warm_out) {
+                                            const EquilibriumWarmState* warm_in,
+                                            EquilibriumWarmState* warm_out) {
   obs::ScopedCounterDelta tally;
   obs::ScopedSpan span("evaluate_strategy");
   const auto ne = static_cast<std::size_t>(inst.graph.num_edges());
@@ -224,24 +224,15 @@ NetworkStackelbergOutcome evaluate_strategy(const NetworkInstance& inst,
     // α = 1: the Leader routes everything; there is no follower flow.
     out.induced.assign(ne, 0.0);
     out.cost = cost(inst, strategy.preload);
-    if (warm_out != nullptr) *warm_out = {};
+    if (warm_out != nullptr) warm_out->clear();
   } else {
     followers.graph = inst.graph;
-    NetworkAssignment induced =
-        warm_in != nullptr
-            ? solve_induced(followers, strategy.preload, opts, ws, *warm_in)
-            : solve_induced(followers, strategy.preload, opts, ws);
+    NetworkAssignment induced = solve_induced(followers, strategy.preload,
+                                              req, ws, warm_in, warm_out);
     out.converged = induced.converged;
     out.status = induced.status;
     out.spread = induced.spread;
     out.cost = induced.cost;
-    if (warm_out != nullptr) {
-      warm_out->commodity_paths = std::move(induced.commodity_paths);
-      warm_out->demands.clear();
-      for (const Commodity& c : followers.commodities) {
-        warm_out->demands.push_back(c.demand);
-      }
-    }
     out.induced = std::move(induced.edge_flow);
   }
   out.ratio = out.cost / optimum_cost;
@@ -279,31 +270,56 @@ NetworkStrategy scale_strategy(const NetworkInstance& inst, double alpha,
 
 NetworkStrategy llf_strategy(const NetworkInstance& inst, double alpha) {
   require_alpha(alpha, "LLF");
-  return llf_strategy(inst, alpha, solve_optimum(inst));
+  SolverWorkspace ws;
+  EquilibriumWarmState state;
+  const NetworkAssignment optimum =
+      solve_optimum(inst, {}, ws, nullptr, &state);
+  return llf_strategy(inst, alpha, optimum, state);
 }
 
 NetworkStrategy llf_strategy(const NetworkInstance& inst, double alpha,
-                             const NetworkAssignment& optimum) {
+                             const NetworkAssignment& optimum,
+                             const EquilibriumWarmState& optimum_state) {
   require_alpha(alpha, "LLF");
-  const auto ne = static_cast<std::size_t>(inst.graph.num_edges());
+  const Graph& g = inst.graph;
+  const auto ne = static_cast<std::size_t>(g.num_edges());
   SR_REQUIRE(optimum.edge_flow.size() == ne,
              "optimum edge flow vector size mismatch");
-  SR_REQUIRE(optimum.commodity_paths.size() == inst.commodities.size(),
-             "LLF needs the optimum's per-commodity path decomposition");
+  std::vector<std::vector<double>> storage;
+  const std::vector<OriginFlow> origins =
+      origin_flows(inst, optimum_state, storage);
+  SR_REQUIRE(!origins.empty(), "LLF needs the optimum's per-origin flows");
+
+  // Each commodity's paths: its origin's optimum flow decomposed by sink.
+  std::vector<std::vector<PathFlow>> commodity_paths(inst.commodities.size());
+  std::vector<NodeId> sinks;
+  std::vector<double> demands;
+  for (const OriginFlow& of : origins) {
+    sinks.clear();
+    demands.clear();
+    for (std::size_t i : of.commodities) {
+      sinks.push_back(inst.commodities[i].sink);
+      demands.push_back(inst.commodities[i].demand);
+    }
+    std::vector<std::vector<PathFlow>> paths =
+        decompose_origin_flow(g, of.origin, sinks, demands, of.edge_flow);
+    for (std::size_t j = 0; j < paths.size(); ++j) {
+      commodity_paths[of.commodities[j]] = std::move(paths[j]);
+    }
+  }
 
   // Edge latencies at the optimum loads — path latency ℓ(O) is additive.
   std::vector<double> edge_latency(ne);
-  for (EdgeId e = 0; e < inst.graph.num_edges(); ++e) {
-    edge_latency[static_cast<std::size_t>(e)] =
-        inst.graph.edge(e).latency->value(
-            optimum.edge_flow[static_cast<std::size_t>(e)]);
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    edge_latency[static_cast<std::size_t>(e)] = g.edge(e).latency->value(
+        optimum.edge_flow[static_cast<std::size_t>(e)]);
   }
 
   NetworkStrategy s;
   s.preload.assign(ne, 0.0);
   s.controlled.reserve(inst.commodities.size());
   for (std::size_t i = 0; i < inst.commodities.size(); ++i) {
-    const auto& paths = optimum.commodity_paths[i];
+    const auto& paths = commodity_paths[i];
     std::vector<double> caps(paths.size());
     std::vector<double> latency(paths.size());
     for (std::size_t j = 0; j < paths.size(); ++j) {

@@ -59,12 +59,12 @@ TollResult marginal_cost_tolls(const ParallelLinks& m) {
 }
 
 TollResult marginal_cost_tolls(const NetworkInstance& inst,
-                               const AssignmentOptions& opts) {
+                               const EquilibriumRequest& req) {
   inst.validate();
   TollResult result;
-  const NetworkAssignment nash = solve_nash(inst, opts);
+  const NetworkAssignment nash = solve_nash(inst, req);
   result.untolled_nash_cost = nash.cost;
-  const NetworkAssignment opt = solve_optimum(inst, opts);
+  const NetworkAssignment opt = solve_optimum(inst, req);
   result.optimum_cost = opt.cost;
 
   const auto ne = static_cast<std::size_t>(inst.graph.num_edges());
@@ -75,7 +75,7 @@ TollResult marginal_cost_tolls(const NetworkInstance& inst,
   }
 
   const NetworkInstance tolled = with_tolls(inst, result.tolls);
-  const NetworkAssignment eq = solve_nash(tolled, opts);
+  const NetworkAssignment eq = solve_nash(tolled, req);
   result.tolled_equilibrium = eq.edge_flow;
   result.tolled_latency_cost = cost(inst, eq.edge_flow);
   for (std::size_t e = 0; e < ne; ++e) {

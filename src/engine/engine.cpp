@@ -258,6 +258,10 @@ SolveResponse Engine::solve_on(SolveSession* session,
     const SolveBudget& budget =
         req.budget.active() ? req.budget : opts_.default_budget;
     eval.set_budget(budget);
+    // The backend seam: every network solve of the request — pe or bush —
+    // funnels through the dispatcher, and the session's tagged warm state
+    // carries whichever payload the backend produces.
+    eval.set_backend(req.backend);
 
     switch (req.kind) {
       case RequestKind::kEquilibrium:
@@ -265,10 +269,6 @@ SolveResponse Engine::solve_on(SolveSession* session,
           const LinkAssignment& a = eval.parallel_nash();
           resp.cost = cost(eval.links(), a.flows);
         } else {
-          // The backend seam: every network equilibrium — pe or bush —
-          // funnels through the dispatcher, and the session's tagged warm
-          // state carries whichever payload the backend produces.
-          eval.set_backend(req.backend);
           resp.cost = eval.network_nash().cost;
         }
         break;

@@ -75,19 +75,16 @@ const NetworkInstance& Evaluation::network() const {
   return std::get<NetworkInstance>(instance_);
 }
 
-namespace {
-
-/// Publishes a converged decomposition as the session's warm payload for
-/// the next evaluation (copies: the memoized result must stay intact for
-/// other readers of this evaluation).
-void publish(AssignmentWarmStart& warm, const NetworkAssignment& a,
-             const NetworkInstance& inst) {
-  warm.commodity_paths = a.commodity_paths;
-  warm.demands.clear();
-  for (const Commodity& c : inst.commodities) warm.demands.push_back(c.demand);
+EquilibriumRequest Evaluation::request() const {
+  EquilibriumRequest req;
+  req.backend = backend_;
+  req.budget = budget_;
+  return req;
 }
 
-}  // namespace
+MopWarmStart& Evaluation::mop_state() {
+  return session_ != nullptr ? session_->mop : own_state_;
+}
 
 const OpTopResult& Evaluation::optop() {
   if (!optop_) {
@@ -109,13 +106,12 @@ const OpTopResult& Evaluation::optop() {
 const MopResult& Evaluation::mop_result() {
   if (!mop_) {
     MopOptions opts;
-    opts.assignment.budget = budget_;
-    if (session_ != nullptr) {
-      mop_ = mop(network(), opts, session_->ws, &session_->mop,
-                 &session_->mop);
-    } else {
-      mop_ = mop(network(), opts);
-    }
+    opts.equilibrium = request();
+    // A session's payloads seed the solves and receive this run's back;
+    // a session-less run only publishes (the optimum's per-origin flows
+    // are what LLF reads later).
+    mop_ = mop(network(), opts, ws(),
+               session_ != nullptr ? &session_->mop : nullptr, &mop_state());
     absorb(mop_->status);
   }
   return *mop_;
@@ -123,18 +119,12 @@ const MopResult& Evaluation::mop_result() {
 
 const NetworkAssignment& Evaluation::network_nash() {
   if (!net_nash_) {
-    // Backend-dispatched (see solver/backend.h): the session's tagged warm
-    // state seeds the solve and receives the converged payload back; the
-    // default backend takes exactly the legacy assign_traffic path.
-    EquilibriumRequest req;
-    req.backend = backend_;
-    req.budget = budget_;
-    if (session_ != nullptr) {
-      net_nash_ = solve_nash(network(), req, session_->ws,
-                             &session_->equilibrium, &session_->equilibrium);
-    } else {
-      net_nash_ = solve_nash(network(), req, ws(), nullptr, nullptr);
-    }
+    // The session's tagged warm state seeds the solve and receives the
+    // converged payload back (see solver/backend.h).
+    net_nash_ = solve_nash(
+        network(), request(), ws(),
+        session_ != nullptr ? &session_->equilibrium : nullptr,
+        session_ != nullptr ? &session_->equilibrium : nullptr);
     absorb(net_nash_->status);
   }
   return *net_nash_;
@@ -143,31 +133,18 @@ const NetworkAssignment& Evaluation::network_nash() {
 const NetworkAssignment& Evaluation::network_optimum() {
   if (!net_opt_) {
     if (mop_) {
-      // Reuse MOP's optimum instead of solving again: its per-commodity
-      // leader/free path splits jointly decompose O, which is all the
-      // strategy evaluations need (mop() already published the payload).
+      // Reuse MOP's optimum instead of solving again: its payload (and
+      // with it the per-origin flows) is already in mop_state().
       NetworkAssignment a;
       a.edge_flow = mop_->optimum_edge_flow;
       a.cost = mop_->optimum_cost;
       a.converged = true;
-      a.commodity_paths.reserve(mop_->commodities.size());
-      for (const MopCommodity& c : mop_->commodities) {
-        std::vector<PathFlow> paths = c.free_paths;
-        paths.insert(paths.end(), c.leader_paths.begin(),
-                     c.leader_paths.end());
-        a.commodity_paths.push_back(std::move(paths));
-      }
       net_opt_ = std::move(a);
     } else {
-      AssignmentOptions opts;
-      opts.budget = budget_;
-      if (session_ != nullptr) {
-        net_opt_ = solve_optimum(network(), opts, session_->ws,
-                                 session_->mop.optimum);
-        publish(session_->mop.optimum, *net_opt_, network());
-      } else {
-        net_opt_ = solve_optimum(network(), opts, ws());
-      }
+      net_opt_ = solve_optimum(
+          network(), request(), ws(),
+          session_ != nullptr ? &session_->mop.optimum : nullptr,
+          &mop_state().optimum);
       absorb(net_opt_->status);
     }
   }
@@ -273,18 +250,17 @@ double Evaluation::evaluate_baseline(StrategyKind kind, double alpha,
     return out.cost;
   }
   const NetworkAssignment& opt = network_optimum();
-  const NetworkStrategy s = kind == StrategyKind::kScale
-                                ? scale_strategy(network(), alpha, opt)
-                                : llf_strategy(network(), alpha, opt);
-  AssignmentWarmStart* warm = nullptr;
+  const NetworkStrategy s =
+      kind == StrategyKind::kScale
+          ? scale_strategy(network(), alpha, opt)
+          : llf_strategy(network(), alpha, opt, mop_state().optimum);
+  EquilibriumWarmState* warm = nullptr;
   if (chained && session_ != nullptr) {
     warm = kind == StrategyKind::kScale ? &session_->strategy.scale_induced
                                         : &session_->strategy.llf_induced;
   }
-  AssignmentOptions opts;
-  opts.budget = budget_;
   const NetworkStackelbergOutcome out =
-      evaluate_strategy(network(), s, opt.cost, opts, ws(), warm, warm);
+      evaluate_strategy(network(), s, opt.cost, request(), ws(), warm, warm);
   absorb(out.status);
   return out.cost;
 }

@@ -93,7 +93,8 @@ std::size_t footprint_bytes(const SolveSession& session) {
   std::size_t bytes = sizeof(session) - sizeof(SolverWorkspace) +
                       footprint_bytes(session.ws) +
                       footprint_bytes(session.equilibrium) +
-                      footprint_bytes(session.mop) + footprint_bytes(session.optop) +
+                      footprint_bytes(session.mop) +
+                      footprint_bytes(session.optop) +
                       footprint_bytes(session.strategy.scale_induced) +
                       footprint_bytes(session.strategy.llf_induced);
   // The anchor instance holds memory even after reset_warm flips has_prev

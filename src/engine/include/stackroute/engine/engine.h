@@ -67,11 +67,12 @@ struct SolveRequest {
   /// Leader fraction for kStrategy (SCALE/LLF read it; Aloof ignores it).
   double alpha = std::numeric_limits<double>::quiet_NaN();
   StrategyKind strategy = StrategyKind::kAloof;
-  /// Network equilibrium backend for kEquilibrium (see solver/backend.h;
-  /// parallel links always water-fill). Warm chaining is backend-tagged:
+  /// Backend of every network solve the request runs — Nash, optimum,
+  /// MOP and the baselines' induced solves (see solver/backend.h; parallel
+  /// links always water-fill). Warm chaining is backend-tagged:
   /// consecutive requests on one session warm-start each other only while
   /// they keep naming the same backend.
-  EquilibriumBackend backend = EquilibriumBackend::kPathEqualization;
+  EquilibriumBackend backend = EquilibriumBackend::kBush;
   /// Optional per-request budget; when inactive the engine's default
   /// applies. Armed per request — the deadline starts when the solve does.
   SolveBudget budget;

@@ -51,10 +51,11 @@ class Evaluation {
   /// solve; an inactive budget changes nothing.
   void set_budget(const SolveBudget& budget) { budget_ = budget.armed(); }
 
-  /// Selects the equilibrium backend network_nash() dispatches through
-  /// (see solver/backend.h; the default is the legacy path-equalization
-  /// solve). Call before the first solve — the session's warm payload is
-  /// backend-tagged, so a mid-chain switch re-warms from cold.
+  /// Selects the backend every network solve of this evaluation runs on —
+  /// Nash, optimum, MOP's induced check and the baselines' induced solves
+  /// (see solver/backend.h; bush by default). Call before the first
+  /// solve — the session's warm payloads are backend-tagged, so a
+  /// mid-chain switch re-warms from cold.
   void set_backend(EquilibriumBackend backend) { backend_ = backend; }
 
   /// Worst SolveStatus over every solve run so far. Degraded solves still
@@ -93,9 +94,9 @@ class Evaluation {
   /// and reuses the Nash caches; a repeated kind returns the first call's
   /// cached cost regardless of alpha — one α per evaluation, as in a
   /// sweep task). Parallel links evaluate against the OpTop optimum,
-  /// networks against network_optimum(); chained evaluations warm-start
-  /// each baseline's induced solve from the session's converged follower
-  /// state.
+  /// networks against network_optimum() (LLF orders the paths of its
+  /// per-origin flows); chained evaluations warm-start each baseline's
+  /// induced solve from the session's converged follower state.
   double strategy_cost(StrategyKind kind, double alpha);
   double strategy_ratio(StrategyKind kind, double alpha);  // C(S+T)/C(O)
 
@@ -125,15 +126,24 @@ class Evaluation {
   SolverWorkspace& ws();
 
  private:
+  /// The request every network solve runs under: backend + budget.
+  [[nodiscard]] EquilibriumRequest request() const;
+  /// Where MOP and the optimum publish their payloads: the session's warm
+  /// state when attached, the private one otherwise.
+  MopWarmStart& mop_state();
+
   const Instance& instance_;
   SolveSession* session_ = nullptr;
   bool warm_ = false;
   SolveBudget budget_;
-  EquilibriumBackend backend_ = EquilibriumBackend::kPathEqualization;
+  EquilibriumBackend backend_ = EquilibriumBackend::kBush;
   SolveStatus status_ = SolveStatus::kConverged;
-  // Private fallback workspace for session-less evaluations (one compiled
-  // kernel per evaluation; an Evaluation is confined to one thread).
+  // Private fallback workspace and optimum/induced payloads for
+  // session-less evaluations (one compiled kernel per evaluation; an
+  // Evaluation is confined to one thread). The optimum payload holds the
+  // per-origin flows LLF reads.
   SolverWorkspace own_ws_;
+  MopWarmStart own_state_;
   std::optional<OpTopResult> optop_;
   std::optional<MopResult> mop_;
   std::optional<NetworkAssignment> net_nash_;

@@ -21,11 +21,11 @@
 namespace stackroute::engine {
 
 /// Converged baseline-strategy solver state carried along an α-sweep
-/// chain: the induced-equilibrium decompositions on networks, the induced
-/// water-filling levels on parallel links.
+/// chain: the induced solves' backend-tagged payloads on networks, the
+/// induced water-filling levels on parallel links.
 struct StrategyWarmState {
-  AssignmentWarmStart scale_induced;  // network follower decompositions
-  AssignmentWarmStart llf_induced;
+  EquilibriumWarmState scale_induced;  // network follower payloads
+  EquilibriumWarmState llf_induced;
   double scale_level = std::numeric_limits<double>::quiet_NaN();
   double llf_level = std::numeric_limits<double>::quiet_NaN();
 };
@@ -43,9 +43,9 @@ struct SolveSession {
   /// payload (prepare()), so a chain that flips backends re-warms from
   /// cold instead of mis-seeding.
   EquilibriumWarmState equilibrium;
-  MopWarmStart mop;          // optimum + induced decompositions (the
-                             // .optimum half also feeds plain optimum
-                             // solves on non-MOP metric sets)
+  MopWarmStart mop;          // optimum + induced payloads (the .optimum
+                             // half also feeds plain optimum solves and
+                             // holds the per-origin flows LLF reads)
   OpTopWarmStart optop;      // parallel-links water-filling levels
   StrategyWarmState strategy;  // per-baseline induced payloads (α chains)
   /// Water-filling levels of the last plain parallel-links Nash/optimum

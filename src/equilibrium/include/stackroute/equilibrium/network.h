@@ -8,32 +8,51 @@
 #include "stackroute/network/instance.h"
 #include "stackroute/network/paths.h"
 #include "stackroute/solver/backend.h"
-#include "stackroute/solver/traffic_assignment.h"
 
 namespace stackroute {
 
 struct NetworkAssignment {
-  std::vector<double> edge_flow;                       // by EdgeId
-  std::vector<std::vector<PathFlow>> commodity_paths;  // [commodity]
+  std::vector<double> edge_flow;  // by EdgeId
+  /// Path decomposition per commodity — filled by the path-equalization
+  /// backend only (the Wardrop path checker reads it); per-origin flows
+  /// come from the solve's warm payload instead (origin_flows).
+  std::vector<std::vector<PathFlow>> commodity_paths;
   /// Total cost C(f) = Σ_e f_e·ℓ_e(f_e) with the instance's own latencies
   /// (no preload): the quantity the paper compares.
   double cost = 0.0;
   /// converged == solve_ok(status); kept for existing call sites.
   bool converged = false;
-  /// How the underlying assignment solve ended (see solver/status.h).
+  /// How the underlying solve ended (see solver/status.h).
   SolveStatus status = SolveStatus::kConverged;
-  /// Achieved path-cost spread of the underlying solve — the honest
-  /// quality bound on a degraded assignment.
+  /// Achieved path-cost spread of a path-equalization solve — the honest
+  /// quality bound on a degraded assignment (zero on bush solves).
   double spread = 0.0;
 };
 
+// Every solve below runs on the backend `req` names (see solver/backend.h;
+// bush by default) and overrides req.objective with its own program. The
+// workspace variants reuse the caller's buffers; warm state flows through
+// the backend-tagged EquilibriumWarmState (either pointer may be null, and
+// they may alias). `warm_out` is also where a solve's per-origin flows
+// are read back from (origin_flows).
+
 /// Wardrop equilibrium of the instance (no Leader).
 NetworkAssignment solve_nash(const NetworkInstance& inst,
-                             const AssignmentOptions& opts = {});
+                             const EquilibriumRequest& req = {});
+NetworkAssignment solve_nash(const NetworkInstance& inst,
+                             const EquilibriumRequest& req,
+                             SolverWorkspace& ws,
+                             const EquilibriumWarmState* warm_in = nullptr,
+                             EquilibriumWarmState* warm_out = nullptr);
 
 /// System optimum of the instance.
 NetworkAssignment solve_optimum(const NetworkInstance& inst,
-                                const AssignmentOptions& opts = {});
+                                const EquilibriumRequest& req = {});
+NetworkAssignment solve_optimum(const NetworkInstance& inst,
+                                const EquilibriumRequest& req,
+                                SolverWorkspace& ws,
+                                const EquilibriumWarmState* warm_in = nullptr,
+                                EquilibriumWarmState* warm_out = nullptr);
 
 /// Followers' equilibrium given a Leader edge preload. The instance's
 /// demands must already be the *followers'* demands (the caller subtracts
@@ -42,58 +61,13 @@ NetworkAssignment solve_optimum(const NetworkInstance& inst,
 /// preload + follower flow on the original latencies.
 NetworkAssignment solve_induced(const NetworkInstance& inst,
                                 std::span<const double> preload,
-                                const AssignmentOptions& opts = {});
-
-/// Workspace-reusing variants (see solver/workspace.h); MOP passes one
-/// workspace through its optimum and induced solves.
-NetworkAssignment solve_nash(const NetworkInstance& inst,
-                             const AssignmentOptions& opts,
-                             SolverWorkspace& ws);
-NetworkAssignment solve_optimum(const NetworkInstance& inst,
-                                const AssignmentOptions& opts,
-                                SolverWorkspace& ws);
-NetworkAssignment solve_induced(const NetworkInstance& inst,
-                                std::span<const double> preload,
-                                const AssignmentOptions& opts,
-                                SolverWorkspace& ws);
-
-/// Warm-started variants for chained solves along a sweep axis: `warm` is
-/// the converged decomposition of the same network at a nearby demand (see
-/// AssignmentWarmStart in solver/traffic_assignment.h — an ill-fitting
-/// payload silently falls back to the cold start, and warm/cold answers
-/// agree to opts.tol either way).
-NetworkAssignment solve_nash(const NetworkInstance& inst,
-                             const AssignmentOptions& opts,
-                             SolverWorkspace& ws,
-                             const AssignmentWarmStart& warm);
-NetworkAssignment solve_optimum(const NetworkInstance& inst,
-                                const AssignmentOptions& opts,
-                                SolverWorkspace& ws,
-                                const AssignmentWarmStart& warm);
-NetworkAssignment solve_induced(const NetworkInstance& inst,
-                                std::span<const double> preload,
-                                const AssignmentOptions& opts,
-                                SolverWorkspace& ws,
-                                const AssignmentWarmStart& warm);
-
-/// Backend-dispatched variants (see solver/backend.h): the equilibrium is
-/// solved by whichever backend `req` names, warm state flows through the
-/// backend-tagged EquilibriumWarmState (either pointer may be null, and
-/// they may alias). With the default request this is byte-for-byte the
-/// legacy path-equalization call above. `commodity_paths` is populated by
-/// the path-equalization backend only; the Wardrop checker needs it, edge
-/// costs do not.
-NetworkAssignment solve_nash(const NetworkInstance& inst,
-                             const EquilibriumRequest& req,
-                             SolverWorkspace& ws,
-                             const EquilibriumWarmState* warm_in,
-                             EquilibriumWarmState* warm_out);
+                                const EquilibriumRequest& req = {});
 NetworkAssignment solve_induced(const NetworkInstance& inst,
                                 std::span<const double> preload,
                                 const EquilibriumRequest& req,
                                 SolverWorkspace& ws,
-                                const EquilibriumWarmState* warm_in,
-                                EquilibriumWarmState* warm_out);
+                                const EquilibriumWarmState* warm_in = nullptr,
+                                EquilibriumWarmState* warm_out = nullptr);
 
 /// C(f) on the instance's latencies.
 double cost(const NetworkInstance& inst, std::span<const double> edge_flow);
@@ -108,6 +82,6 @@ bool satisfies_wardrop(const NetworkInstance& inst,
 
 /// C(N)/C(O).
 double price_of_anarchy(const NetworkInstance& inst,
-                        const AssignmentOptions& opts = {});
+                        const EquilibriumRequest& req = {});
 
 }  // namespace stackroute

@@ -10,119 +10,73 @@
 namespace stackroute {
 
 namespace {
-NetworkAssignment from_assignment(const NetworkInstance& inst,
-                                  AssignmentResult&& r) {
+
+/// One solve of `objective` through the backend registry; `cost` is
+/// C(preload + flow) on the instance's own latencies.
+NetworkAssignment solve_program(const NetworkInstance& inst,
+                                FlowObjective objective,
+                                std::span<const double> preload,
+                                const EquilibriumRequest& req,
+                                SolverWorkspace& ws,
+                                const EquilibriumWarmState* warm_in,
+                                EquilibriumWarmState* warm_out) {
+  EquilibriumRequest program = req;
+  program.objective = objective;
+  EquilibriumResult r =
+      solve_equilibrium(inst, preload, program, ws, warm_in, warm_out);
   NetworkAssignment out;
   out.edge_flow = std::move(r.edge_flow);
   out.commodity_paths = std::move(r.commodity_paths);
   out.converged = r.converged;
   out.status = r.status;
   out.spread = r.spread;
-  out.cost = cost(inst, out.edge_flow);
+  if (preload.empty()) {
+    out.cost = cost(inst, out.edge_flow);
+  } else {
+    SR_REQUIRE(preload.size() == out.edge_flow.size(),
+               "preload vector must have one entry per edge");
+    out.cost = cost(inst, add(preload, out.edge_flow));
+  }
   return out;
 }
+
 }  // namespace
 
 NetworkAssignment solve_nash(const NetworkInstance& inst,
-                             const AssignmentOptions& opts) {
+                             const EquilibriumRequest& req) {
   SolverWorkspace ws;
-  return solve_nash(inst, opts, ws);
+  return solve_nash(inst, req, ws);
 }
-
-NetworkAssignment solve_optimum(const NetworkInstance& inst,
-                                const AssignmentOptions& opts) {
-  SolverWorkspace ws;
-  return solve_optimum(inst, opts, ws);
-}
-
-NetworkAssignment solve_induced(const NetworkInstance& inst,
-                                std::span<const double> preload,
-                                const AssignmentOptions& opts) {
-  SolverWorkspace ws;
-  return solve_induced(inst, preload, opts, ws);
-}
-
-NetworkAssignment solve_nash(const NetworkInstance& inst,
-                             const AssignmentOptions& opts,
-                             SolverWorkspace& ws) {
-  return solve_nash(inst, opts, ws, AssignmentWarmStart{});
-}
-
-NetworkAssignment solve_optimum(const NetworkInstance& inst,
-                                const AssignmentOptions& opts,
-                                SolverWorkspace& ws) {
-  return solve_optimum(inst, opts, ws, AssignmentWarmStart{});
-}
-
-NetworkAssignment solve_induced(const NetworkInstance& inst,
-                                std::span<const double> preload,
-                                const AssignmentOptions& opts,
-                                SolverWorkspace& ws) {
-  return solve_induced(inst, preload, opts, ws, AssignmentWarmStart{});
-}
-
-NetworkAssignment solve_nash(const NetworkInstance& inst,
-                             const AssignmentOptions& opts,
-                             SolverWorkspace& ws,
-                             const AssignmentWarmStart& warm) {
-  return from_assignment(
-      inst, assign_traffic(inst, FlowObjective::kBeckmann, {}, opts, ws, warm));
-}
-
-NetworkAssignment solve_optimum(const NetworkInstance& inst,
-                                const AssignmentOptions& opts,
-                                SolverWorkspace& ws,
-                                const AssignmentWarmStart& warm) {
-  return from_assignment(
-      inst,
-      assign_traffic(inst, FlowObjective::kTotalCost, {}, opts, ws, warm));
-}
-
-NetworkAssignment solve_induced(const NetworkInstance& inst,
-                                std::span<const double> preload,
-                                const AssignmentOptions& opts,
-                                SolverWorkspace& ws,
-                                const AssignmentWarmStart& warm) {
-  AssignmentResult r =
-      assign_traffic(inst, FlowObjective::kBeckmann, preload, opts, ws, warm);
-  NetworkAssignment out;
-  out.edge_flow = std::move(r.edge_flow);
-  out.commodity_paths = std::move(r.commodity_paths);
-  out.converged = r.converged;
-  out.status = r.status;
-  out.spread = r.spread;
-  // C(S+T): combined flow on the instance's own latencies.
-  SR_REQUIRE(preload.size() == out.edge_flow.size(),
-             "preload vector must have one entry per edge");
-  std::vector<double> combined = add(preload, out.edge_flow);
-  out.cost = cost(inst, combined);
-  return out;
-}
-
-namespace {
-NetworkAssignment from_equilibrium(const NetworkInstance& inst,
-                                   EquilibriumResult&& r) {
-  NetworkAssignment out;
-  out.edge_flow = std::move(r.edge_flow);
-  out.commodity_paths = std::move(r.commodity_paths);
-  out.converged = r.converged;
-  out.status = r.status;
-  out.spread = r.spread;
-  out.cost = cost(inst, out.edge_flow);
-  return out;
-}
-}  // namespace
 
 NetworkAssignment solve_nash(const NetworkInstance& inst,
                              const EquilibriumRequest& req,
                              SolverWorkspace& ws,
                              const EquilibriumWarmState* warm_in,
                              EquilibriumWarmState* warm_out) {
-  EquilibriumRequest nash = req;
-  nash.objective = FlowObjective::kBeckmann;
-  return from_equilibrium(inst,
-                          solve_equilibrium(inst, {}, nash, ws, warm_in,
-                                            warm_out));
+  return solve_program(inst, FlowObjective::kBeckmann, {}, req, ws, warm_in,
+                       warm_out);
+}
+
+NetworkAssignment solve_optimum(const NetworkInstance& inst,
+                                const EquilibriumRequest& req) {
+  SolverWorkspace ws;
+  return solve_optimum(inst, req, ws);
+}
+
+NetworkAssignment solve_optimum(const NetworkInstance& inst,
+                                const EquilibriumRequest& req,
+                                SolverWorkspace& ws,
+                                const EquilibriumWarmState* warm_in,
+                                EquilibriumWarmState* warm_out) {
+  return solve_program(inst, FlowObjective::kTotalCost, {}, req, ws, warm_in,
+                       warm_out);
+}
+
+NetworkAssignment solve_induced(const NetworkInstance& inst,
+                                std::span<const double> preload,
+                                const EquilibriumRequest& req) {
+  SolverWorkspace ws;
+  return solve_induced(inst, preload, req, ws);
 }
 
 NetworkAssignment solve_induced(const NetworkInstance& inst,
@@ -131,22 +85,13 @@ NetworkAssignment solve_induced(const NetworkInstance& inst,
                                 SolverWorkspace& ws,
                                 const EquilibriumWarmState* warm_in,
                                 EquilibriumWarmState* warm_out) {
-  EquilibriumRequest nash = req;
-  nash.objective = FlowObjective::kBeckmann;
-  EquilibriumResult r =
-      solve_equilibrium(inst, preload, nash, ws, warm_in, warm_out);
-  NetworkAssignment out;
-  out.edge_flow = std::move(r.edge_flow);
-  out.commodity_paths = std::move(r.commodity_paths);
-  out.converged = r.converged;
-  out.status = r.status;
-  out.spread = r.spread;
-  // C(S+T): combined flow on the instance's own latencies.
-  SR_REQUIRE(preload.size() == out.edge_flow.size(),
+  // An empty preload would silently mean "no Leader"; the caller asked
+  // for one, so its size must match.
+  SR_REQUIRE(preload.size() ==
+                 static_cast<std::size_t>(inst.graph.num_edges()),
              "preload vector must have one entry per edge");
-  std::vector<double> combined = add(preload, out.edge_flow);
-  out.cost = cost(inst, combined);
-  return out;
+  return solve_program(inst, FlowObjective::kBeckmann, preload, req, ws,
+                       warm_in, warm_out);
 }
 
 double cost(const NetworkInstance& inst, std::span<const double> edge_flow) {
@@ -192,9 +137,10 @@ bool satisfies_wardrop(const NetworkInstance& inst,
 }
 
 double price_of_anarchy(const NetworkInstance& inst,
-                        const AssignmentOptions& opts) {
-  const NetworkAssignment n = solve_nash(inst, opts);
-  const NetworkAssignment o = solve_optimum(inst, opts);
+                        const EquilibriumRequest& req) {
+  SolverWorkspace ws;
+  const NetworkAssignment n = solve_nash(inst, req, ws);
+  const NetworkAssignment o = solve_optimum(inst, req, ws);
   SR_REQUIRE(o.cost > 0.0, "optimum cost is zero; PoA undefined");
   return n.cost / o.cost;
 }

@@ -39,6 +39,28 @@ std::vector<PathFlow> decompose_flow(const Graph& g, NodeId s, NodeId t,
                                      std::span<const double> edge_flow,
                                      double tol = 1e-12);
 
+/// Decomposes one origin's flow into paths tagged by sink: `edge_flow`
+/// leaves `origin` and is absorbed at sinks[j] in the amounts demands[j]
+/// (a bush's per-origin flow, or MOP's free or Leader share of it).
+/// Returns one path list per sink, in the order given; each list's flows
+/// sum to its demand up to the tolerance.
+///
+/// The tolerance is demand-relative, because solver flows conserve only up
+/// to roundoff on the scale of the demand they were solved for: `scale`
+/// is that demand (the origin's total; 0 = Σ demands), and flows and
+/// demands below 1e-12·scale count as zero. A share of an origin's flow
+/// (MOP's free or Leader part) keeps the whole origin's scale. A walk
+/// that dead-ends at a node with no outflow and no demand left meets such
+/// a conservation defect: its flow is dropped, and more than 1e-6·scale
+/// dropped in total throws. Walks follow the largest residual out-edge,
+/// stop at the first sink with demand left, and cancel any cycle they
+/// close, so the result is deterministic and the loop ends after at most
+/// |E| + |sinks| paths.
+std::vector<std::vector<PathFlow>> decompose_origin_flow(
+    const Graph& g, NodeId origin, std::span<const NodeId> sinks,
+    std::span<const double> demands, std::span<const double> edge_flow,
+    double scale = 0.0);
+
 /// Accumulates path flows back onto edges (inverse of decompose_flow).
 std::vector<double> path_flows_to_edge_flows(const Graph& g,
                                              std::span<const PathFlow> paths);

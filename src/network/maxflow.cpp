@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <queue>
 
 #include "stackroute/util/error.h"
@@ -11,28 +12,36 @@ namespace stackroute {
 
 namespace {
 
-// Residual arc: original edges become (cap, 0) pairs; arc ^1 is the mate.
+// Residual arc: each added arc becomes a (cap, 0) pair; arc ^1 is the mate.
 struct Arc {
   NodeId to;
   double residual;
-  EdgeId original;  // EdgeId for forward arcs, kInvalidEdge for backward
+  double cap;
+  std::int64_t tag;  // caller's index for forward arcs, -1 for backward
 };
 
 class Dinic {
  public:
-  Dinic(const Graph& g, std::span<const double> capacity, double tol)
-      : tol_(tol), head_(static_cast<std::size_t>(g.num_nodes())) {
+  Dinic(std::size_t num_nodes, double tol) : tol_(tol), head_(num_nodes) {}
+
+  /// Adds tail→head with capacity `cap` (skipped when cap <= tol); `tag`
+  /// is reported back by flows().
+  void add_arc(NodeId tail, NodeId head, double cap, std::int64_t tag) {
+    SR_REQUIRE(cap >= 0.0, "max_flow needs non-negative capacities");
+    if (cap <= tol_) return;
+    head_[static_cast<std::size_t>(tail)].push_back(
+        static_cast<int>(arcs_.size()));
+    arcs_.push_back(Arc{head, cap, cap, tag});
+    head_[static_cast<std::size_t>(head)].push_back(
+        static_cast<int>(arcs_.size()));
+    arcs_.push_back(Arc{tail, 0.0, 0.0, -1});
+  }
+
+  /// Adds every edge of g, tagged by EdgeId.
+  void add_graph(const Graph& g, std::span<const double> capacity) {
     for (EdgeId e = 0; e < g.num_edges(); ++e) {
-      const double cap = capacity[static_cast<std::size_t>(e)];
-      SR_REQUIRE(cap >= 0.0, "max_flow needs non-negative capacities");
-      if (cap <= tol_) continue;
       const Edge& edge = g.edge(e);
-      head_[static_cast<std::size_t>(edge.tail)].push_back(
-          static_cast<int>(arcs_.size()));
-      arcs_.push_back(Arc{edge.head, cap, e});
-      head_[static_cast<std::size_t>(edge.head)].push_back(
-          static_cast<int>(arcs_.size()));
-      arcs_.push_back(Arc{edge.tail, 0.0, kInvalidEdge});
+      add_arc(edge.tail, edge.head, capacity[static_cast<std::size_t>(e)], e);
     }
   }
 
@@ -50,16 +59,15 @@ class Dinic {
     return total;
   }
 
-  /// Net flow on each original edge after run().
-  std::vector<double> edge_flows(int num_edges,
-                                 std::span<const double> capacity) const {
-    std::vector<double> out(static_cast<std::size_t>(num_edges), 0.0);
+  /// Flow on each arc added with tag in [0, out.size()) after run():
+  /// out[tag] = cap − residual. Untouched entries keep their value.
+  void flows(std::span<double> out) const {
     for (std::size_t a = 0; a < arcs_.size(); a += 2) {
-      const EdgeId e = arcs_[a].original;
-      out[static_cast<std::size_t>(e)] =
-          capacity[static_cast<std::size_t>(e)] - arcs_[a].residual;
+      const std::int64_t tag = arcs_[a].tag;
+      if (tag >= 0 && static_cast<std::size_t>(tag) < out.size()) {
+        out[static_cast<std::size_t>(tag)] = arcs_[a].cap - arcs_[a].residual;
+      }
     }
-    return out;
   }
 
  private:
@@ -124,10 +132,42 @@ MaxFlowResult max_flow(const Graph& g, NodeId s, NodeId t,
              "max_flow endpoints out of range");
   SR_REQUIRE(s != t, "max_flow needs s != t");
   SR_REQUIRE(limit >= 0.0, "max_flow needs limit >= 0");
-  Dinic dinic(g, capacity, tol);
+  Dinic dinic(static_cast<std::size_t>(g.num_nodes()), tol);
+  dinic.add_graph(g, capacity);
   MaxFlowResult result;
   result.value = dinic.run(s, t, limit);
-  result.edge_flow = dinic.edge_flows(g.num_edges(), capacity);
+  result.edge_flow.assign(capacity.size(), 0.0);
+  dinic.flows(result.edge_flow);
+  return result;
+}
+
+MaxFlowResult max_flow_to_sinks(const Graph& g, NodeId s,
+                                std::span<const NodeId> sinks,
+                                std::span<const double> limits,
+                                std::span<const double> capacity, double tol) {
+  SR_REQUIRE(capacity.size() == static_cast<std::size_t>(g.num_edges()),
+             "capacity vector size mismatch");
+  SR_REQUIRE(sinks.size() == limits.size(),
+             "max_flow_to_sinks needs one limit per sink");
+  SR_REQUIRE(s >= 0 && s < g.num_nodes(), "max_flow source out of range");
+  const auto ne = static_cast<std::size_t>(g.num_edges());
+  const NodeId super_sink = g.num_nodes();
+  Dinic dinic(static_cast<std::size_t>(g.num_nodes()) + 1, tol);
+  dinic.add_graph(g, capacity);
+  for (std::size_t j = 0; j < sinks.size(); ++j) {
+    SR_REQUIRE(sinks[j] >= 0 && sinks[j] < g.num_nodes() && sinks[j] != s,
+               "max_flow_to_sinks sink out of range or equal to the source");
+    SR_REQUIRE(limits[j] >= 0.0, "max_flow_to_sinks needs limits >= 0");
+    dinic.add_arc(sinks[j], super_sink, limits[j],
+                  static_cast<std::int64_t>(ne + j));
+  }
+  MaxFlowResult result;
+  result.value = dinic.run(s, super_sink, kInf);
+  std::vector<double> all(ne + sinks.size(), 0.0);
+  dinic.flows(all);
+  const auto split = all.begin() + static_cast<std::ptrdiff_t>(ne);
+  result.edge_flow.assign(all.begin(), split);
+  result.sink_flow.assign(split, all.end());
   return result;
 }
 

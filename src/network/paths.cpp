@@ -136,6 +136,118 @@ std::vector<PathFlow> decompose_flow(const Graph& g, NodeId s, NodeId t,
   return out;
 }
 
+std::vector<std::vector<PathFlow>> decompose_origin_flow(
+    const Graph& g, NodeId origin, std::span<const NodeId> sinks,
+    std::span<const double> demands, std::span<const double> edge_flow,
+    double scale) {
+  const auto ne = static_cast<std::size_t>(g.num_edges());
+  const auto nv = static_cast<std::size_t>(g.num_nodes());
+  const std::size_t k = sinks.size();
+  SR_REQUIRE(edge_flow.size() == ne, "edge flow vector size mismatch");
+  SR_REQUIRE(demands.size() == k, "decompose_origin_flow: one demand per sink");
+  std::vector<std::vector<PathFlow>> out(k);
+  double total = 0.0;
+  for (double d : demands) {
+    SR_REQUIRE(d >= 0.0, "decompose_origin_flow needs non-negative demands");
+    total += d;
+  }
+  if (!(total > 0.0)) return out;
+  if (!(scale > 0.0)) scale = total;
+  const double tol = 1e-12 * scale;
+  const double drop_limit = 1e-6 * scale;
+
+  std::vector<double> residual(edge_flow.begin(), edge_flow.end());
+  for (double& f : residual) {
+    SR_REQUIRE(f >= -tol, "decompose_origin_flow needs non-negative flow");
+    f = std::fmax(f, 0.0);
+  }
+  std::vector<double> remaining(demands.begin(), demands.end());
+  // Sink slots by node: the first slot at each node, chained by `next`.
+  std::vector<int> first(nv, -1);
+  std::vector<int> next(k, -1);
+  for (std::size_t j = k; j-- > 0;) {
+    const auto t = static_cast<std::size_t>(sinks[j]);
+    SR_REQUIRE(t < nv, "decompose_origin_flow sink out of range");
+    next[j] = first[t];
+    first[t] = static_cast<int>(j);
+  }
+
+  std::vector<int> visit_pos(nv, -1);
+  Path walk;
+  double dropped = 0.0;
+  for (std::size_t guard = 0; guard < 4 * ne + 2 * k + 16; ++guard) {
+    walk.clear();
+    NodeId v = origin;
+    visit_pos[static_cast<std::size_t>(v)] = 0;
+    int absorb = -1;
+    bool cycle = false;
+    for (;;) {
+      if (v != origin) {
+        for (int j = first[static_cast<std::size_t>(v)]; j >= 0;
+             j = next[static_cast<std::size_t>(j)]) {
+          if (remaining[static_cast<std::size_t>(j)] > tol) {
+            absorb = j;
+            break;
+          }
+        }
+        if (absorb >= 0) break;
+      }
+      EdgeId best = kInvalidEdge;
+      double best_flow = tol;
+      for (EdgeId e : g.out_edges(v)) {
+        if (residual[static_cast<std::size_t>(e)] > best_flow) {
+          best_flow = residual[static_cast<std::size_t>(e)];
+          best = e;
+        }
+      }
+      if (best == kInvalidEdge) break;  // dead end (or done, at the origin)
+      const NodeId w = g.edge(best).head;
+      const int start = visit_pos[static_cast<std::size_t>(w)];
+      if (start >= 0) {
+        // The walk closed a cycle: cancel it and walk again.
+        double bottleneck = best_flow;
+        for (std::size_t i = static_cast<std::size_t>(start); i < walk.size();
+             ++i) {
+          bottleneck = std::fmin(bottleneck,
+                                 residual[static_cast<std::size_t>(walk[i])]);
+        }
+        residual[static_cast<std::size_t>(best)] -= bottleneck;
+        for (std::size_t i = static_cast<std::size_t>(start); i < walk.size();
+             ++i) {
+          residual[static_cast<std::size_t>(walk[i])] -= bottleneck;
+        }
+        cycle = true;
+        break;
+      }
+      walk.push_back(best);
+      visit_pos[static_cast<std::size_t>(w)] = static_cast<int>(walk.size());
+      v = w;
+    }
+    visit_pos[static_cast<std::size_t>(origin)] = -1;
+    for (EdgeId e : walk) {
+      visit_pos[static_cast<std::size_t>(g.edge(e).head)] = -1;
+    }
+    if (cycle) continue;
+    if (walk.empty()) break;  // nothing usable leaves the origin
+    double bottleneck =
+        absorb >= 0 ? remaining[static_cast<std::size_t>(absorb)] : kInf;
+    for (EdgeId e : walk) {
+      bottleneck = std::fmin(bottleneck, residual[static_cast<std::size_t>(e)]);
+    }
+    for (EdgeId e : walk) residual[static_cast<std::size_t>(e)] -= bottleneck;
+    if (absorb >= 0) {
+      remaining[static_cast<std::size_t>(absorb)] -= bottleneck;
+      out[static_cast<std::size_t>(absorb)].push_back(
+          PathFlow{walk, bottleneck});
+    } else {
+      dropped += bottleneck;
+      SR_REQUIRE(dropped <= drop_limit,
+                 "decompose_origin_flow: edge flow violates conservation");
+    }
+  }
+  return out;
+}
+
 std::vector<double> path_flows_to_edge_flows(const Graph& g,
                                              std::span<const PathFlow> paths) {
   std::vector<double> out(static_cast<std::size_t>(g.num_edges()), 0.0);

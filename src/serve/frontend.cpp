@@ -287,7 +287,7 @@ void FrontEnd::worker_main() {
     --in_flight_;
     if (is_error) ++stats_.errors;
     if (is_degraded) ++stats_.degraded;
-    if (millis >= 0.0) stats_.millis.push_back(millis);
+    if (millis >= 0.0) stats_.millis.add(millis);
     if (c->state == ClientState::kAborted) {
       // The response has no reader; finish the teardown abort_client
       // deferred to us.

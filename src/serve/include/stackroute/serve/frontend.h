@@ -47,6 +47,7 @@
 #include <vector>
 
 #include "stackroute/engine/engine.h"
+#include "stackroute/obs/profile.h"
 #include "stackroute/serve/protocol.h"
 
 namespace stackroute::serve {
@@ -73,7 +74,7 @@ struct FrontEndOptions {
   bool show_bytes = false;
   /// Backend for requests that do not set "backend" — the server's
   /// --backend flag (see solver/backend.h).
-  EquilibriumBackend default_backend = EquilibriumBackend::kPathEqualization;
+  EquilibriumBackend default_backend = EquilibriumBackend::kBush;
 };
 
 struct FrontEndStats {
@@ -87,9 +88,10 @@ struct FrontEndStats {
   std::uint64_t refused = 0;   // answered "overloaded": shutting down
   std::uint64_t cancelled_lines = 0;  // queued lines dropped by abort
   std::size_t peak_queue = 0;  // high-water mark of the global queue
-  /// Per-request solve latencies (solve attempts only, like the
-  /// sequential transport's tally).
-  std::vector<double> millis;
+  /// Per-request solve latencies in ms (solve attempts only, like the
+  /// sequential transport's tally) — a fixed-size histogram, so a server
+  /// that runs for days keeps a constant-size tally.
+  obs::LogHistogram millis;
 };
 
 class FrontEnd {

@@ -70,7 +70,7 @@ struct ParsedLine {
 ParsedLine parse_line(
     const std::string& text, PrototypeCache& prototypes,
     std::uint64_t* id_seen,
-    EquilibriumBackend default_backend = EquilibriumBackend::kPathEqualization);
+    EquilibriumBackend default_backend = EquilibriumBackend::kBush);
 
 /// Formats a solve response. Non-finite numeric fields are omitted, not
 /// serialized: NaN means "not computed", and a degraded solve can leave

@@ -1,5 +1,6 @@
 #include "stackroute/solver/backend.h"
 
+#include <algorithm>
 #include <string>
 
 #include "stackroute/util/error.h"
@@ -60,16 +61,14 @@ EquilibriumResult solve_equilibrium(const NetworkInstance& inst,
     case EquilibriumBackend::kPathEqualization: {
       AssignmentOptions opts = req.assignment;
       if (req.budget.active()) opts.budget = req.budget;
-      const AssignmentWarmStart* seed = nullptr;
-      if (warm_in != nullptr &&
-          warm_in->backend == EquilibriumBackend::kPathEqualization) {
-        seed = &warm_in->paths;
-      }
+      const AssignmentWarmStart cold;
+      const AssignmentWarmStart& seed =
+          warm_in != nullptr &&
+                  warm_in->backend == EquilibriumBackend::kPathEqualization
+              ? warm_in->paths
+              : cold;
       AssignmentResult r =
-          seed != nullptr
-              ? assign_traffic(inst, req.objective, preload, opts, ws, *seed)
-              : assign_traffic(inst, req.objective, preload, opts, ws,
-                               AssignmentWarmStart{});
+          assign_traffic(inst, req.objective, preload, opts, ws, seed);
       out.edge_flow = std::move(r.edge_flow);
       out.commodity_paths = std::move(r.commodity_paths);
       out.objective = r.objective;
@@ -114,6 +113,61 @@ EquilibriumResult solve_equilibrium(const NetworkInstance& inst,
       out.counters = r.counters;
       break;
     }
+  }
+  return out;
+}
+
+std::vector<OriginFlow> origin_flows(
+    const NetworkInstance& inst, const EquilibriumWarmState& warm,
+    std::vector<std::vector<double>>& storage) {
+  const auto ne = static_cast<std::size_t>(inst.graph.num_edges());
+  const std::size_t k = inst.commodities.size();
+  // The origins ascending, each with its commodities in commodity order —
+  // the bush solver's grouping.
+  std::vector<std::size_t> order(k);
+  for (std::size_t i = 0; i < k; ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return inst.commodities[a].source <
+                            inst.commodities[b].source;
+                   });
+  std::vector<OriginFlow> out;
+  for (std::size_t i : order) {
+    const NodeId s = inst.commodities[i].source;
+    if (out.empty() || out.back().origin != s) {
+      out.push_back(OriginFlow{s, {}, {}});
+    }
+    out.back().commodities.push_back(i);
+  }
+
+  if (warm.backend == EquilibriumBackend::kBush) {
+    const BushWarmState& b = warm.bush;
+    if (b.commodities.size() != k || b.bushes.size() != out.size()) return {};
+    for (std::size_t i = 0; i < k; ++i) {
+      if (b.commodities[i].source != inst.commodities[i].source ||
+          b.commodities[i].sink != inst.commodities[i].sink) {
+        return {};
+      }
+    }
+    for (std::size_t o = 0; o < out.size(); ++o) {
+      const OriginBush& bush = b.bushes[o];
+      if (bush.origin != out[o].origin || bush.flow.size() != ne) return {};
+      out[o].edge_flow = bush.flow;
+    }
+    return out;
+  }
+  const auto& paths = warm.paths.commodity_paths;
+  if (paths.size() != k) return {};
+  storage.assign(out.size(), std::vector<double>(ne, 0.0));
+  for (std::size_t o = 0; o < out.size(); ++o) {
+    for (std::size_t i : out[o].commodities) {
+      for (const PathFlow& pf : paths[i]) {
+        for (EdgeId e : pf.path) {
+          storage[o][static_cast<std::size_t>(e)] += pf.flow;
+        }
+      }
+    }
+    out[o].edge_flow = storage[o];
   }
   return out;
 }

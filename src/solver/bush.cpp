@@ -7,6 +7,7 @@
 #include "stackroute/network/dijkstra.h"
 #include "stackroute/obs/trace.h"
 #include "stackroute/util/error.h"
+#include "stackroute/util/fault.h"
 #include "stackroute/util/numeric.h"
 #include "stackroute/util/parallel.h"
 
@@ -345,6 +346,28 @@ bool improve_bush(const Graph& g, OriginBush& b, CsrAdjacency& arcs,
   return changed;
 }
 
+/// The fault seam of one shift's cost refresh, under path equalization's
+/// contract: one evaluation event per refresh (an injected fault corrupts
+/// the first refreshed edge), and every refreshed cost checked finite — a
+/// NumericError stops the solve with the flows of the shift just applied,
+/// which are still feasible.
+void refresh_fault_check(const BushWorkspace& bw, std::span<double> costs) {
+  if (fault::armed()) {
+    double bad;
+    if (fault::next_eval_faulted(bad)) {
+      costs[static_cast<std::size_t>(bw.seg_max.front())] = bad;
+    }
+  }
+  for (EdgeId e : bw.seg_max) {
+    SR_REQUIRE_FINITE(costs[static_cast<std::size_t>(e)],
+                      "bush: non-finite edge cost");
+  }
+  for (EdgeId e : bw.seg_min) {
+    SR_REQUIRE_FINITE(costs[static_cast<std::size_t>(e)],
+                      "bush: non-finite edge cost");
+  }
+}
+
 /// One equilibration pass: rebuild min/max trees, then walk the nodes in
 /// reverse topological order and apply one Newton shift wherever the max
 /// used path costs measurably more than the min path. Touched edge costs
@@ -431,6 +454,7 @@ bool equilibrate_pass(const LatencyTable& table, FlowObjective objective,
     }
     ++shifts;
     moved = true;
+    refresh_fault_check(bw, costs);
   }
   return moved;
 }
@@ -560,126 +584,137 @@ BushResult bush_run(const NetworkInstance& inst, FlowObjective objective,
       obs::count(&obs::SolveCounters::warm_hits);
     }
   }
-  if (!used_warm) {
-    // Cold start: shortest-path bushes + all-or-nothing at empty-network
-    // costs, each lane building only its own origins' bushes.
-    std::fill(bw.total_flow.begin(), bw.total_flow.end(), 0.0);
-    edge_costs(table, bw.total_flow, objective, ws.costs);
-    bw.state.assign(ng, OriginBush{});
-    for (OriginBush& b : bw.state) {
-      b.order.reserve(nv);
-      b.in_bush.reserve(ne);
-      b.flow.reserve(ne);
-    }
-    fan_out_origins(g, bw, ng, [&](BushLane& lane, std::size_t gi) {
-      build_initial_bush(g, inst, groups[gi], ws.costs, lane, bw.state[gi]);
-    });
-  }
-
   std::uint64_t shifts = 0;
   std::uint64_t rebuilds = 0;
   result.rel_gap = kInf;
   result.status = SolveStatus::kIterLimit;  // until proven otherwise
-  double best_gap = kInf;
-  int since_improved = 0;
-
-  for (int iter = 1; iter <= opts.max_iters; ++iter) {
-    if (gate.over_iters(iter - 1)) break;  // budget cap below opts.max_iters
-    if (gate.expired()) {
-      result.status = SolveStatus::kDeadlineExceeded;
-      break;
-    }
-    result.iterations = iter;
-
-    // Re-sum total flow from the per-origin shares in origin order: the
-    // shift loop updates it incrementally, and this deterministic resum
-    // stops fp drift from accumulating across iterations.
-    std::fill(bw.total_flow.begin(), bw.total_flow.end(), 0.0);
-    for (const OriginBush& b : bw.state) {
-      for (std::size_t e = 0; e < ne; ++e) bw.total_flow[e] += b.flow[e];
-    }
-    edge_costs(table, bw.total_flow, objective, ws.costs);
-
-    double cf = 0.0;
-    for (std::size_t e = 0; e < ne; ++e) {
-      cf += ws.costs[e] * bw.total_flow[e];
-    }
-    if (!std::isfinite(cf)) {
-      result.status = SolveStatus::kNumericFailure;
-      break;
-    }
-
-    // SPTT: one full-graph Dijkstra per origin, fanned out over the lanes;
-    // each lane writes only its own origins' commodity distances, which
-    // are reduced in commodity order below.
-    fan_out_origins(g, bw, ng, [&](BushLane& lane, std::size_t gi) {
-      const OriginGroup& group = groups[gi];
-      const ShortestPathTree& tree =
-          dijkstra(g, group.origin, ws.costs, lane.dijkstra);
-      for (std::size_t ci : group.commodities) {
-        ws.dists[ci] =
-            tree.dist[static_cast<std::size_t>(inst.commodities[ci].sink)];
+  try {
+    if (!used_warm) {
+      // Cold start: shortest-path bushes + all-or-nothing at empty-network
+      // costs, each lane building only its own origins' bushes. The costs
+      // are checked finite first (a fault event, as every batch evaluation
+      // is): no bush is built on corrupt costs.
+      bw.state.clear();
+      std::fill(bw.total_flow.begin(), bw.total_flow.end(), 0.0);
+      edge_costs(table, bw.total_flow, objective, ws.costs);
+      for (double c : ws.costs) {
+        SR_REQUIRE_FINITE(c, "bush: non-finite edge cost");
       }
-    });
-    double sptt = 0.0;
-    for (std::size_t i = 0; i < k; ++i) {
-      sptt += inst.commodities[i].demand * ws.dists[i];
+      bw.state.assign(ng, OriginBush{});
+      for (OriginBush& b : bw.state) {
+        b.order.reserve(nv);
+        b.in_bush.reserve(ne);
+        b.flow.reserve(ne);
+      }
+      fan_out_origins(g, bw, ng, [&](BushLane& lane, std::size_t gi) {
+        build_initial_bush(g, inst, groups[gi], ws.costs, lane, bw.state[gi]);
+      });
     }
 
-    result.rel_gap = (cf - sptt) / std::fmax(std::fabs(cf), 1e-300);
-    if (!std::isfinite(result.rel_gap)) {
-      result.status = SolveStatus::kNumericFailure;
-      break;
-    }
-    if (opts.budget.stall_window > 0) {
-      if (result.rel_gap < best_gap) {
-        best_gap = result.rel_gap;
-        since_improved = 0;
-      } else if (++since_improved >= opts.budget.stall_window) {
-        result.status = SolveStatus::kStalled;
+    double best_gap = kInf;
+    int since_improved = 0;
+
+    for (int iter = 1; iter <= opts.max_iters; ++iter) {
+      if (gate.over_iters(iter - 1)) break;  // budget cap below opts.max_iters
+      if (gate.expired()) {
+        result.status = SolveStatus::kDeadlineExceeded;
         break;
       }
-    }
-    if (result.rel_gap <= opts.rel_gap_tol) {
-      result.status = SolveStatus::kConverged;
+      result.iterations = iter;
+
+      // Re-sum total flow from the per-origin shares in origin order: the
+      // shift loop updates it incrementally, and this deterministic resum
+      // stops fp drift from accumulating across iterations.
+      std::fill(bw.total_flow.begin(), bw.total_flow.end(), 0.0);
+      for (const OriginBush& b : bw.state) {
+        for (std::size_t e = 0; e < ne; ++e) bw.total_flow[e] += b.flow[e];
+      }
+      edge_costs(table, bw.total_flow, objective, ws.costs);
+
+      double cf = 0.0;
+      for (std::size_t e = 0; e < ne; ++e) {
+        cf += ws.costs[e] * bw.total_flow[e];
+      }
+      if (!std::isfinite(cf)) {
+        result.status = SolveStatus::kNumericFailure;
+        break;
+      }
+
+      // SPTT: one full-graph Dijkstra per origin, fanned out over the lanes;
+      // each lane writes only its own origins' commodity distances, which
+      // are reduced in commodity order below.
+      fan_out_origins(g, bw, ng, [&](BushLane& lane, std::size_t gi) {
+        const OriginGroup& group = groups[gi];
+        const ShortestPathTree& tree =
+            dijkstra(g, group.origin, ws.costs, lane.dijkstra);
+        for (std::size_t ci : group.commodities) {
+          ws.dists[ci] =
+              tree.dist[static_cast<std::size_t>(inst.commodities[ci].sink)];
+        }
+      });
+      double sptt = 0.0;
+      for (std::size_t i = 0; i < k; ++i) {
+        sptt += inst.commodities[i].demand * ws.dists[i];
+      }
+
+      result.rel_gap = (cf - sptt) / std::fmax(std::fabs(cf), 1e-300);
+      if (!std::isfinite(result.rel_gap)) {
+        result.status = SolveStatus::kNumericFailure;
+        break;
+      }
+      if (opts.budget.stall_window > 0) {
+        if (result.rel_gap < best_gap) {
+          best_gap = result.rel_gap;
+          since_improved = 0;
+        } else if (++since_improved >= opts.budget.stall_window) {
+          result.status = SolveStatus::kStalled;
+          break;
+        }
+      }
+      if (result.rel_gap <= opts.rel_gap_tol) {
+        result.status = SolveStatus::kConverged;
+        if (tracing) {
+          obs::record_convergence(
+              iter, result.rel_gap, 0.0,
+              objective_value(table, bw.total_flow, objective));
+        }
+        break;
+      }
+
+      // Improve + equilibrate, strictly sequential in origin order — the
+      // determinism contract's load-bearing wall. The in-arc lists are first
+      // needed here, so a solve that converges at its first check never
+      // builds them.
+      if (iter == 1) {
+        bw.in_arcs.resize(ng);
+        for (std::size_t gi = 0; gi < ng; ++gi) {
+          build_in_arcs(g, bw.state[gi], bw.in_arcs[gi]);
+        }
+      }
+      for (std::size_t gi = 0; gi < ng; ++gi) {
+        OriginBush& b = bw.state[gi];
+        for (std::size_t v = 0; v < nv; ++v) bw.pos[v] = -1;
+        for (std::size_t i = 0; i < b.order.size(); ++i) {
+          bw.pos[static_cast<std::size_t>(b.order[i])] =
+              static_cast<std::int32_t>(i);
+        }
+        CsrAdjacency& arcs = bw.in_arcs[gi];
+        if (improve_bush(g, b, arcs, bw, ws.costs)) ++rebuilds;
+        for (int pass = 0; pass < opts.max_inner; ++pass) {
+          if (!equilibrate_pass(table, objective, b, arcs, bw, ws.costs,
+                                shifts)) {
+            break;
+          }
+        }
+      }
       if (tracing) {
         obs::record_convergence(
             iter, result.rel_gap, 0.0,
             objective_value(table, bw.total_flow, objective));
       }
-      break;
     }
-
-    // Improve + equilibrate, strictly sequential in origin order — the
-    // determinism contract's load-bearing wall. The in-arc lists are first
-    // needed here, so a solve that converges at its first check never
-    // builds them.
-    if (iter == 1) {
-      bw.in_arcs.resize(ng);
-      for (std::size_t gi = 0; gi < ng; ++gi) {
-        build_in_arcs(g, bw.state[gi], bw.in_arcs[gi]);
-      }
-    }
-    for (std::size_t gi = 0; gi < ng; ++gi) {
-      OriginBush& b = bw.state[gi];
-      for (std::size_t v = 0; v < nv; ++v) bw.pos[v] = -1;
-      for (std::size_t i = 0; i < b.order.size(); ++i) {
-        bw.pos[static_cast<std::size_t>(b.order[i])] =
-            static_cast<std::int32_t>(i);
-      }
-      CsrAdjacency& arcs = bw.in_arcs[gi];
-      if (improve_bush(g, b, arcs, bw, ws.costs)) ++rebuilds;
-      for (int pass = 0; pass < opts.max_inner; ++pass) {
-        if (!equilibrate_pass(table, objective, b, arcs, bw, ws.costs,
-                              shifts)) {
-          break;
-        }
-      }
-    }
-    if (tracing) {
-      obs::record_convergence(iter, result.rel_gap, 0.0,
-                              objective_value(table, bw.total_flow, objective));
-    }
+  } catch (const NumericError&) {
+    result.status = SolveStatus::kNumericFailure;
   }
 
   std::fill(bw.total_flow.begin(), bw.total_flow.end(), 0.0);

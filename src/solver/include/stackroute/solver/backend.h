@@ -1,20 +1,25 @@
 // The pluggable equilibrium-backend seam.
 //
-// Every layer that needs a Wardrop equilibrium — equilibrium/'s
-// solve_nash, the engine's typed batch requests, sweep scenarios, the
-// serve protocol — names a backend from the registry below instead of a
-// solver function, and funnels through solve_equilibrium(). The two
-// backends minimize the same convex program and agree on the equilibrium
-// cost to their tolerances; they differ in what they return and where they
-// are fast:
+// Every network solve — equilibrium/'s solve_nash, solve_optimum and
+// solve_induced, hence MOP, the Stackelberg baselines, the engine's typed
+// requests, sweep scenarios and the serve protocol — names a backend from
+// the registry below instead of a solver function, and funnels through
+// solve_equilibrium(). The two backends minimize the same convex program
+// and agree on the equilibrium cost to their tolerances; they differ in
+// what they return and where they are fast:
 //
-//   kPathEqualization  explicit path decomposition per commodity (what MOP
-//                      and the Wardrop checker need); converges to a path
-//                      cost spread; the default — golden sweep tables are
-//                      frozen on it.
 //   kBush              edge flows via per-origin acyclic bushes (Dial's
 //                      Algorithm B style); reaches 1e-10-and-below relative
-//                      gaps on city-scale TNTP networks.
+//                      gaps on city-scale TNTP networks; the default —
+//                      golden sweep tables are frozen on it.
+//   kPathEqualization  explicit path decomposition per commodity (what the
+//                      Wardrop path checker needs); converges to a path
+//                      cost spread.
+//
+// Both publish the per-origin split of their flow in the warm payload
+// (origin_flows below): the bushes' own flows, or the commodity paths
+// summed per origin. MOP's free flow and LLF's path order are computed
+// from that split, so β and the baselines run on either backend.
 //
 // Warm state is backend-tagged: a session or sweep chain that switches
 // backend drops the other backend's payload instead of feeding, say, a
@@ -56,7 +61,7 @@ EquilibriumBackend parse_equilibrium_backend(std::string_view name);
 /// convex program, the Leader's preload, per-backend knobs, one shared
 /// budget.
 struct EquilibriumRequest {
-  EquilibriumBackend backend = EquilibriumBackend::kPathEqualization;
+  EquilibriumBackend backend = EquilibriumBackend::kBush;
   FlowObjective objective = FlowObjective::kBeckmann;
   /// Knobs of the backend that runs; the other's are ignored.
   AssignmentOptions assignment;
@@ -86,7 +91,7 @@ struct EquilibriumResult {
 /// meaningful at a time — the one matching `backend`; prepare() enforces
 /// that on every backend switch.
 struct EquilibriumWarmState {
-  EquilibriumBackend backend = EquilibriumBackend::kPathEqualization;
+  EquilibriumBackend backend = EquilibriumBackend::kBush;
   /// kPathEqualization: converged path decomposition + demand snapshot.
   AssignmentWarmStart paths;
   /// kBush: the per-origin bushes.
@@ -106,14 +111,31 @@ struct EquilibriumWarmState {
 /// `warm_in` when its tag and payload fit (see each backend's warm
 /// contract) and, when `warm_out` is non-null, publishing the converged
 /// state back for the next solve in the chain. `warm_in` and `warm_out`
-/// may alias. With the default backend and an untagged/empty request this
-/// is byte-for-byte the legacy assign_traffic call — the frozen sweep
-/// tables rely on that.
+/// may alias.
 EquilibriumResult solve_equilibrium(const NetworkInstance& inst,
                                     std::span<const double> preload,
                                     const EquilibriumRequest& req,
                                     SolverWorkspace& ws,
                                     const EquilibriumWarmState* warm_in,
                                     EquilibriumWarmState* warm_out);
+
+/// One origin's share of a flow: the edge flow of every commodity that
+/// leaves `origin`, summed.
+struct OriginFlow {
+  NodeId origin = kInvalidNode;
+  /// Indices of the commodities leaving `origin`, in commodity order.
+  std::vector<std::size_t> commodities;
+  std::span<const double> edge_flow;  // by EdgeId
+};
+
+/// The per-origin split of the flow whose solve published `warm` for
+/// `inst`, ascending by origin. kBush views the bushes' own flow vectors
+/// in place (no copy); kPathEqualization sums each origin's commodity
+/// paths into `storage`, which the views then point into. Empty when the
+/// payload does not match the instance — a solve that failed numerically
+/// publishes none.
+std::vector<OriginFlow> origin_flows(const NetworkInstance& inst,
+                                     const EquilibriumWarmState& warm,
+                                     std::vector<std::vector<double>>& storage);
 
 }  // namespace stackroute

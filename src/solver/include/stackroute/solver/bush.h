@@ -28,6 +28,11 @@
 // reduced there in a fixed order. So results and counters are a pure
 // function of the inputs (and of the warm payload, when one is passed),
 // never of the thread count.
+//
+// Faults: every batch cost evaluation and every shift's cost refresh is
+// one fault-injection event (util/fault.h), and a non-finite cost stops
+// the solve as kNumericFailure with the last feasible flows — path
+// equalization's contract.
 #pragma once
 
 #include <span>

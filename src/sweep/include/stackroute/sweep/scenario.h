@@ -32,10 +32,11 @@ struct ScenarioSpec {
   std::vector<Metric> metrics;
   /// Root of the per-task seed derivation (see header comment).
   std::uint64_t base_seed = 1;
-  /// Equilibrium backend every task's Nash solves dispatch through (see
-  /// solver/backend.h; the CLI's --backend flag sets it). The default is
-  /// the legacy path-equalization solver — golden tables are frozen on it.
-  EquilibriumBackend backend = EquilibriumBackend::kPathEqualization;
+  /// Backend every network solve of every task dispatches through — Nash,
+  /// optimum, MOP and the baselines (see solver/backend.h; the CLI's
+  /// --backend flag sets it). Bush by default — golden tables are frozen
+  /// on it.
+  EquilibriumBackend backend = EquilibriumBackend::kBush;
   /// Grid axis along which adjacent tasks form warm-start chains (see
   /// runner.h); typically "demand". Empty — or naming an axis the grid
   /// lacks — means every task is its own cold chain. Declaring a warm axis

@@ -5,8 +5,8 @@
 // forced task failures, and seeded demand perturbations. The sweep runner
 // arms one task's faults at a time through a thread-local FaultScope, and
 // the solver evaluation seams (batched edge costs, incremental path cost
-// refreshes, water-filling supply probes) each consume one "evaluation
-// event" from the armed scope. Every seam runs on the task's own thread
+// refreshes, the bush solver's per-shift cost refreshes, water-filling
+// supply probes) each consume one "evaluation event" from the armed scope. Every seam runs on the task's own thread
 // (the bush solver's fan-out helpers run only Dijkstra), so event indices
 // — and therefore the injected faults — are invariant under the thread
 // count.

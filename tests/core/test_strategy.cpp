@@ -188,6 +188,20 @@ TEST(Strategy, LlfBudgetExactOverManyLinks) {
 
 // ---- General networks ----------------------------------------------------
 
+/// An optimum plus the payload its solve published — the per-origin flows
+/// the precomputed-optimum LLF overload reads.
+struct OptimumWithState {
+  NetworkAssignment a;
+  EquilibriumWarmState state;
+};
+
+OptimumWithState optimum_with_state(const NetworkInstance& net) {
+  OptimumWithState out;
+  SolverWorkspace ws;
+  out.a = solve_optimum(net, {}, ws, nullptr, &out.state);
+  return out;
+}
+
 TEST(NetworkStrategy, AloofInducesPlainNash) {
   const NetworkInstance net = braess_classic();  // C(N) = 2, C(O) = 3/2
   const NetworkStackelbergOutcome out =
@@ -213,9 +227,9 @@ TEST(NetworkStrategy, LlfBudgetInvariantOnNetworks) {
   // preload whose source divergence equals the controlled demand.
   Rng rng(41);
   const NetworkInstance net = grid_city(rng, 3, 3, 2.0);
-  const NetworkAssignment opt = solve_optimum(net);
+  const OptimumWithState opt = optimum_with_state(net);
   for (double alpha : {0.25, 0.5, 0.999, 1.0}) {
-    const NetworkStrategy s = llf_strategy(net, alpha, opt);
+    const NetworkStrategy s = llf_strategy(net, alpha, opt.a, opt.state);
     ASSERT_EQ(s.controlled.size(), 1u);
     EXPECT_DOUBLE_EQ(s.controlled[0],
                      std::fmin(alpha * net.commodities[0].demand,
@@ -239,10 +253,10 @@ TEST(NetworkStrategy, FullControlReproducesTheOptimum) {
   // route nothing, C(S+T) = C(O).
   Rng rng(42);
   const NetworkInstance net = grid_city(rng, 3, 3, 1.5);
-  const NetworkAssignment opt = solve_optimum(net);
+  const OptimumWithState opt = optimum_with_state(net);
   for (const bool use_llf : {false, true}) {
-    const NetworkStrategy s = use_llf ? llf_strategy(net, 1.0, opt)
-                                      : scale_strategy(net, 1.0, opt);
+    const NetworkStrategy s = use_llf ? llf_strategy(net, 1.0, opt.a, opt.state)
+                                      : scale_strategy(net, 1.0, opt.a);
     const NetworkStackelbergOutcome out = evaluate_strategy(net, s);
     EXPECT_NEAR(out.ratio, 1.0, 1e-6) << use_llf;
     for (double t : out.induced) EXPECT_DOUBLE_EQ(t, 0.0);
@@ -271,14 +285,14 @@ TEST(NetworkStrategy, WarmStartedChainAgreesWithCold) {
   // solver tolerance.
   Rng rng(44);
   const NetworkInstance net = grid_city(rng, 3, 3, 2.0);
-  const NetworkAssignment opt = solve_optimum(net);
+  const OptimumWithState opt = optimum_with_state(net);
   SolverWorkspace ws;
-  AssignmentWarmStart warm;
+  EquilibriumWarmState warm;
   for (int k = 1; k <= 9; ++k) {
     const double alpha = 0.1 * k;
-    const NetworkStrategy s = llf_strategy(net, alpha, opt);
+    const NetworkStrategy s = llf_strategy(net, alpha, opt.a, opt.state);
     const NetworkStackelbergOutcome chained =
-        evaluate_strategy(net, s, opt.cost, {}, ws, &warm, &warm);
+        evaluate_strategy(net, s, opt.a.cost, {}, ws, &warm, &warm);
     const NetworkStackelbergOutcome cold = evaluate_strategy(net, s);
     EXPECT_NEAR(chained.cost, cold.cost, 1e-6 * std::fmax(1.0, cold.cost))
         << alpha;
@@ -321,14 +335,15 @@ TEST(NetworkStrategy, ScaleAndLlfNeverBeatMop) {
   const NetworkInstance net = fig7_instance(0.05);
   const MopResult mr = mop(net);
   EXPECT_NEAR(mr.induced_cost, mr.optimum_cost, 1e-7 * mr.optimum_cost);
-  const NetworkAssignment opt = solve_optimum(net);
+  const OptimumWithState opt = optimum_with_state(net);
   SolverWorkspace ws;
   for (double alpha : {0.1, 0.3, 0.5, 0.7, 0.9}) {
     for (const bool use_llf : {false, true}) {
-      const NetworkStrategy s = use_llf ? llf_strategy(net, alpha, opt)
-                                        : scale_strategy(net, alpha, opt);
+      const NetworkStrategy s =
+          use_llf ? llf_strategy(net, alpha, opt.a, opt.state)
+                  : scale_strategy(net, alpha, opt.a);
       const NetworkStackelbergOutcome out =
-          evaluate_strategy(net, s, opt.cost, {}, ws, nullptr, nullptr);
+          evaluate_strategy(net, s, opt.a.cost, {}, ws, nullptr, nullptr);
       EXPECT_GE(out.cost, mr.induced_cost * (1.0 - 1e-7))
           << "alpha " << alpha << " llf " << use_llf;
     }
@@ -361,15 +376,16 @@ TEST(NetworkStrategy, NoTestedAlphaBelowOneMatchesMopOnThisInstance) {
   const MopResult mr = mop(net);
   EXPECT_LT(mr.beta, 0.95);
   EXPECT_NEAR(mr.induced_cost, mr.optimum_cost, 1e-6 * mr.optimum_cost);
-  const NetworkAssignment opt = solve_optimum(net);
+  const OptimumWithState opt = optimum_with_state(net);
   SolverWorkspace ws;
   for (int k = 1; k <= 18; ++k) {
     const double alpha = 0.05 * k;  // 0.05 .. 0.90
     for (const bool use_llf : {false, true}) {
-      const NetworkStrategy s = use_llf ? llf_strategy(net, alpha, opt)
-                                        : scale_strategy(net, alpha, opt);
+      const NetworkStrategy s =
+          use_llf ? llf_strategy(net, alpha, opt.a, opt.state)
+                  : scale_strategy(net, alpha, opt.a);
       const NetworkStackelbergOutcome out =
-          evaluate_strategy(net, s, opt.cost, {}, ws, nullptr, nullptr);
+          evaluate_strategy(net, s, opt.a.cost, {}, ws, nullptr, nullptr);
       EXPECT_GT(out.ratio, 1.0 + 1e-3)
           << "alpha " << alpha << " llf " << use_llf;
     }
@@ -383,11 +399,12 @@ TEST(NetworkStrategy, ParallelLinksViewedAsNetworkMatchesLinkLlf) {
   Rng rng(45);
   const ParallelLinks m = random_affine_links(rng, 5, 2.0);
   const NetworkInstance net = to_network(m);
-  const NetworkAssignment net_opt = solve_optimum(net);
+  const OptimumWithState net_opt = optimum_with_state(net);
   for (double alpha : {0.3, 0.7, 1.0}) {
     const std::vector<double> s_links =
-        llf_strategy(m, alpha, net_opt.edge_flow);
-    const NetworkStrategy s_net = llf_strategy(net, alpha, net_opt);
+        llf_strategy(m, alpha, net_opt.a.edge_flow);
+    const NetworkStrategy s_net =
+        llf_strategy(net, alpha, net_opt.a, net_opt.state);
     ASSERT_EQ(s_net.preload.size(), s_links.size());
     for (std::size_t i = 0; i < s_links.size(); ++i) {
       EXPECT_NEAR(s_net.preload[i], s_links[i], 1e-9) << alpha << " " << i;

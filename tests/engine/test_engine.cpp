@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "stackroute/engine/engine.h"
+#include "stackroute/engine/eval.h"
 #include "stackroute/engine/footprint.h"
 #include "stackroute/gen/registry.h"
 #include "stackroute/latency/families.h"
@@ -135,6 +136,60 @@ TEST(EngineTest, WarmAndColdAgreeToTolerance) {
   EXPECT_FALSE(cold.warm);
   EXPECT_NEAR(warm.cost, cold.cost,
               1e-6 * std::fmax(1.0, std::fabs(cold.cost)));
+}
+
+TEST(EngineTest, BetaAndLlfWarmChainsMatchColdSolves) {
+  // A session walking one grid-bpr (size 10) instance up 16 demand levels
+  // answers MOP's β and the LLF baseline as cold, sessionless solves of
+  // the same requests do, to 1e-8: on one commodity the bush optimum —
+  // hence its per-origin flow and LLF's path order — is unique up to the
+  // solver tolerance.
+  Engine eng;
+  const std::uint64_t mop_session = eng.open_session();
+  const std::uint64_t llf_session = eng.open_session();
+  const auto grid = [](double demand) {
+    return Instance(gen::generate_sized("grid-bpr", 10, demand, 1000));
+  };
+  const auto llf = [&](double demand, std::uint64_t session) {
+    SolveRequest req = request(RequestKind::kStrategy, grid(demand), session);
+    req.strategy = StrategyKind::kLlf;
+    req.alpha = 0.3;
+    return req;
+  };
+  for (int level = 0; level < 16; ++level) {
+    const double demand = 1.0 + 0.05 * level;
+    const SolveResponse warm_mop =
+        eng.solve(request(RequestKind::kMop, grid(demand), mop_session));
+    const SolveResponse cold_mop =
+        eng.solve(request(RequestKind::kMop, grid(demand)));
+    ASSERT_TRUE(warm_mop.ok && cold_mop.ok) << warm_mop.error;
+    EXPECT_EQ(warm_mop.warm, level > 0);
+    EXPECT_NEAR(warm_mop.beta, cold_mop.beta, 1e-8) << "level " << level;
+    const SolveResponse warm_llf = eng.solve(llf(demand, llf_session));
+    const SolveResponse cold_llf = eng.solve(llf(demand, 0));
+    ASSERT_TRUE(warm_llf.ok && cold_llf.ok) << warm_llf.error;
+    EXPECT_NEAR(warm_llf.cost, cold_llf.cost, 1e-8 * cold_llf.cost)
+        << "level " << level;
+  }
+}
+
+TEST(EngineTest, SessionFootprintCountsMopAndStrategyPayloads) {
+  // MOP's optimum/induced payloads and the baselines' induced payloads
+  // are bush states now; the session's byte charge must include them.
+  SolveSession session;
+  const Instance inst = grid_instance(1.0);
+  Evaluation eval(inst, &session);
+  (void)eval.beta();
+  (void)eval.strategy_cost(StrategyKind::kLlf, 0.3);
+  ASSERT_FALSE(session.mop.optimum.bush.empty());
+  ASSERT_FALSE(session.mop.induced.bush.empty());
+  ASSERT_FALSE(session.strategy.llf_induced.bush.empty());
+  const std::size_t payloads = footprint_bytes(session.mop) +
+                               footprint_bytes(session.strategy.llf_induced);
+  EXPECT_GE(payloads, session.mop.optimum.bush.footprint_bytes() +
+                          session.mop.induced.bush.footprint_bytes() +
+                          session.strategy.llf_induced.bush.footprint_bytes());
+  EXPECT_GE(footprint_bytes(session), footprint_bytes(session.ws) + payloads);
 }
 
 TEST(EngineTest, TableCacheServesValueEqualInstances) {

@@ -13,6 +13,14 @@
 namespace stackroute {
 namespace {
 
+/// The Wardrop checker reads path flows, which only path equalization
+/// returns.
+EquilibriumRequest path_request() {
+  EquilibriumRequest req;
+  req.backend = EquilibriumBackend::kPathEqualization;
+  return req;
+}
+
 TEST(NetworkEquilibrium, BraessClassicCosts) {
   const NetworkInstance inst = braess_classic();
   const NetworkAssignment n = solve_nash(inst);
@@ -35,7 +43,7 @@ TEST(NetworkEquilibrium, Fig7CostsMatchExpected) {
 TEST(NetworkEquilibrium, NashFlowsPassWardropChecker) {
   Rng rng(81);
   const NetworkInstance inst = grid_city(rng, 3, 3, 1.5);
-  const NetworkAssignment n = solve_nash(inst);
+  const NetworkAssignment n = solve_nash(inst, path_request());
   const std::vector<double> zero(
       static_cast<std::size_t>(inst.graph.num_edges()), 0.0);
   EXPECT_TRUE(satisfies_wardrop(inst, n.commodity_paths, zero));
@@ -82,7 +90,7 @@ TEST(NetworkEquilibrium, InducedCostIncludesPreload) {
 TEST(NetworkEquilibrium, MulticommodityNashBalancesEachCommodity) {
   Rng rng(83);
   const NetworkInstance inst = grid_city_multicommodity(rng, 4, 4, 3, 0.3, 0.7);
-  const NetworkAssignment n = solve_nash(inst);
+  const NetworkAssignment n = solve_nash(inst, path_request());
   const std::vector<double> zero(
       static_cast<std::size_t>(inst.graph.num_edges()), 0.0);
   EXPECT_TRUE(satisfies_wardrop(inst, n.commodity_paths, zero));

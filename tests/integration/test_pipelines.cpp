@@ -81,13 +81,17 @@ TEST(Pipeline, BetaMinimalityAgainstBruteForce) {
 
 TEST(Pipeline, MopStrategyVerifiedByIndependentSolver) {
   // Run MOP, then hand its strategy to the generic induced-equilibrium
-  // machinery (not MOP's internal verification) and check Wardrop + cost.
+  // machinery (not MOP's internal verification, and on the other backend:
+  // the path solver, whose paths the Wardrop checker reads) and check
+  // Wardrop + cost.
   const NetworkInstance inst = fig7_instance(0.05);
   const MopResult r = mop(inst);
   NetworkInstance followers = inst;
   followers.commodities[0].demand = r.free_flow_total;
+  EquilibriumRequest pe;
+  pe.backend = EquilibriumBackend::kPathEqualization;
   const NetworkAssignment induced =
-      solve_induced(followers, r.leader_edge_flow);
+      solve_induced(followers, r.leader_edge_flow, pe);
   EXPECT_TRUE(satisfies_wardrop(followers, induced.commodity_paths,
                                 r.leader_edge_flow, 1e-5));
   EXPECT_NEAR(induced.cost, r.optimum_cost, 1e-5);

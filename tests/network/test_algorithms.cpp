@@ -253,6 +253,86 @@ TEST(MaxFlow, BadArgumentsRejected) {
   EXPECT_THROW(max_flow(g, 2, 2, ok, kInf), Error);
 }
 
+TEST(MaxFlowToSinks, CapsEachSinkAtItsLimit) {
+  // Diamond from 0: sinks 1 (via e0) and 3 (via e2, e3 and e4). Node 3
+  // can take at most 0.5 + 1 + 0.5, node 1 its limit 0.25: the maximum
+  // 2.25 needs both arcs full.
+  const Graph g = diamond();
+  const std::vector<double> cap = {1.0, 1.0, 0.5, 1.0, 0.5};
+  const std::vector<NodeId> sinks = {1, 3};
+  const std::vector<double> limits = {0.25, 10.0};
+  const MaxFlowResult r = max_flow_to_sinks(g, 0, sinks, limits, cap);
+  ASSERT_EQ(r.sink_flow.size(), 2u);
+  EXPECT_NEAR(r.sink_flow[0], 0.25, 1e-12);
+  EXPECT_NEAR(r.sink_flow[1], 2.0, 1e-12);
+  EXPECT_NEAR(r.value, 2.25, 1e-12);
+  EXPECT_NEAR(r.edge_flow[0], 0.75, 1e-12);
+  EXPECT_NEAR(r.edge_flow[2], 0.5, 1e-12);
+}
+
+TEST(MaxFlowToSinks, OneSinkMatchesMaxFlow) {
+  const Graph g = diamond();
+  const std::vector<double> cap = {1.0, 0.5, 0.75, 1.0, 0.2};
+  const MaxFlowResult single = max_flow(g, 0, 3, cap, 1.3);
+  const std::vector<NodeId> sinks = {3};
+  const std::vector<double> limits = {1.3};
+  const MaxFlowResult multi = max_flow_to_sinks(g, 0, sinks, limits, cap);
+  EXPECT_NEAR(multi.value, single.value, 1e-12);
+  EXPECT_NEAR(multi.sink_flow[0], single.value, 1e-12);
+}
+
+TEST(DecomposeOriginFlow, TagsPathsBySink) {
+  // 0 ships 1 to node 1 and 2 to node 3; the flow to 3 passes through 1
+  // and 2.
+  const Graph g = diamond();
+  const std::vector<double> flow = {1.5, 1.0, 0.5, 1.0, 0.5};
+  const std::vector<NodeId> sinks = {1, 3};
+  const std::vector<double> demands = {1.0, 2.0};
+  const auto paths = decompose_origin_flow(g, 0, sinks, demands, flow);
+  ASSERT_EQ(paths.size(), 2u);
+  for (std::size_t j = 0; j < sinks.size(); ++j) {
+    double total = 0.0;
+    for (const PathFlow& pf : paths[j]) {
+      EXPECT_TRUE(is_path(g, 0, sinks[j], pf.path));
+      total += pf.flow;
+    }
+    EXPECT_NEAR(total, demands[j], 1e-12) << "sink " << sinks[j];
+  }
+  // The paths add back up to the flow.
+  std::vector<double> back(flow.size(), 0.0);
+  for (const auto& list : paths) {
+    for (const PathFlow& pf : list) {
+      for (EdgeId e : pf.path) back[static_cast<std::size_t>(e)] += pf.flow;
+    }
+  }
+  EXPECT_LT(max_abs_diff(back, flow), 1e-12);
+}
+
+TEST(DecomposeOriginFlow, ToleratesRoundoffOnTheDemandScale) {
+  // A flow that conserves only to a few ulps of a large demand, as solver
+  // output does: an absolute 1e-12 tolerance would dead-end on the
+  // residue, the demand-relative one absorbs it.
+  const Graph g = diamond();
+  const double d = 8.0e4;
+  std::vector<double> flow = {0.5 * d, 0.3 * d, 0.5 * d, 0.3 * d, 0.2 * d};
+  flow[0] += 3e-11;  // leaves node 1 short of outflow by 3e-11
+  const std::vector<NodeId> sinks = {3};
+  const std::vector<double> demands = {d};
+  const auto paths = decompose_origin_flow(g, 0, sinks, demands, flow);
+  double total = 0.0;
+  for (const PathFlow& pf : paths[0]) total += pf.flow;
+  EXPECT_NEAR(total, d, 1e-9 * d);
+  EXPECT_THROW(decompose_flow(g, 0, 3, flow, 1e-12), Error);
+}
+
+TEST(DecomposeOriginFlow, RejectsFlowThatDoesNotConserve) {
+  const Graph g = diamond();
+  const std::vector<double> flow = {1.0, 0.0, 0.0, 0.0, 0.0};  // stuck at 1
+  const std::vector<NodeId> sinks = {3};
+  const std::vector<double> demands = {1.0};
+  EXPECT_THROW(decompose_origin_flow(g, 0, sinks, demands, flow), Error);
+}
+
 TEST(Generators, RandomLayeredDagIsValid) {
   Rng rng(5);
   for (int trial = 0; trial < 10; ++trial) {

@@ -255,6 +255,56 @@ TEST(SolveNash, InjectedNanDegradesNetworkSolveWithoutThrowing) {
   for (double f : r.edge_flow) EXPECT_TRUE(std::isfinite(f));
 }
 
+TEST(SolveBush, InjectedNanInAShiftRefreshDegradesWithoutThrowing) {
+  // Events 0 and 1 are the cold start's and the first iteration's batch
+  // evaluations; every shift's cost refresh is one more event, so event 3
+  // lands in the second shift — a NaN there stops the solve with the
+  // flows of the shift just applied.
+  Rng rng(5);
+  const NetworkInstance inst = grid_city(rng, 4, 4, 2.0);
+  fault::TaskFaults tf;
+  tf.latency.push_back({3, false});
+  obs::SolveCounters sink;
+  BushResult r;
+  {
+    obs::CountersScope counters(sink);
+    fault::FaultScope scope(&tf, 0);
+    r = solve_bush(inst, FlowObjective::kBeckmann);
+  }
+  ASSERT_GE(sink.bush_shifts, 2u);
+  EXPECT_EQ(r.status, SolveStatus::kNumericFailure);
+  double out = 0.0;
+  for (double f : r.edge_flow) EXPECT_TRUE(std::isfinite(f));
+  for (EdgeId e : inst.graph.out_edges(inst.commodities[0].source)) {
+    out += r.edge_flow[static_cast<std::size_t>(e)];
+  }
+  EXPECT_NEAR(out, inst.commodities[0].demand, 1e-9);
+}
+
+TEST(SolveBush, WarmSeedHitByAFaultFallsBackCold) {
+  Rng rng(6);
+  NetworkInstance inst = grid_city(rng, 4, 4, 2.0);
+  SolverWorkspace ws;
+  BushWarmState warm;
+  ASSERT_TRUE(solve_bush(inst, FlowObjective::kBeckmann, {}, {}, ws, nullptr,
+                         &warm)
+                  .converged);
+  inst.commodities[0].demand *= 1.2;
+  const BushResult clean = solve_bush(inst, FlowObjective::kBeckmann);
+  fault::TaskFaults tf;
+  tf.latency.push_back({0, false});  // the warm run's first evaluation
+  obs::SolveCounters sink;
+  BushResult r;
+  {
+    obs::CountersScope counters(sink);
+    fault::FaultScope scope(&tf, 0);
+    r = solve_bush(inst, FlowObjective::kBeckmann, {}, {}, ws, &warm, &warm);
+  }
+  EXPECT_EQ(sink.warm_fallbacks, 1u);
+  EXPECT_EQ(r.status, SolveStatus::kConverged);
+  EXPECT_NEAR(r.objective, clean.objective, 1e-9 * clean.objective);
+}
+
 TEST(SolveNash, ParallelLinksStatusPropagates) {
   const ParallelLinks m = pigou();
   SolverWorkspace ws;

@@ -33,8 +33,9 @@
 //   demand        demand override (scaled proportionally on networks)
 //   alpha         Leader fraction for op=strategy (scale/llf)
 //   strategy      "aloof" | "scale" | "llf" (op=strategy, default aloof)
-//   backend       "pe" | "bush" equilibrium backend on networks
-//                 (default: the server's --backend flag, itself pe)
+//   backend       "pe" | "bush" backend of every network solve the
+//                 request runs (default: the server's --backend flag,
+//                 itself bush)
 //   deadline_ms   per-request wall-clock budget
 //   max_iters     per-request iteration budget
 //
@@ -94,9 +95,10 @@ int usage(std::ostream& os, int code) {
         "  --table-budget-mb N  compiled-table cache byte budget (0 = "
         "off)\n"
         "  --session-budget-mb N  session/workspace byte budget (0 = off)\n"
-        "  --backend NAME       default equilibrium backend for requests\n"
-        "                       that do not set \"backend\":\n"
-        "                       pe (default) | bush\n"
+        "  --backend NAME       default backend of the network solves of\n"
+        "                       requests that do not set \"backend\"\n"
+        "                       (Nash, optimum, MOP, strategies):\n"
+        "                       bush (default) | pe\n"
         "  --quiet              suppress the stderr run summary\n"
         "  --help               show this message\n"
         "Serves line-delimited JSON requests (one object per line) against\n"
@@ -122,7 +124,7 @@ struct ToolOptions {
   std::size_t table_budget_mb = 0;
   std::size_t session_budget_mb = 0;
   stackroute::EquilibriumBackend backend =
-      stackroute::EquilibriumBackend::kPathEqualization;
+      stackroute::EquilibriumBackend::kBush;
 };
 
 stackroute::engine::EngineOptions engine_options(const ToolOptions& o) {
@@ -316,8 +318,7 @@ void print_summary(const stackroute::serve::FrontEndStats& tally,
      << stats.sessions_opened << " opened, " << stats.sessions_closed
      << " closed";
   if (!tally.millis.empty()) {
-    os << "\nlatency ms: "
-       << stackroute::obs::QuantileSummary::of(tally.millis).to_string();
+    os << "\nlatency ms: " << tally.millis.summary().to_string();
   }
   os << "\nadmission: " << tally.shed << " shed, "
      << (tally.refused + conn_refused) << " refused, "

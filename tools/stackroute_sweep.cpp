@@ -43,11 +43,11 @@ int usage(std::ostream& os, int code) {
         "  --generate NAME       sweep a generated instance over demand\n"
         "                        (NAME may be any unambiguous prefix of a\n"
         "                        generator family, e.g. 'grid')\n"
-        "  --backend NAME        equilibrium backend for network Nash solves:\n"
-        "                        pe (path equalization, default) | bush\n"
-        "                        (origin-based bushes); reports the\n"
-        "                        equilibrium metric columns and needs\n"
-        "                        --file/--generate\n"
+        "  --backend NAME        backend of the network solves: bush\n"
+        "                        (origin-based bushes, the default for\n"
+        "                        every sweep) | pe (path equalization);\n"
+        "                        reports the equilibrium metric columns\n"
+        "                        and needs --file/--generate\n"
         "  --strategy NAME       aloof | scale | llf | optop: report the\n"
         "                        named Leader baseline's C(S+T)/C(O) column\n"
         "                        instead of the default metrics (needs\n"
@@ -269,8 +269,8 @@ bool parse_args(int argc, char** argv, Args& args) {
       return false;
     }
     if (!args.strategy.empty()) {
-      // Strategy baselines pin the follower solves to the induced-solver
-      // path; offering --backend there would silently not take effect.
+      // --backend selects the equilibrium report; the strategy report
+      // runs its solves on the default backend.
       std::cerr << "--backend and --strategy are mutually exclusive\n";
       return false;
     }
@@ -512,7 +512,7 @@ int main(int argc, char** argv) {
         spec.backend = parse_equilibrium_backend(args.backend);
         // A backend run is about the equilibrium itself: report the Nash
         // cost (the column the pe-vs-bush comparisons use) instead of the
-        // Stackelberg battery, whose β/C(S+T) solves bypass the backend.
+        // Stackelberg battery.
         spec.metrics = {sweep::metric_nash_cost()};
       } else {
         spec.metrics = args.strategy.empty()
