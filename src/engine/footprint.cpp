@@ -63,7 +63,7 @@ std::size_t footprint_bytes(const BushWorkspace& bw) {
 
 std::size_t footprint_bytes(const SolverWorkspace& ws) {
   return sizeof(ws) + ws.table.footprint_bytes() +
-         footprint_bytes(ws.dijkstra) + footprint_bytes(ws.dijkstra_rev) +
+         footprint_bytes(ws.dijkstra) +
          vec_bytes(ws.costs) + vec_bytes(ws.dists) +
          vec_bytes(ws.path_scratch) + vec_bytes(ws.delta_mask) +
          vec_bytes(ws.weights) + footprint_bytes(ws.bush);

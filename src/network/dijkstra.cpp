@@ -190,33 +190,22 @@ void extract_path_into(const Graph& g, const ShortestPathTree& tree,
 std::vector<char> shortest_path_edge_mask(const Graph& g, NodeId s, NodeId t,
                                           std::span<const double> edge_cost,
                                           double tol) {
-  DijkstraWorkspace ws_fwd;
-  DijkstraWorkspace ws_rev;
-  std::vector<char> mask;
-  shortest_path_edge_mask_into(g, s, t, edge_cost, tol, ws_fwd, ws_rev, mask);
-  return mask;
-}
-
-void shortest_path_edge_mask_into(const Graph& g, NodeId s, NodeId t,
-                                  std::span<const double> edge_cost,
-                                  double tol, DijkstraWorkspace& fwd,
-                                  DijkstraWorkspace& rev,
-                                  std::vector<char>& out) {
+  DijkstraWorkspace fwd;
+  DijkstraWorkspace rev;
   const ShortestPathTree& from_s = dijkstra(g, s, edge_cost, fwd);
-  count_dijkstra(fwd);
   const ShortestPathTree& to_t = dijkstra_to(g, t, edge_cost, rev);
-  count_dijkstra(rev);
   const double best = from_s.dist[static_cast<std::size_t>(t)];
   SR_REQUIRE(std::isfinite(best), "sink unreachable from source");
-  out.assign(static_cast<std::size_t>(g.num_edges()), 0);
+  std::vector<char> mask(static_cast<std::size_t>(g.num_edges()), 0);
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
     const Edge& edge = g.edge(e);
     const double du = from_s.dist[static_cast<std::size_t>(edge.tail)];
     const double dv = to_t.dist[static_cast<std::size_t>(edge.head)];
     if (!std::isfinite(du) || !std::isfinite(dv)) continue;
     const double through = du + edge_cost[static_cast<std::size_t>(e)] + dv;
-    if (through <= best + tol) out[static_cast<std::size_t>(e)] = 1;
+    if (through <= best + tol) mask[static_cast<std::size_t>(e)] = 1;
   }
+  return mask;
 }
 
 }  // namespace stackroute

@@ -1,6 +1,6 @@
 // Dijkstra shortest paths with externally supplied non-negative edge costs
 // (footnote 5 of the paper), plus the "tight edge" shortest-path subgraph
-// used by algorithm MOP: edge e = (u,v) lies on some shortest s→t path iff
+// of one s→t pair: edge e = (u,v) lies on some shortest s→t path iff
 // dist_s(u) + c_e + dist_t(v) = dist_s(t).
 //
 // Two call shapes: the value-returning functions allocate a fresh tree per
@@ -95,22 +95,11 @@ void extract_path_into(const Graph& g, const ShortestPathTree& tree,
                        NodeId target, std::vector<EdgeId>& out);
 
 /// Mask (indexed by EdgeId) of edges lying on some shortest s→t path under
-/// `edge_cost`, using absolute slack tolerance `tol`. Allocates its two
-/// Dijkstra workspaces per call, like dijkstra(); repeated callers use the
-/// workspace variant below.
+/// `edge_cost`, using absolute slack tolerance `tol` (one forward and one
+/// reverse Dijkstra; MOP's per-origin tight DAG needs only the forward
+/// one).
 std::vector<char> shortest_path_edge_mask(const Graph& g, NodeId s, NodeId t,
                                           std::span<const double> edge_cost,
                                           double tol = 1e-9);
-
-/// Workspace variant: reuses the two Dijkstra workspaces and `out`'s
-/// storage (out is resized to num_edges). On return `fwd.tree` holds the
-/// forward tree from s and `rev.tree` the reverse tree to t, so callers
-/// needing dist(s, t) as well (MOP's tight-subgraph step) read it off
-/// fwd.tree instead of running a third Dijkstra.
-void shortest_path_edge_mask_into(const Graph& g, NodeId s, NodeId t,
-                                  std::span<const double> edge_cost,
-                                  double tol, DijkstraWorkspace& fwd,
-                                  DijkstraWorkspace& rev,
-                                  std::vector<char>& out);
 
 }  // namespace stackroute

@@ -21,6 +21,17 @@ namespace {
 constexpr double kAddEps = 1e-12;
 constexpr double kShiftEps = 1e-14;
 
+// A warm-seeded run that goes kWarmStallWindow gap checks without cutting
+// its best gap by kWarmProgress is given up as stalled (when the caller set
+// no stall window of its own), so solve_bush's cold retry takes over. A
+// seed can leave a bush that never admits an improving edge — each one
+// proposed closes a cycle through edges kept only for connectivity — and
+// then creep for the whole iteration cap: a 2x demand step on Anaheim did,
+// 500 checks at a 1.5e-4 gap. Converging runs cut the gap by far more than
+// 10% at every check.
+constexpr int kWarmStallWindow = 16;
+constexpr double kWarmProgress = 0.9;
+
 // Least Dijkstra work, in node + edge visits, that one fan-out lane must
 // carry to pay for its helper thread. Starting, waking and joining a helper
 // cost 80-350 µs per fan-out on a 4-vCPU x86 VM (more when the other cores
@@ -667,6 +678,14 @@ BushResult bush_run(const NetworkInstance& inst, FlowObjective objective,
           best_gap = result.rel_gap;
           since_improved = 0;
         } else if (++since_improved >= opts.budget.stall_window) {
+          result.status = SolveStatus::kStalled;
+          break;
+        }
+      } else if (used_warm && result.rel_gap > opts.rel_gap_tol) {
+        if (result.rel_gap < kWarmProgress * best_gap) {
+          best_gap = result.rel_gap;
+          since_improved = 0;
+        } else if (++since_improved >= kWarmStallWindow) {
           result.status = SolveStatus::kStalled;
           break;
         }

@@ -107,9 +107,12 @@ BushResult solve_bush(const NetworkInstance& inst, FlowObjective objective,
 /// Same, reusing the caller's workspace across calls (see workspace.h; the
 /// bush scratch is ws.bush). A non-null `warm` seeds the bushes and flows
 /// (scaled by the proportional demand ratio), falling back to the cold
-/// start when the payload does not fit. When `warm_out` is non-null the
-/// final bushes are moved into it for the next solve in the chain (cleared
-/// on numeric failure so a poisoned state is never republished).
+/// start when the payload does not fit. A seeded run that fails, hits the
+/// iteration cap or stalls — 16 gap checks without a 10% cut in its best
+/// gap, unless opts.budget sets a stall window — gets one cold retry. When
+/// `warm_out` is non-null the final bushes are moved into it for the next
+/// solve in the chain (cleared on numeric failure so a poisoned state is
+/// never republished).
 ///
 /// When `warm` aliases `warm_out` — as in sweep chains and engine sessions
 /// — a payload that fits is consumed rather than copied: every bush is

@@ -101,8 +101,6 @@ struct BushWorkspace {
 struct SolverWorkspace {
   LatencyTable table;             // compiled effective latencies
   DijkstraWorkspace dijkstra;     // shortest-path buffers
-  DijkstraWorkspace dijkstra_rev;  // reverse-tree buffers (MOP's
-                                   // tight-subgraph step)
   std::vector<double> costs;      // per-edge costs, maintained incrementally
   std::vector<double> dists;      // per-commodity shortest-path distances
   Path path_scratch;              // single-path buffer (equalization)

@@ -1,7 +1,8 @@
 // Per-origin flows on the shipped TNTP networks: a bush optimum's origins
 // decompose into sink-tagged paths that carry every commodity's demand,
-// and MOP's per-origin β on Anaheim stays within its declared warm-versus-
-// cold tolerance.
+// MOP's per-origin β on Anaheim stays within its declared warm-versus-
+// cold tolerance, and a warm optimum that stalls hands over to the cold
+// retry early.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,6 +14,8 @@
 #include "stackroute/equilibrium/network.h"
 #include "stackroute/io/tntp.h"
 #include "stackroute/network/paths.h"
+#include "stackroute/obs/counters.h"
+#include "stackroute/solver/bush.h"
 #include "stackroute/sweep/scenario.h"
 
 namespace stackroute {
@@ -101,6 +104,39 @@ TEST(OriginFlows, AnaheimBetaWarmAgreesWithColdWithinTolerance) {
               1e-9 * cold.optimum_cost);
   EXPECT_GT(cold.beta, 0.0);
   EXPECT_LT(cold.beta, 1.0);
+}
+
+TEST(OriginFlows, StalledWarmOptimumGivesWayToTheColdRetryEarly) {
+  // The default Anaheim --file sweep's two points, demands set the way the
+  // sweep sets them: seeded from the first point's optimum, the second
+  // point's warm bushes plateau at a 1.5e-4 gap (an improving edge that
+  // closes a cycle is proposed at every check). The warm run gives up
+  // after 16 checks without a 10% cut instead of burning the 500-check
+  // cap, and the cold retry converges.
+  const auto at_total = [](double demand) {
+    sweep::Instance inst =
+        sweep::load_instance_file(kInstances + "Anaheim_net.tntp");
+    sweep::override_demand(inst, demand);
+    return std::get<NetworkInstance>(std::move(inst));
+  };
+  SolverWorkspace ws;
+  BushWarmState warm;
+  ASSERT_TRUE(solve_bush(at_total(40677.1), FlowObjective::kTotalCost, {},
+                         {}, ws, nullptr, &warm)
+                  .converged);
+  const NetworkInstance inst = at_total(81354.2);
+  obs::SolveCounters sink;
+  BushResult chained;
+  {
+    obs::CountersScope counters(sink);
+    chained = solve_bush(inst, FlowObjective::kTotalCost, {}, {}, ws, &warm,
+                         &warm);
+  }
+  const BushResult cold = solve_bush(inst, FlowObjective::kTotalCost);
+  EXPECT_TRUE(chained.converged);
+  EXPECT_EQ(sink.warm_fallbacks, 1u);
+  EXPECT_LT(sink.gap_checks, 100u);
+  EXPECT_NEAR(chained.objective, cold.objective, 1e-12 * cold.objective);
 }
 
 }  // namespace
