@@ -1,6 +1,5 @@
 #include "stackroute/solver/backend.h"
 
-#include <algorithm>
 #include <string>
 
 #include "stackroute/util/error.h"
@@ -122,22 +121,9 @@ std::vector<OriginFlow> origin_flows(
     std::vector<std::vector<double>>& storage) {
   const auto ne = static_cast<std::size_t>(inst.graph.num_edges());
   const std::size_t k = inst.commodities.size();
-  // The origins ascending, each with its commodities in commodity order —
-  // the bush solver's grouping.
-  std::vector<std::size_t> order(k);
-  for (std::size_t i = 0; i < k; ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return inst.commodities[a].source <
-                            inst.commodities[b].source;
-                   });
   std::vector<OriginFlow> out;
-  for (std::size_t i : order) {
-    const NodeId s = inst.commodities[i].source;
-    if (out.empty() || out.back().origin != s) {
-      out.push_back(OriginFlow{s, {}, {}});
-    }
-    out.back().commodities.push_back(i);
+  for (OriginGroup& group : group_by_origin(inst)) {
+    out.push_back(OriginFlow{group.origin, std::move(group.commodities), {}});
   }
 
   if (warm.backend == EquilibriumBackend::kBush) {

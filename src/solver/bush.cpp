@@ -42,30 +42,6 @@ constexpr double kWarmProgress = 0.9;
 // made each gap check 3x slower.
 constexpr std::size_t kLaneWork = 8192;
 
-/// Commodities sharing a source, solved as one bush.
-struct OriginGroup {
-  NodeId origin = kInvalidNode;
-  std::vector<std::size_t> commodities;  // indices, in commodity order
-};
-
-std::vector<OriginGroup> group_by_origin(const NetworkInstance& inst) {
-  const std::size_t k = inst.commodities.size();
-  std::vector<std::pair<NodeId, std::size_t>> keyed(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    keyed[i] = {inst.commodities[i].source, i};
-  }
-  std::stable_sort(keyed.begin(), keyed.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<OriginGroup> groups;
-  for (const auto& [origin, idx] : keyed) {
-    if (groups.empty() || groups.back().origin != origin) {
-      groups.push_back(OriginGroup{origin, {}});
-    }
-    groups.back().commodities.push_back(idx);
-  }
-  return groups;
-}
-
 /// The Newton denominator's per-edge slope: d/dx of the equilibration cost.
 /// Beckmann equilibrates ℓ (slope ℓ'); total cost equilibrates the marginal
 /// ℓ + x·ℓ', whose slope is 2ℓ' + x·ℓ''. The table has no second
@@ -755,6 +731,24 @@ std::size_t vec_bytes_chars(const std::vector<char>& v) {
 }
 
 }  // namespace
+
+std::vector<OriginGroup> group_by_origin(const NetworkInstance& inst) {
+  const std::size_t k = inst.commodities.size();
+  std::vector<std::pair<NodeId, std::size_t>> keyed(k);
+  for (std::size_t i = 0; i < k; ++i) {
+    keyed[i] = {inst.commodities[i].source, i};
+  }
+  std::stable_sort(keyed.begin(), keyed.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::vector<OriginGroup> groups;
+  for (const auto& [origin, idx] : keyed) {
+    if (groups.empty() || groups.back().origin != origin) {
+      groups.push_back(OriginGroup{origin, {}});
+    }
+    groups.back().commodities.push_back(idx);
+  }
+  return groups;
+}
 
 std::size_t OriginBush::footprint_bytes() const {
   return order.capacity() * sizeof(NodeId) + vec_bytes_chars(in_bush) +

@@ -76,6 +76,16 @@ struct BushResult {
   obs::SolveCounters counters;
 };
 
+/// Commodities sharing a source, solved as one bush.
+struct OriginGroup {
+  NodeId origin = kInvalidNode;
+  std::vector<std::size_t> commodities;  // indices, in commodity order
+};
+
+/// The instance's origins ascending, each with its commodities — the
+/// order of solve_bush's bushes (BushWarmState::bushes).
+std::vector<OriginGroup> group_by_origin(const NetworkInstance& inst);
+
 /// Converged state of a prior solve_bush run on the *same* graph and
 /// latencies at (possibly) different demands — the warm-start payload for
 /// chained solves along a sweep axis. The payload is structurally
