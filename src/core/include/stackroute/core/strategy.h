@@ -171,7 +171,8 @@ NetworkStrategy llf_strategy(const NetworkInstance& inst, double alpha);
 /// Precomputed-optimum overload: `optimum` must be solve_optimum's
 /// assignment for `inst`, and `optimum_state` the payload that solve
 /// published (its per-origin flows, see origin_flows in solver/backend.h).
-/// Throws when the payload holds no per-origin flows for `inst`.
+/// Throws when that gives no per-origin flows (a multi-origin optimum
+/// that failed numerically).
 NetworkStrategy llf_strategy(const NetworkInstance& inst, double alpha,
                              const NetworkAssignment& optimum,
                              const EquilibriumWarmState& optimum_state);

@@ -140,10 +140,11 @@ MopResult mop(const NetworkInstance& inst, const MopOptions& opts,
   result.commodities.resize(k);
   std::vector<std::vector<double>> storage;
   const std::vector<OriginFlow> origins =
-      origin_flows(inst, state.optimum, storage);
+      origin_flows(inst, result.optimum_edge_flow, state.optimum, storage);
   if (origins.empty()) {
-    // A solve that failed numerically publishes no per-origin split: the
-    // Leader routes all of O, which induces O trivially (β = 1).
+    // A multi-origin solve that failed numerically publishes no
+    // per-origin split: the Leader routes all of O, which induces O
+    // trivially (β = 1).
     result.leader_edge_flow = result.optimum_edge_flow;
     for (std::size_t i = 0; i < k; ++i) {
       result.commodities[i].controlled_flow = inst.commodities[i].demand;

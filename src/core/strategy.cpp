@@ -287,7 +287,7 @@ NetworkStrategy llf_strategy(const NetworkInstance& inst, double alpha,
              "optimum edge flow vector size mismatch");
   std::vector<std::vector<double>> storage;
   const std::vector<OriginFlow> origins =
-      origin_flows(inst, optimum_state, storage);
+      origin_flows(inst, optimum.edge_flow, optimum_state, storage);
   SR_REQUIRE(!origins.empty(), "LLF needs the optimum's per-origin flows");
 
   // Each commodity's paths: its origin's optimum flow decomposed by sink.

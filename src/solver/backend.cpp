@@ -116,34 +116,36 @@ EquilibriumResult solve_equilibrium(const NetworkInstance& inst,
   return out;
 }
 
-std::vector<OriginFlow> origin_flows(
-    const NetworkInstance& inst, const EquilibriumWarmState& warm,
-    std::vector<std::vector<double>>& storage) {
+namespace {
+
+/// The payload's per-origin flows for `out`'s origins; false when the
+/// payload does not match the instance.
+bool split_from_payload(const NetworkInstance& inst,
+                        const EquilibriumWarmState& warm,
+                        std::vector<OriginFlow>& out,
+                        std::vector<std::vector<double>>& storage) {
   const auto ne = static_cast<std::size_t>(inst.graph.num_edges());
   const std::size_t k = inst.commodities.size();
-  std::vector<OriginFlow> out;
-  for (OriginGroup& group : group_by_origin(inst)) {
-    out.push_back(OriginFlow{group.origin, std::move(group.commodities), {}});
-  }
-
   if (warm.backend == EquilibriumBackend::kBush) {
     const BushWarmState& b = warm.bush;
-    if (b.commodities.size() != k || b.bushes.size() != out.size()) return {};
+    if (b.commodities.size() != k || b.bushes.size() != out.size()) {
+      return false;
+    }
     for (std::size_t i = 0; i < k; ++i) {
       if (b.commodities[i].source != inst.commodities[i].source ||
           b.commodities[i].sink != inst.commodities[i].sink) {
-        return {};
+        return false;
       }
     }
     for (std::size_t o = 0; o < out.size(); ++o) {
       const OriginBush& bush = b.bushes[o];
-      if (bush.origin != out[o].origin || bush.flow.size() != ne) return {};
+      if (bush.origin != out[o].origin || bush.flow.size() != ne) return false;
       out[o].edge_flow = bush.flow;
     }
-    return out;
+    return true;
   }
   const auto& paths = warm.paths.commodity_paths;
-  if (paths.size() != k) return {};
+  if (paths.size() != k) return false;
   storage.assign(out.size(), std::vector<double>(ne, 0.0));
   for (std::size_t o = 0; o < out.size(); ++o) {
     for (std::size_t i : out[o].commodities) {
@@ -155,7 +157,25 @@ std::vector<OriginFlow> origin_flows(
     }
     out[o].edge_flow = storage[o];
   }
-  return out;
+  return true;
+}
+
+}  // namespace
+
+std::vector<OriginFlow> origin_flows(
+    const NetworkInstance& inst, std::span<const double> edge_flow,
+    const EquilibriumWarmState& warm,
+    std::vector<std::vector<double>>& storage) {
+  std::vector<OriginFlow> out;
+  for (OriginGroup& group : group_by_origin(inst)) {
+    out.push_back(OriginFlow{group.origin, std::move(group.commodities), {}});
+  }
+  if (split_from_payload(inst, warm, out, storage)) return out;
+  if (out.size() == 1) {
+    out[0].edge_flow = edge_flow;
+    return out;
+  }
+  return {};
 }
 
 }  // namespace stackroute

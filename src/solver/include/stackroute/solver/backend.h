@@ -128,13 +128,15 @@ struct OriginFlow {
   std::span<const double> edge_flow;  // by EdgeId
 };
 
-/// The per-origin split of the flow whose solve published `warm` for
-/// `inst`, ascending by origin. kBush views the bushes' own flow vectors
-/// in place (no copy); kPathEqualization sums each origin's commodity
-/// paths into `storage`, which the views then point into. Empty when the
-/// payload does not match the instance — a solve that failed numerically
-/// publishes none.
+/// The per-origin split of `edge_flow`, the flow of the solve that
+/// published `warm` for `inst`, ascending by origin. kBush views the
+/// bushes' own flow vectors in place (no copy); kPathEqualization sums
+/// each origin's commodity paths into `storage`, which the views then
+/// point into. A payload that does not match the instance — a solve that
+/// failed numerically publishes none — leaves a single-origin instance
+/// with `edge_flow` as its one origin's flow, and any other empty.
 std::vector<OriginFlow> origin_flows(const NetworkInstance& inst,
+                                     std::span<const double> edge_flow,
                                      const EquilibriumWarmState& warm,
                                      std::vector<std::vector<double>>& storage);
 

@@ -53,7 +53,8 @@ void expect_sink_paths_carry_demands(const NetworkInstance& inst) {
   const NetworkAssignment opt = solve_optimum(inst, {}, ws, nullptr, &state);
   ASSERT_TRUE(opt.converged);
   std::vector<std::vector<double>> storage;
-  const std::vector<OriginFlow> origins = origin_flows(inst, state, storage);
+  const std::vector<OriginFlow> origins =
+      origin_flows(inst, opt.edge_flow, state, storage);
   ASSERT_FALSE(origins.empty());
   std::size_t seen = 0;
   for (const OriginFlow& of : origins) {

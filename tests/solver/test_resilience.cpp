@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "stackroute/core/mop.h"
 #include "stackroute/equilibrium/network.h"
 #include "stackroute/equilibrium/parallel.h"
 #include "stackroute/latency/families.h"
@@ -303,6 +304,27 @@ TEST(SolveBush, WarmSeedHitByAFaultFallsBackCold) {
   EXPECT_EQ(sink.warm_fallbacks, 1u);
   EXPECT_EQ(r.status, SolveStatus::kConverged);
   EXPECT_NEAR(r.objective, clean.objective, 1e-9 * clean.objective);
+}
+
+TEST(SolveBush, MopOnAFailedOptimumStillSplitsItsOneOrigin) {
+  // A bush optimum stopped by a NaN publishes no warm payload; with one
+  // origin, MOP takes the optimum's edge flow as that origin's flow, so β
+  // stays an honest estimate instead of defaulting to full control.
+  Rng rng(5);
+  const NetworkInstance inst = grid_city(rng, 4, 4, 2.0);
+  const MopResult clean = mop(inst);
+  ASSERT_LT(clean.beta, 0.9);
+  fault::TaskFaults tf;
+  tf.latency.push_back({3, false});
+  MopResult r;
+  {
+    fault::FaultScope scope(&tf, 0);
+    r = mop(inst);
+  }
+  EXPECT_EQ(r.status, SolveStatus::kNumericFailure);
+  EXPECT_LT(r.beta, 1.0);
+  EXPECT_NEAR(r.commodities[0].free_flow + r.commodities[0].controlled_flow,
+              inst.commodities[0].demand, 1e-9);
 }
 
 TEST(SolveNash, ParallelLinksStatusPropagates) {
