@@ -59,6 +59,10 @@ struct MopResult {
   /// max_i (controlled_i / r_i). Equals beta for single-commodity nets.
   double weak_beta = 0.0;
   std::vector<double> optimum_edge_flow;
+  /// The optimum's path decomposition per commodity — path equalization
+  /// only (empty on bush, whose split is the optimum's warm payload): the
+  /// per-origin split LLF reads after a MOP run (origin_flows).
+  std::vector<std::vector<PathFlow>> optimum_paths;
   std::vector<double> leader_edge_flow;    // the strategy S, on edges
   std::vector<double> follower_edge_flow;  // induced equilibrium T, on edges
   double optimum_cost = 0.0;
@@ -69,11 +73,8 @@ struct MopResult {
   double induced_residual = 0.0;
   /// Worst outcome over the pipeline's assignment solves (optimum +
   /// induced verification). Degraded solves leave best-so-far flows in
-  /// place; `spread` bounds how far they sit from equilibrium.
+  /// place.
   SolveStatus status = SolveStatus::kConverged;
-  /// Largest achieved path-cost spread over those solves (~tol when
-  /// status == kConverged).
-  double spread = 0.0;
   /// Work counters of the whole pipeline (optimum solve, tight-DAG
   /// Dijkstras, verification solve) — all zero unless the calling thread
   /// had a counter sink installed (obs::CountersScope).
@@ -109,10 +110,10 @@ MopResult mop(const NetworkInstance& inst, const MopOptions& opts = {});
 
 /// Converged solver state of a prior mop() run on the same network at a
 /// nearby demand — the warm-start payload for chained β_G evaluations
-/// along a sweep axis (see each backend's warm contract; an ill-fitting
-/// payload degrades to cold solves, never to wrong answers). `optimum`
-/// also carries the optimum's per-origin flows (origin_flows), which LLF
-/// reads after a MOP run.
+/// along a sweep axis (bush solves only, see solver/backend.h; an
+/// ill-fitting payload degrades to cold solves, never to wrong answers).
+/// On bush, `optimum` also carries the optimum's per-origin flows
+/// (origin_flows), which LLF reads after a MOP run.
 struct MopWarmStart {
   EquilibriumWarmState optimum;  // the optimum solve's payload
   EquilibriumWarmState induced;  // the verification solve's payload

@@ -58,21 +58,11 @@ struct StackelbergOutcome {
 StackelbergOutcome evaluate_strategy(const ParallelLinks& m,
                                      std::span<const double> strategy);
 
-/// Precomputed-optimum overload for α-sweeps: one solve_optimum feeds every
-/// α point instead of one per call. `optimum_cost` must be C(O) > 0.
-StackelbergOutcome evaluate_strategy(const ParallelLinks& m,
-                                     std::span<const double> strategy,
-                                     double optimum_cost);
-
-/// Workspace/warm variant: the induced water-fill reuses `ws` and brackets
-/// from `level_hint` (NaN = cold; see water_filling.h — hints steer the
-/// root search only, never the answer).
-StackelbergOutcome evaluate_strategy(const ParallelLinks& m,
-                                     std::span<const double> strategy,
-                                     double optimum_cost, double tol,
-                                     SolverWorkspace& ws, double level_hint);
-
-/// Budgeted variant: the induced solve honors `budget` (see SolveBudget in
+/// Precomputed-optimum / workspace / warm / budgeted variant for α-sweeps:
+/// `optimum_cost` must be C(O) > 0 (one solve_optimum feeds every α
+/// point); the induced water-fill reuses `ws`, brackets from `level_hint`
+/// (NaN = cold; see water_filling.h — hints steer the root search only,
+/// never the answer) and honors `budget` (see SolveBudget in
 /// solver/status.h); a budget hit or numeric failure degrades the outcome
 /// (status/supply_gap) instead of throwing.
 StackelbergOutcome evaluate_strategy(const ParallelLinks& m,
@@ -117,11 +107,9 @@ struct NetworkStackelbergOutcome {
   double ratio = 0.0;           // C(S+T)/C(O)
   /// converged == solve_ok(status); kept for existing call sites.
   bool converged = true;
-  /// How the induced solve ended (see solver/status.h), with its achieved
-  /// path-cost spread as the honest quality bound (path equalization
-  /// only). Budgets flow in through EquilibriumRequest::budget.
+  /// How the induced solve ended (see solver/status.h). Budgets flow in
+  /// through EquilibriumRequest::budget.
   SolveStatus status = SolveStatus::kConverged;
-  double spread = 0.0;
   /// Work counters of the induced solve — all zero unless the calling
   /// thread had a counter sink installed (obs::CountersScope).
   obs::SolveCounters counters;
@@ -140,8 +128,9 @@ NetworkStackelbergOutcome evaluate_strategy(const NetworkInstance& inst,
 /// α-sweeps: `optimum_cost` must be C(O) > 0; the induced solve runs on
 /// `ws`, warm-started from `warm_in` (null = cold) and, when `warm_out` is
 /// non-null, publishes its converged follower state there for the next
-/// chained point (warm_in and warm_out may alias; an ill-fitting payload
-/// falls back to the cold start, never to a wrong answer).
+/// chained point (bush only, see solver/backend.h; warm_in and warm_out
+/// may alias; an ill-fitting payload falls back to the cold start, never
+/// to a wrong answer).
 NetworkStackelbergOutcome evaluate_strategy(const NetworkInstance& inst,
                                             const NetworkStrategy& strategy,
                                             double optimum_cost,
@@ -170,9 +159,10 @@ NetworkStrategy llf_strategy(const NetworkInstance& inst, double alpha);
 
 /// Precomputed-optimum overload: `optimum` must be solve_optimum's
 /// assignment for `inst`, and `optimum_state` the payload that solve
-/// published (its per-origin flows, see origin_flows in solver/backend.h).
-/// Throws when that gives no per-origin flows (a multi-origin optimum
-/// that failed numerically).
+/// published — the per-origin flows are the optimum's own paths on pe and
+/// that payload's bushes on bush (see origin_flows in solver/backend.h).
+/// Throws when that gives no per-origin flows (a multi-origin bush
+/// optimum that failed numerically).
 NetworkStrategy llf_strategy(const NetworkInstance& inst, double alpha,
                              const NetworkAssignment& optimum,
                              const EquilibriumWarmState& optimum_state);

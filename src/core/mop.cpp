@@ -110,7 +110,7 @@ MopResult mop(const NetworkInstance& inst, const MopOptions& opts,
   const auto ne = static_cast<std::size_t>(g.num_edges());
   const std::size_t k = inst.commodities.size();
   const double r = inst.total_demand();
-  // The optimum's payload holds its per-origin flows, so it is always
+  // A bush optimum's payload holds its per-origin flows, so it is always
   // published: into the caller's warm_out, or a local one.
   MopWarmStart local;
   MopWarmStart& state = warm_out != nullptr ? *warm_out : local;
@@ -124,8 +124,8 @@ MopResult mop(const NetworkInstance& inst, const MopOptions& opts,
                          &state.optimum);
   }();
   result.status = worst_status(result.status, opt.status);
-  result.spread = std::fmax(result.spread, opt.spread);
   result.optimum_edge_flow = std::move(opt.edge_flow);
+  result.optimum_paths = std::move(opt.commodity_paths);
   result.optimum_cost = opt.cost;
   const std::vector<LatencyPtr> lat = g.latencies();
   // The instance's own latencies, no preload: pointer-identical to the
@@ -140,9 +140,10 @@ MopResult mop(const NetworkInstance& inst, const MopOptions& opts,
   result.commodities.resize(k);
   std::vector<std::vector<double>> storage;
   const std::vector<OriginFlow> origins =
-      origin_flows(inst, result.optimum_edge_flow, state.optimum, storage);
+      origin_flows(inst, result.optimum_edge_flow, result.optimum_paths,
+                   state.optimum, storage);
   if (origins.empty()) {
-    // A multi-origin solve that failed numerically publishes no
+    // A multi-origin bush solve that failed numerically publishes no
     // per-origin split: the Leader routes all of O, which induces O
     // trivially (β = 1).
     result.leader_edge_flow = result.optimum_edge_flow;
@@ -242,7 +243,6 @@ MopResult mop(const NetworkInstance& inst, const MopOptions& opts,
           warm_in != nullptr ? &warm_in->induced : nullptr, &state.induced);
       induced_solved = true;
       result.status = worst_status(result.status, induced.status);
-      result.spread = std::fmax(result.spread, induced.spread);
       result.follower_edge_flow = std::move(induced.edge_flow);
       result.induced_cost = induced.cost;
     } else {

@@ -81,21 +81,8 @@ std::vector<std::size_t> order_by_decreasing(std::span<const double> key) {
 StackelbergOutcome evaluate_strategy(const ParallelLinks& m,
                                      std::span<const double> strategy) {
   const LinkAssignment opt = solve_optimum(m);
-  return evaluate_strategy(m, strategy, cost(m, opt.flows));
-}
-
-StackelbergOutcome evaluate_strategy(const ParallelLinks& m,
-                                     std::span<const double> strategy,
-                                     double optimum_cost) {
   SolverWorkspace ws;
-  return evaluate_strategy(m, strategy, optimum_cost, 1e-13, ws, kNaN);
-}
-
-StackelbergOutcome evaluate_strategy(const ParallelLinks& m,
-                                     std::span<const double> strategy,
-                                     double optimum_cost, double tol,
-                                     SolverWorkspace& ws, double level_hint) {
-  return evaluate_strategy(m, strategy, optimum_cost, tol, ws, level_hint,
+  return evaluate_strategy(m, strategy, cost(m, opt.flows), 1e-13, ws, kNaN,
                            SolveBudget{});
 }
 
@@ -231,7 +218,6 @@ NetworkStackelbergOutcome evaluate_strategy(const NetworkInstance& inst,
                                               req, ws, warm_in, warm_out);
     out.converged = induced.converged;
     out.status = induced.status;
-    out.spread = induced.spread;
     out.cost = induced.cost;
     out.induced = std::move(induced.edge_flow);
   }
@@ -287,7 +273,8 @@ NetworkStrategy llf_strategy(const NetworkInstance& inst, double alpha,
              "optimum edge flow vector size mismatch");
   std::vector<std::vector<double>> storage;
   const std::vector<OriginFlow> origins =
-      origin_flows(inst, optimum.edge_flow, optimum_state, storage);
+      origin_flows(inst, optimum.edge_flow, optimum.commodity_paths,
+                   optimum_state, storage);
   SR_REQUIRE(!origins.empty(), "LLF needs the optimum's per-origin flows");
 
   // Each commodity's paths: its origin's optimum flow decomposed by sink.

@@ -259,8 +259,8 @@ SolveResponse Engine::solve_on(SolveSession* session,
         req.budget.active() ? req.budget : opts_.default_budget;
     eval.set_budget(budget);
     // The backend seam: every network solve of the request — pe or bush —
-    // funnels through the dispatcher, and the session's tagged warm state
-    // carries whichever payload the backend produces.
+    // funnels through the dispatcher; bush solves carry the session's warm
+    // state, pe solves run cold.
     eval.set_backend(req.backend);
 
     switch (req.kind) {

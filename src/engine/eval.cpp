@@ -108,8 +108,8 @@ const MopResult& Evaluation::mop_result() {
     MopOptions opts;
     opts.equilibrium = request();
     // A session's payloads seed the solves and receive this run's back;
-    // a session-less run only publishes (the optimum's per-origin flows
-    // are what LLF reads later).
+    // a session-less run only publishes (a bush optimum's per-origin
+    // flows are what LLF reads later).
     mop_ = mop(network(), opts, ws(),
                session_ != nullptr ? &session_->mop : nullptr, &mop_state());
     absorb(mop_->status);
@@ -119,8 +119,8 @@ const MopResult& Evaluation::mop_result() {
 
 const NetworkAssignment& Evaluation::network_nash() {
   if (!net_nash_) {
-    // The session's tagged warm state seeds the solve and receives the
-    // converged payload back (see solver/backend.h).
+    // The session's warm state seeds the solve and receives the
+    // converged payload back (bush only, see solver/backend.h).
     net_nash_ = solve_nash(
         network(), request(), ws(),
         session_ != nullptr ? &session_->equilibrium : nullptr,
@@ -133,10 +133,12 @@ const NetworkAssignment& Evaluation::network_nash() {
 const NetworkAssignment& Evaluation::network_optimum() {
   if (!net_opt_) {
     if (mop_) {
-      // Reuse MOP's optimum instead of solving again: its payload (and
-      // with it the per-origin flows) is already in mop_state().
+      // Reuse MOP's optimum instead of solving again. Its per-origin
+      // flows come along: pe's as its paths, bush's as the payload
+      // already in mop_state().
       NetworkAssignment a;
       a.edge_flow = mop_->optimum_edge_flow;
+      a.commodity_paths = mop_->optimum_paths;
       a.cost = mop_->optimum_cost;
       a.converged = true;
       net_opt_ = std::move(a);

@@ -11,12 +11,6 @@ std::size_t vec_bytes(const std::vector<T>& v) {
   return v.capacity() * sizeof(T);
 }
 
-std::size_t path_flows_bytes(const std::vector<PathFlow>& paths) {
-  std::size_t bytes = vec_bytes(paths);
-  for (const PathFlow& pf : paths) bytes += vec_bytes(pf.path);
-  return bytes;
-}
-
 }  // namespace
 
 std::size_t footprint_bytes(const ParallelLinks& m) {
@@ -69,34 +63,22 @@ std::size_t footprint_bytes(const SolverWorkspace& ws) {
          vec_bytes(ws.weights) + footprint_bytes(ws.bush);
 }
 
-std::size_t footprint_bytes(const AssignmentWarmStart& warm) {
-  std::size_t bytes = vec_bytes(warm.commodity_paths) + vec_bytes(warm.demands);
-  for (const auto& paths : warm.commodity_paths) {
-    bytes += path_flows_bytes(paths);
-  }
-  return bytes;
-}
-
 std::size_t footprint_bytes(const MopWarmStart& warm) {
-  return footprint_bytes(warm.optimum) + footprint_bytes(warm.induced);
+  return warm.optimum.footprint_bytes() + warm.induced.footprint_bytes();
 }
 
 std::size_t footprint_bytes(const OpTopWarmStart& warm) {
   return vec_bytes(warm.round_levels);
 }
 
-std::size_t footprint_bytes(const EquilibriumWarmState& warm) {
-  return footprint_bytes(warm.paths) + warm.bush.footprint_bytes();
-}
-
 std::size_t footprint_bytes(const SolveSession& session) {
   std::size_t bytes = sizeof(session) - sizeof(SolverWorkspace) +
                       footprint_bytes(session.ws) +
-                      footprint_bytes(session.equilibrium) +
+                      session.equilibrium.footprint_bytes() +
                       footprint_bytes(session.mop) +
                       footprint_bytes(session.optop) +
-                      footprint_bytes(session.strategy.scale_induced) +
-                      footprint_bytes(session.strategy.llf_induced);
+                      session.strategy.scale_induced.footprint_bytes() +
+                      session.strategy.llf_induced.footprint_bytes();
   // The anchor instance holds memory even after reset_warm flips has_prev
   // off (the payload is dropped, the buffers may not be) — count what is
   // actually retained.

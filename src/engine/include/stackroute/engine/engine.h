@@ -69,9 +69,9 @@ struct SolveRequest {
   StrategyKind strategy = StrategyKind::kAloof;
   /// Backend of every network solve the request runs — Nash, optimum,
   /// MOP and the baselines' induced solves (see solver/backend.h; parallel
-  /// links always water-fill). Warm chaining is backend-tagged:
-  /// consecutive requests on one session warm-start each other only while
-  /// they keep naming the same backend.
+  /// links always water-fill). Only bush solves chain warm on a session;
+  /// a pe request solves cold and leaves the payload slots it runs
+  /// through empty.
   EquilibriumBackend backend = EquilibriumBackend::kBush;
   /// Optional per-request budget; when inactive the engine's default
   /// applies. Armed per request — the deadline starts when the solve does.

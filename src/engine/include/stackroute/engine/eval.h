@@ -54,8 +54,8 @@ class Evaluation {
   /// Selects the backend every network solve of this evaluation runs on —
   /// Nash, optimum, MOP's induced check and the baselines' induced solves
   /// (see solver/backend.h; bush by default). Call before the first
-  /// solve — the session's warm payloads are backend-tagged, so a
-  /// mid-chain switch re-warms from cold.
+  /// solve. Only bush solves read and publish the session's warm
+  /// payloads; pe solves run cold.
   void set_backend(EquilibriumBackend backend) { backend_ = backend; }
 
   /// Worst SolveStatus over every solve run so far. Degraded solves still

@@ -18,7 +18,6 @@
 #include "stackroute/engine/instance.h"
 #include "stackroute/network/dijkstra.h"
 #include "stackroute/solver/backend.h"
-#include "stackroute/solver/traffic_assignment.h"
 #include "stackroute/solver/workspace.h"
 
 namespace stackroute::engine {
@@ -33,10 +32,8 @@ std::size_t footprint_bytes(const DijkstraWorkspace& ws);
 std::size_t footprint_bytes(const BushWorkspace& bw);
 std::size_t footprint_bytes(const SolverWorkspace& ws);
 
-std::size_t footprint_bytes(const AssignmentWarmStart& warm);
 std::size_t footprint_bytes(const MopWarmStart& warm);
 std::size_t footprint_bytes(const OpTopWarmStart& warm);
-std::size_t footprint_bytes(const EquilibriumWarmState& warm);
 
 /// Everything a session retains between requests: workspace buffers,
 /// compiled table, warm payloads and the previous instance kept as the

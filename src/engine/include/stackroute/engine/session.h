@@ -21,8 +21,8 @@
 namespace stackroute::engine {
 
 /// Converged baseline-strategy solver state carried along an α-sweep
-/// chain: the induced solves' backend-tagged payloads on networks, the
-/// induced water-filling levels on parallel links.
+/// chain: the induced solves' bush payloads on networks, the induced
+/// water-filling levels on parallel links.
 struct StrategyWarmState {
   EquilibriumWarmState scale_induced;  // network follower payloads
   EquilibriumWarmState llf_induced;
@@ -36,14 +36,12 @@ struct SolveSession {
   /// The previous request's instance — kept alive so chain_compatible's
   /// pointer-identity test is sound (and warm_compatible has an anchor).
   Instance prev_instance;
-  /// Converged equilibrium warm state, tagged by the backend that produced
-  /// it (see solver/backend.h): the path-equalization decomposition or
-  /// the per-origin bushes — whichever the last equilibrium request ran.
-  /// Switching backends inside a session clears the other backend's
-  /// payload (prepare()), so a chain that flips backends re-warms from
-  /// cold instead of mis-seeding.
+  /// The last Nash solve's per-origin bushes (see solver/backend.h). A pe
+  /// solve reads none of these payloads and leaves the one it would
+  /// have filled empty, so after a pe request the next bush request on
+  /// that slot starts cold.
   EquilibriumWarmState equilibrium;
-  MopWarmStart mop;          // optimum + induced payloads (the .optimum
+  MopWarmStart mop;          // optimum + induced bushes (the .optimum
                              // half also feeds plain optimum solves and
                              // holds the per-origin flows LLF reads)
   OpTopWarmStart optop;      // parallel-links water-filling levels

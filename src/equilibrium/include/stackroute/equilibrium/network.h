@@ -14,8 +14,9 @@ namespace stackroute {
 struct NetworkAssignment {
   std::vector<double> edge_flow;  // by EdgeId
   /// Path decomposition per commodity — filled by the path-equalization
-  /// backend only (the Wardrop path checker reads it); per-origin flows
-  /// come from the solve's warm payload instead (origin_flows).
+  /// backend only (the Wardrop path checker reads it, and origin_flows
+  /// splits it per origin); a bush solve's per-origin flows are its warm
+  /// payload instead.
   std::vector<std::vector<PathFlow>> commodity_paths;
   /// Total cost C(f) = Σ_e f_e·ℓ_e(f_e) with the instance's own latencies
   /// (no preload): the quantity the paper compares.
@@ -24,17 +25,15 @@ struct NetworkAssignment {
   bool converged = false;
   /// How the underlying solve ended (see solver/status.h).
   SolveStatus status = SolveStatus::kConverged;
-  /// Achieved path-cost spread of a path-equalization solve — the honest
-  /// quality bound on a degraded assignment (zero on bush solves).
-  double spread = 0.0;
 };
 
 // Every solve below runs on the backend `req` names (see solver/backend.h;
 // bush by default) and overrides req.objective with its own program. The
 // workspace variants reuse the caller's buffers; warm state flows through
-// the backend-tagged EquilibriumWarmState (either pointer may be null, and
-// they may alias). `warm_out` is also where a solve's per-origin flows
-// are read back from (origin_flows).
+// the bush payload EquilibriumWarmState (either pointer may be null, and
+// they may alias; a pe solve ignores `warm_in` and clears `warm_out`). A
+// bush solve's per-origin flows are read back from `warm_out`
+// (origin_flows).
 
 /// Wardrop equilibrium of the instance (no Leader).
 NetworkAssignment solve_nash(const NetworkInstance& inst,

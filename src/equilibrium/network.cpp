@@ -29,7 +29,6 @@ NetworkAssignment solve_program(const NetworkInstance& inst,
   out.commodity_paths = std::move(r.commodity_paths);
   out.converged = r.converged;
   out.status = r.status;
-  out.spread = r.spread;
   if (preload.empty()) {
     out.cost = cost(inst, out.edge_flow);
   } else {

@@ -37,8 +37,6 @@ namespace stackroute::obs {
                         "costliest and a cheapest path)")                     \
   X(equalization_evals, "cost-pair evaluations inside equalization "          \
                         "bisections")                                         \
-  X(warm_polish_passes, "Gauss-Seidel polish passes over a warm-started "     \
-                        "path decomposition")                                 \
   X(water_fill_evals, "water-filling supply evaluations S(L)")                \
   X(dijkstra_calls, "Dijkstra runs (forward and reverse)")                    \
   X(dijkstra_settled, "nodes settled across all Dijkstra runs")               \

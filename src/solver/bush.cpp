@@ -448,10 +448,10 @@ bool equilibrate_pass(const LatencyTable& table, FlowObjective objective,
 
 /// Structural fit of a warm payload, and the proportional demand ratio.
 /// Everything checkable without the old graph is checked; graph identity
-/// is the caller's precondition (see BushWarmState).
+/// is the caller's precondition (see EquilibriumWarmState).
 bool warm_usable(const NetworkInstance& inst,
                  const std::vector<OriginGroup>& groups,
-                 const BushWarmState& warm, double& ratio) {
+                 const EquilibriumWarmState& warm, double& ratio) {
   if (warm.empty()) return false;
   const std::size_t k = inst.commodities.size();
   if (warm.commodities.size() != k || warm.bushes.size() != groups.size()) {
@@ -516,8 +516,8 @@ bool warm_bush_consistent(const Graph& g, const OriginBush& b,
 /// the per-solve delta and the warm-fallback rerun.
 BushResult bush_run(const NetworkInstance& inst, FlowObjective objective,
                     const BushOptions& opts, BudgetGate& gate,
-                    SolverWorkspace& ws, const BushWarmState* warm,
-                    BushWarmState* consumable, bool& used_warm) {
+                    SolverWorkspace& ws, const EquilibriumWarmState* warm,
+                    EquilibriumWarmState* consumable, bool& used_warm) {
   BushWorkspace& bw = ws.bush;
   const Graph& g = inst.graph;
   const auto ne = static_cast<std::size_t>(g.num_edges());
@@ -755,7 +755,7 @@ std::size_t OriginBush::footprint_bytes() const {
          flow.capacity() * sizeof(double);
 }
 
-std::size_t BushWarmState::footprint_bytes() const {
+std::size_t EquilibriumWarmState::footprint_bytes() const {
   std::size_t total = bushes.capacity() * sizeof(OriginBush) +
                       commodities.capacity() * sizeof(Commodity);
   for (const OriginBush& b : bushes) total += b.footprint_bytes();
@@ -771,8 +771,8 @@ BushResult solve_bush(const NetworkInstance& inst, FlowObjective objective,
 
 BushResult solve_bush(const NetworkInstance& inst, FlowObjective objective,
                       std::span<const double> preload, const BushOptions& opts,
-                      SolverWorkspace& ws, const BushWarmState* warm,
-                      BushWarmState* warm_out) {
+                      SolverWorkspace& ws, const EquilibriumWarmState* warm,
+                      EquilibriumWarmState* warm_out) {
   obs::ScopedCounterDelta tally;
   obs::ScopedSpan span("bush");
   inst.validate();
@@ -783,7 +783,7 @@ BushResult solve_bush(const NetworkInstance& inst, FlowObjective objective,
   // cold fallback below must not get a fresh one.
   BudgetGate gate(opts.budget);
   bool used_warm = false;
-  BushWarmState* consumable =
+  EquilibriumWarmState* consumable =
       warm != nullptr && warm == warm_out ? warm_out : nullptr;
   BushResult result =
       bush_run(inst, objective, opts, gate, ws, warm, consumable, used_warm);

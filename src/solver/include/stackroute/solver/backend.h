@@ -14,16 +14,18 @@
 //                      golden sweep tables are frozen on it.
 //   kPathEqualization  explicit path decomposition per commodity (what the
 //                      Wardrop path checker needs); converges to a path
-//                      cost spread.
+//                      cost spread. A cold reference solver: it neither
+//                      reads nor publishes warm state.
 //
-// Both publish the per-origin split of their flow in the warm payload
-// (origin_flows below): the bushes' own flows, or the commodity paths
-// summed per origin. MOP's free flow and LLF's path order are computed
-// from that split, so β and the baselines run on either backend.
+// Warm state is one type, the bush payload (EquilibriumWarmState in
+// bush.h). A kBush solve seeds from it and publishes its converged bushes
+// back; a kPathEqualization solve ignores `warm_in` and clears `warm_out`,
+// so after any solve `warm_out` holds that solve's payload or nothing.
 //
-// Warm state is backend-tagged: a session or sweep chain that switches
-// backend drops the other backend's payload instead of feeding, say, a
-// path decomposition to a bush solve (EquilibriumWarmState::prepare).
+// MOP's free flow and LLF's path order are computed from the per-origin
+// split of the optimum (origin_flows below): the bushes' own flows, or
+// the commodity paths summed per origin — so β and the baselines run on
+// either backend.
 #pragma once
 
 #include <cstdint>
@@ -87,31 +89,11 @@ struct EquilibriumResult {
   obs::SolveCounters counters;
 };
 
-/// Backend-tagged warm payload for chained solves. Exactly one payload is
-/// meaningful at a time — the one matching `backend`; prepare() enforces
-/// that on every backend switch.
-struct EquilibriumWarmState {
-  EquilibriumBackend backend = EquilibriumBackend::kBush;
-  /// kPathEqualization: converged path decomposition + demand snapshot.
-  AssignmentWarmStart paths;
-  /// kBush: the per-origin bushes.
-  BushWarmState bush;
-
-  [[nodiscard]] bool empty() const {
-    return paths.empty() && bush.empty();
-  }
-  /// Drops every payload (shrinking nothing; buffers are reused).
-  void clear();
-  /// Retags for `next`, clearing all payloads on a backend switch — stale
-  /// cross-backend state never seeds a solve.
-  void prepare(EquilibriumBackend next);
-};
-
-/// Solves the requested program with the requested backend, seeding from
-/// `warm_in` when its tag and payload fit (see each backend's warm
-/// contract) and, when `warm_out` is non-null, publishing the converged
-/// state back for the next solve in the chain. `warm_in` and `warm_out`
-/// may alias.
+/// Solves the requested program with the requested backend. kBush seeds
+/// from `warm_in` when its payload fits (see solve_bush) and, when
+/// `warm_out` is non-null, publishes the converged bushes there for the
+/// next solve in the chain; kPathEqualization solves cold and clears
+/// `warm_out`. `warm_in` and `warm_out` may alias.
 EquilibriumResult solve_equilibrium(const NetworkInstance& inst,
                                     std::span<const double> preload,
                                     const EquilibriumRequest& req,
@@ -128,16 +110,18 @@ struct OriginFlow {
   std::span<const double> edge_flow;  // by EdgeId
 };
 
-/// The per-origin split of `edge_flow`, the flow of the solve that
-/// published `warm` for `inst`, ascending by origin. kBush views the
-/// bushes' own flow vectors in place (no copy); kPathEqualization sums
-/// each origin's commodity paths into `storage`, which the views then
-/// point into. A payload that does not match the instance — a solve that
-/// failed numerically publishes none — leaves a single-origin instance
-/// with `edge_flow` as its one origin's flow, and any other empty.
-std::vector<OriginFlow> origin_flows(const NetworkInstance& inst,
-                                     std::span<const double> edge_flow,
-                                     const EquilibriumWarmState& warm,
-                                     std::vector<std::vector<double>>& storage);
+/// The per-origin split of a solve's `edge_flow` for `inst`, ascending by
+/// origin. A path-equalization solve's split is its own `commodity_paths`
+/// summed per origin into `storage`, which the views then point into; a
+/// bush solve (no paths) views the bushes of the payload it published in
+/// `warm` in place (no copy). A payload that does not match the instance
+/// — a bush solve that failed numerically publishes none — leaves a
+/// single-origin instance with `edge_flow` as its one origin's flow, and
+/// any other empty.
+std::vector<OriginFlow> origin_flows(
+    const NetworkInstance& inst, std::span<const double> edge_flow,
+    std::span<const std::vector<PathFlow>> commodity_paths,
+    const EquilibriumWarmState& warm,
+    std::vector<std::vector<double>>& storage);
 
 }  // namespace stackroute

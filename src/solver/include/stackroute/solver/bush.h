@@ -83,17 +83,20 @@ struct OriginGroup {
 };
 
 /// The instance's origins ascending, each with its commodities — the
-/// order of solve_bush's bushes (BushWarmState::bushes).
+/// order of solve_bush's bushes (EquilibriumWarmState::bushes).
 std::vector<OriginGroup> group_by_origin(const NetworkInstance& inst);
 
 /// Converged state of a prior solve_bush run on the *same* graph and
-/// latencies at (possibly) different demands — the warm-start payload for
-/// chained solves along a sweep axis. The payload is structurally
+/// latencies at (possibly) different demands — the library's one
+/// warm-start payload, carried by sweep chains, engine sessions and MOP
+/// (see solver/backend.h; path equalization neither reads nor publishes
+/// it). The bushes' flows are also the solve's per-origin split
+/// (origin_flows). The payload is structurally
 /// validated (edge counts, origin set, sinks, per-commodity demand
 /// proportionality against the snapshot below) and an ill-fitting payload
 /// falls back to the cold start, but topology identity of the graph itself
 /// is the caller's unchecked precondition.
-struct BushWarmState {
+struct EquilibriumWarmState {
   std::vector<OriginBush> bushes;       // ascending by origin
   /// The commodities those bushes routed (endpoints + demands snapshot).
   std::vector<Commodity> commodities;
@@ -132,7 +135,8 @@ BushResult solve_bush(const NetworkInstance& inst, FlowObjective objective,
 /// half-moved. A `warm` that does not alias `warm_out` is only read.
 BushResult solve_bush(const NetworkInstance& inst, FlowObjective objective,
                       std::span<const double> preload, const BushOptions& opts,
-                      SolverWorkspace& ws, const BushWarmState* warm = nullptr,
-                      BushWarmState* warm_out = nullptr);
+                      SolverWorkspace& ws,
+                      const EquilibriumWarmState* warm = nullptr,
+                      EquilibriumWarmState* warm_out = nullptr);
 
 }  // namespace stackroute

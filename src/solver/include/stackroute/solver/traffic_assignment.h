@@ -1,5 +1,5 @@
-// Path-equilibration traffic assignment (the library's primary network
-// solver).
+// Path-equilibration traffic assignment: the `pe` backend, kept as a cold
+// reference solver next to the production bush backend (bush.h).
 //
 // Solves the two convex routing programs of objective.h to high accuracy
 // by maintaining, per commodity, an active set of paths and repeatedly
@@ -10,10 +10,11 @@
 // total-cost objective decreases monotonically, and for strictly
 // increasing latencies the unique edge flows are recovered to ~tol.
 //
-// Unlike the bush backend (bush.h), which returns edge flows only, this
-// solver returns an explicit path decomposition per commodity — which MOP
-// and the Wardrop checker need. Its warm start (AssignmentWarmStart) is
-// that decomposition, rescaled per commodity and polished.
+// Unlike the bush backend, which returns edge flows only, this solver
+// returns an explicit path decomposition per commodity — what the Wardrop
+// path checker reads, and an independent cross-check of the bush answers.
+// Every solve starts cold (all-or-nothing); it neither reads nor publishes
+// warm state.
 #pragma once
 
 #include <span>
@@ -46,8 +47,7 @@ struct AssignmentResult {
   double objective = 0.0;  // Beckmann or total cost, per FlowObjective
   int sweeps = 0;
   /// Exact equalization steps taken (each = one Dijkstra + one bisected
-  /// pair move) — the solver's cost driver, reported so warm-start wins
-  /// are observable.
+  /// pair move) — the solver's cost driver.
   int steps = 0;
   /// converged == solve_ok(status); kept for existing call sites.
   bool converged = false;
@@ -76,32 +76,5 @@ AssignmentResult assign_traffic(const NetworkInstance& inst,
                                 std::span<const double> preload,
                                 const AssignmentOptions& opts,
                                 SolverWorkspace& ws);
-
-/// Converged state of a prior assign_traffic run on the *same* graph and
-/// latencies at (possibly) different demands — the warm-start payload for
-/// chained solves along a sweep axis.
-struct AssignmentWarmStart {
-  std::vector<std::vector<PathFlow>> commodity_paths;  // [commodity]
-  /// The demands those paths carried (one entry per commodity).
-  std::vector<double> demands;
-
-  [[nodiscard]] bool empty() const { return commodity_paths.empty(); }
-};
-
-/// Warm-started variant: seeds each commodity's active path set with the
-/// prior paths, flows scaled per commodity by r_new/r_old (the
-/// demand-rescaling projection; an exact fix-up on the largest path keeps
-/// feasibility bitwise). A payload that does not fit the instance —
-/// commodity count mismatch, non-positive prior demand, or any path that
-/// is not a valid s_i-t_i path of this graph — falls back to the cold
-/// all-or-nothing start, so a stale payload can cost time but never
-/// correctness. Warm and cold runs converge to the same equilibrium to
-/// opts.tol (unique edge flows for strictly increasing latencies).
-AssignmentResult assign_traffic(const NetworkInstance& inst,
-                                FlowObjective objective,
-                                std::span<const double> preload,
-                                const AssignmentOptions& opts,
-                                SolverWorkspace& ws,
-                                const AssignmentWarmStart& warm);
 
 }  // namespace stackroute

@@ -117,7 +117,7 @@ void refresh_costs(const LatencyTable& table, std::span<const double> flow,
   }
 }
 
-// Full-table finiteness check, run once after each (re)seeding batch cost
+// Full-table finiteness check, run once after the seeding batch cost
 // evaluation — the batched edge_costs seam can inject there too, and the
 // first Dijkstra must not run on corrupt costs.
 void require_finite_costs(std::span<const double> costs) {
@@ -244,218 +244,32 @@ double equalize_once(const Graph& g, const Commodity& com,
   return worst_cost - best_cost;
 }
 
-// Warm-phase polish, run only on seeded solves. Near the prior point's
-// equilibrium the exact pairwise equalization below is wasteful: every
-// move pays a Dijkstra plus a ~50-iteration bisection to place a tiny
-// amount of flow. This phase instead makes Gauss-Seidel passes — one
-// Dijkstra per commodity per pass, then one secant-sized shift from each
-// costlier active path onto the best path (2-3 cost evaluations per move
-// via false position on the increasing gap function). It terminates on
-// tol, stall, or a pass cap; the exact loop afterwards still owns
-// convergence and every guarantee, so the polish can only spend the warm
-// information, never weaken the result. The cold path never runs it,
-// keeping cold solves bitwise identical to the pre-warm-start solver.
-void warm_polish(const NetworkInstance& inst, const LatencyTable& table,
-                 FlowObjective objective, double tol,
-                 std::vector<CommodityState>& states,
-                 std::vector<double>& flow, SolverWorkspace& ws) {
-  obs::ScopedSpan span("warm_polish");
-  const Graph& g = inst.graph;
-  const std::size_t k = inst.commodities.size();
-  if (ws.delta_mask.size() < static_cast<std::size_t>(g.num_edges())) {
-    ws.delta_mask.assign(static_cast<std::size_t>(g.num_edges()), 0);
-  }
-  std::vector<int>& mask = ws.delta_mask;
-  std::uint64_t passes = 0;
-  std::uint64_t evals = 0;
-  // Passes are ~two orders of magnitude cheaper than exact equalization
-  // steps (no bisection, one Dijkstra per commodity per pass), so a
-  // generous cap and a break only on outright non-progress beat handing a
-  // half-polished state to the exact loop.
-  constexpr int kMaxPasses = 400;
-  // Progress is judged on a window, not pass to pass: inserting a newly
-  // shortest path (flow 0) legitimately *raises* the measured spread for a
-  // pass or two before the redistribution pays off.
-  constexpr int kStallWindow = 12;
-  double best_spread = kInf;
-  int best_pass = 0;
-  for (int pass = 0; pass < kMaxPasses; ++pass) {
-    ++passes;
-    double spread = 0.0;
-    for (std::size_t i = 0; i < k; ++i) {
-      CommodityState& st = states[i];
-      const Commodity& com = inst.commodities[i];
-      const ShortestPathTree& tree =
-          dijkstra(g, com.source, ws.costs, ws.dijkstra);
-      count_dijkstra(ws.dijkstra);
-      Path& shortest = ws.path_scratch;
-      extract_path_into(g, tree, com.sink, shortest);
-      const std::uint64_t fp = path_fingerprint(shortest);
-      std::size_t best = st.active.size();
-      for (std::size_t p = 0; p < st.active.size(); ++p) {
-        if (st.fingerprint[p] == fp && st.active[p].path == shortest) {
-          best = p;
-          break;
-        }
-      }
-      if (best == st.active.size()) {
-        st.active.push_back(PathFlow{shortest, 0.0});
-        st.fingerprint.push_back(fp);
-      }
-      // `best` indexes st.active but references would dangle across the
-      // push_back above, so use the index throughout.
-      double best_cost = path_cost(ws.costs, st.active[best].path);
-      for (std::size_t p = 0; p < st.active.size(); ++p) {
-        if (p == best || st.active[p].flow <= 0.0) continue;
-        const double cp = path_cost(ws.costs, st.active[p].path);
-        const double gap0 = cp - best_cost;
-        spread = std::fmax(spread, gap0);
-        if (gap0 <= tol) continue;
-        // One false-position shift on the increasing gap function
-        // gap(delta) = cost(best gaining delta) - cost(p losing delta),
-        // which starts at -gap0 < 0.
-        const double full = st.active[p].flow;
-        for (EdgeId e : st.active[p].path) {
-          mask[static_cast<std::size_t>(e)] -= 1;
-        }
-        for (EdgeId e : st.active[best].path) {
-          mask[static_cast<std::size_t>(e)] += 1;
-        }
-        const PathCostPair at_full = perturbed_path_cost_pair(
-            table, flow, mask, st.active[best].path, st.active[p].path, full,
-            objective);
-        ++evals;
-        const double gfull = at_full.a - at_full.b;
-        double delta = full;
-        if (gfull > 0.0) {
-          delta = full * gap0 / (gap0 + gfull);
-          // One secant refinement keeps strongly curved moves (BPR high
-          // powers) from over- or undershooting by much.
-          const PathCostPair at_d = perturbed_path_cost_pair(
-              table, flow, mask, st.active[best].path, st.active[p].path,
-              delta, objective);
-          ++evals;
-          const double gd = at_d.a - at_d.b;
-          if (gd > 0.0) {
-            delta *= gap0 / (gap0 + gd);
-          } else if (gd < 0.0) {
-            delta += (full - delta) * (-gd) / (gfull - gd);
-          }
-        }
-        for (EdgeId e : st.active[p].path) {
-          mask[static_cast<std::size_t>(e)] = 0;
-          flow[static_cast<std::size_t>(e)] -= delta;
-        }
-        for (EdgeId e : st.active[best].path) {
-          mask[static_cast<std::size_t>(e)] = 0;
-          flow[static_cast<std::size_t>(e)] += delta;
-        }
-        st.active[p].flow -= delta;
-        st.active[best].flow += delta;
-        refresh_costs(table, flow, objective, st.active[p].path, ws.costs);
-        refresh_costs(table, flow, objective, st.active[best].path, ws.costs);
-        best_cost = path_cost(ws.costs, st.active[best].path);
-      }
-    }
-    // Converged for the exact loop to verify, or no longer halving the
-    // spread within the window (degeneracy the polish cannot fix) — either
-    // way hand over.
-    if (spread <= tol) break;
-    if (spread < 0.5 * best_spread) {
-      best_spread = spread;
-      best_pass = pass;
-    } else if (pass - best_pass >= kStallWindow) {
-      break;
-    }
-  }
-  obs::count(&obs::SolveCounters::warm_polish_passes, passes);
-  obs::count(&obs::SolveCounters::equalization_evals, evals);
+}  // namespace
+
+AssignmentResult assign_traffic(const NetworkInstance& inst,
+                                FlowObjective objective,
+                                std::span<const double> preload,
+                                const AssignmentOptions& opts) {
+  SolverWorkspace ws;
+  return assign_traffic(inst, objective, preload, opts, ws);
 }
 
-// Seed the active sets from a prior converged decomposition, flows scaled
-// per commodity by r_new/r_old with an exact fix-up on the largest path so
-// each commodity's total is bitwise its demand. Returns false — restoring
-// `states` and `flow` to their all-empty/all-zero entry state — when the
-// payload does not fit the instance (commodity count mismatch, bad prior
-// demand, or a path that is not a valid s_i-t_i path of this graph), so a
-// stale payload degrades to the cold start instead of corrupting the solve.
-bool seed_from_warm(const NetworkInstance& inst, const LatencyTable& table,
-                    FlowObjective objective, const AssignmentWarmStart& warm,
-                    std::vector<CommodityState>& states,
-                    std::vector<double>& flow, SolverWorkspace& ws) {
-  const Graph& g = inst.graph;
-  const std::size_t k = inst.commodities.size();
-  if (warm.commodity_paths.size() != k || warm.demands.size() != k) {
-    return false;
-  }
-  for (std::size_t i = 0; i < k; ++i) {
-    if (!(warm.demands[i] > 0.0) || !std::isfinite(warm.demands[i])) {
-      return false;
-    }
-    const Commodity& com = inst.commodities[i];
-    double carried = 0.0;
-    double heaviest = 0.0;
-    for (const PathFlow& pf : warm.commodity_paths[i]) {
-      if (!(pf.flow >= 0.0)) return false;
-      if (pf.flow == 0.0) continue;
-      if (!is_path(g, com.source, com.sink, pf.path)) return false;
-      carried += pf.flow;
-      heaviest = std::fmax(heaviest, pf.flow);
-    }
-    // No positive-flow path at all (e.g. a prior point whose commodity
-    // carried only micro demand): nothing to seed from — and the fix-up
-    // below would index an empty active set.
-    if (!(heaviest > 0.0)) return false;
-    // The flows must actually decompose the claimed demand; a payload that
-    // lies about it would make the fix-up below a large (possibly
-    // sign-flipping) correction instead of a roundoff patch.
-    if (std::fabs(carried - warm.demands[i]) >
-        1e-6 * std::fmax(1.0, warm.demands[i])) {
-      return false;
-    }
-    const double factor = com.demand / warm.demands[i];
-    if (!(factor > 0.0) || !std::isfinite(factor)) return false;
-    // The fix-up lands on the heaviest path; it must stay positive there.
-    if (!(factor * heaviest + (com.demand - factor * carried) > 0.0)) {
-      return false;
-    }
-  }
-  for (std::size_t i = 0; i < k; ++i) {
-    const Commodity& com = inst.commodities[i];
-    const double factor = com.demand / warm.demands[i];
-    CommodityState& st = states[i];
-    double assigned = 0.0;
-    std::size_t largest = 0;
-    for (const PathFlow& pf : warm.commodity_paths[i]) {
-      if (pf.flow <= 0.0) continue;
-      st.active.push_back(PathFlow{pf.path, pf.flow * factor});
-      st.fingerprint.push_back(path_fingerprint(pf.path));
-      assigned += st.active.back().flow;
-      if (st.active.back().flow > st.active[largest].flow) {
-        largest = st.active.size() - 1;
-      }
-    }
-    st.active[largest].flow += com.demand - assigned;
-    for (const PathFlow& pf : st.active) {
-      for (EdgeId e : pf.path) {
-        flow[static_cast<std::size_t>(e)] += pf.flow;
-      }
-    }
-  }
-  edge_costs(table, flow, objective, ws.costs);
-  return true;
-}
+// Publishes its work counters into whatever sink the caller installed. A
+// NumericError anywhere in the seed or the sweeps degrades to best-so-far
+// instead of escaping.
+AssignmentResult assign_traffic(const NetworkInstance& inst,
+                                FlowObjective objective,
+                                std::span<const double> preload,
+                                const AssignmentOptions& opts,
+                                SolverWorkspace& ws) {
+  obs::ScopedCounterDelta tally;
+  obs::ScopedSpan span("assign_traffic");
+  inst.validate();
+  const std::vector<LatencyPtr> lat =
+      effective_latencies(inst.graph, preload);
+  ws.table.ensure_compiled(lat);
+  BudgetGate gate(opts.budget);
 
-// One full equilibration run (seed + sweeps). Publishes its work counters
-// into whatever sink/delta the caller installed; the public entry point
-// owns the per-solve delta and the warm-fallback rerun. A NumericError
-// anywhere in the seed or the sweeps degrades to best-so-far instead of
-// escaping.
-AssignmentResult assign_run(const NetworkInstance& inst,
-                            FlowObjective objective,
-                            const AssignmentOptions& opts, BudgetGate& gate,
-                            SolverWorkspace& ws,
-                            const AssignmentWarmStart& warm, bool& used_warm) {
   const Graph& g = inst.graph;
   const LatencyTable& table = ws.table;
   const auto ne = static_cast<std::size_t>(g.num_edges());
@@ -465,38 +279,27 @@ AssignmentResult assign_run(const NetworkInstance& inst,
   result.edge_flow.assign(ne, 0.0);
   std::vector<CommodityState> states(k);
   ws.costs.resize(ne);
-  used_warm = false;
   result.status = SolveStatus::kIterLimit;  // until proven otherwise
   result.spread = kInf;
 
   try {
-    if (!warm.empty()) obs::count(&obs::SolveCounters::warm_attempts);
-    if (!warm.empty() && seed_from_warm(inst, table, objective, warm, states,
-                                        result.edge_flow, ws)) {
-      obs::count(&obs::SolveCounters::warm_hits);
-      used_warm = true;
-      require_finite_costs(ws.costs);
-      warm_polish(inst, table, objective, opts.tol, states, result.edge_flow,
-                  ws);
-    } else {
-      // Cold start: all-or-nothing at current costs, commodity by commodity
-      // so later commodities see earlier ones' flow.
-      edge_costs(table, result.edge_flow, objective, ws.costs);
-      require_finite_costs(ws.costs);
-      for (std::size_t i = 0; i < k; ++i) {
-        const Commodity& com = inst.commodities[i];
-        const ShortestPathTree& tree =
-            dijkstra(g, com.source, ws.costs, ws.dijkstra);
-        count_dijkstra(ws.dijkstra);
-        Path& p = ws.path_scratch;
-        extract_path_into(g, tree, com.sink, p);
-        for (EdgeId e : p) {
-          result.edge_flow[static_cast<std::size_t>(e)] += com.demand;
-        }
-        refresh_costs(table, result.edge_flow, objective, p, ws.costs);
-        states[i].active.push_back(PathFlow{p, com.demand});
-        states[i].fingerprint.push_back(path_fingerprint(p));
+    // All-or-nothing at current costs, commodity by commodity so later
+    // commodities see earlier ones' flow.
+    edge_costs(table, result.edge_flow, objective, ws.costs);
+    require_finite_costs(ws.costs);
+    for (std::size_t i = 0; i < k; ++i) {
+      const Commodity& com = inst.commodities[i];
+      const ShortestPathTree& tree =
+          dijkstra(g, com.source, ws.costs, ws.dijkstra);
+      count_dijkstra(ws.dijkstra);
+      Path& p = ws.path_scratch;
+      extract_path_into(g, tree, com.sink, p);
+      for (EdgeId e : p) {
+        result.edge_flow[static_cast<std::size_t>(e)] += com.demand;
       }
+      refresh_costs(table, result.edge_flow, objective, p, ws.costs);
+      states[i].active.push_back(PathFlow{p, com.demand});
+      states[i].fingerprint.push_back(path_fingerprint(p));
     }
 
     const bool tracing = obs::convergence() != nullptr;
@@ -580,60 +383,6 @@ AssignmentResult assign_run(const NetworkInstance& inst,
              static_cast<std::uint64_t>(result.steps));
   obs::count(&obs::SolveCounters::gap_checks,
              static_cast<std::uint64_t>(result.sweeps));
-  return result;
-}
-
-}  // namespace
-
-AssignmentResult assign_traffic(const NetworkInstance& inst,
-                                FlowObjective objective,
-                                std::span<const double> preload,
-                                const AssignmentOptions& opts) {
-  SolverWorkspace ws;
-  return assign_traffic(inst, objective, preload, opts, ws);
-}
-
-AssignmentResult assign_traffic(const NetworkInstance& inst,
-                                FlowObjective objective,
-                                std::span<const double> preload,
-                                const AssignmentOptions& opts,
-                                SolverWorkspace& ws) {
-  return assign_traffic(inst, objective, preload, opts, ws,
-                        AssignmentWarmStart{});
-}
-
-AssignmentResult assign_traffic(const NetworkInstance& inst,
-                                FlowObjective objective,
-                                std::span<const double> preload,
-                                const AssignmentOptions& opts,
-                                SolverWorkspace& ws,
-                                const AssignmentWarmStart& warm) {
-  obs::ScopedCounterDelta tally;
-  obs::ScopedSpan span("assign_traffic");
-  inst.validate();
-  const std::vector<LatencyPtr> lat =
-      effective_latencies(inst.graph, preload);
-  ws.table.ensure_compiled(lat);
-
-  // One gate for the whole call: a cold fallback after a degraded warm run
-  // inherits whatever deadline is left, not a fresh one.
-  BudgetGate gate(opts.budget);
-  bool used_warm = false;
-  AssignmentResult result =
-      assign_run(inst, objective, opts, gate, ws, warm, used_warm);
-
-  // Warm-start guard: a warm seed that went numerically bad, stalled, or
-  // exhausted the sweep cap without converging gets one cold retry — the
-  // seed, not the instance, is the prime suspect. A deadline hit is not
-  // retried (no time left to retry with).
-  if (used_warm && !solve_ok(result.status) &&
-      result.status != SolveStatus::kDeadlineExceeded) {
-    obs::count(&obs::SolveCounters::warm_fallbacks);
-    bool cold_used_warm = false;
-    result = assign_run(inst, objective, opts, gate, ws, AssignmentWarmStart{},
-                        cold_used_warm);
-  }
-
   if (tally.active()) result.counters = tally.current();
   return result;
 }

@@ -82,9 +82,8 @@ class TaskEval {
 
   /// Selects the equilibrium backend for this task's network Nash solves
   /// (see solver/backend.h). The runner applies ScenarioSpec::backend here
-  /// before the first metric; warm chains are keyed per backend (the
-  /// session payload is backend-tagged), so mixing backends across tasks
-  /// re-warms from cold instead of mis-seeding.
+  /// before the first metric. Only bush solves chain warm; pe solves run
+  /// cold and leave the session payload they pass through empty.
   void set_backend(EquilibriumBackend backend) { eval_.set_backend(backend); }
 
   /// Worst SolveStatus over every solve this task has run so far — what

@@ -178,7 +178,7 @@ TEST(Mop, WarmStartAgreesWithColdAndHarvestsState) {
   MopWarmStart warm;
   const MopResult first = mop(inst, {}, ws, nullptr, &warm);
   EXPECT_FALSE(warm.optimum.empty());
-  ASSERT_EQ(warm.optimum.bush.commodities.size(), inst.commodities.size());
+  ASSERT_EQ(warm.optimum.commodities.size(), inst.commodities.size());
 
   for (auto& c : inst.commodities) c.demand *= 1.4;
   const MopResult cold = mop(inst);
@@ -190,8 +190,8 @@ TEST(Mop, WarmStartAgreesWithColdAndHarvestsState) {
               1e-7 * std::fmax(1.0, cold.induced_cost));
   EXPECT_NEAR(w.induced_residual, cold.induced_residual, 1e-6);
   // The harvest now reflects the new point.
-  ASSERT_EQ(warm.optimum.bush.commodities.size(), inst.commodities.size());
-  EXPECT_DOUBLE_EQ(warm.optimum.bush.commodities[0].demand,
+  ASSERT_EQ(warm.optimum.commodities.size(), inst.commodities.size());
+  EXPECT_DOUBLE_EQ(warm.optimum.commodities[0].demand,
                    inst.commodities[0].demand);
   (void)first;
 }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <string>
 #include <variant>
 #include <vector>
@@ -181,14 +182,14 @@ TEST(EngineTest, SessionFootprintCountsMopAndStrategyPayloads) {
   Evaluation eval(inst, &session);
   (void)eval.beta();
   (void)eval.strategy_cost(StrategyKind::kLlf, 0.3);
-  ASSERT_FALSE(session.mop.optimum.bush.empty());
-  ASSERT_FALSE(session.mop.induced.bush.empty());
-  ASSERT_FALSE(session.strategy.llf_induced.bush.empty());
+  ASSERT_FALSE(session.mop.optimum.empty());
+  ASSERT_FALSE(session.mop.induced.empty());
+  ASSERT_FALSE(session.strategy.llf_induced.empty());
   const std::size_t payloads = footprint_bytes(session.mop) +
-                               footprint_bytes(session.strategy.llf_induced);
-  EXPECT_GE(payloads, session.mop.optimum.bush.footprint_bytes() +
-                          session.mop.induced.bush.footprint_bytes() +
-                          session.strategy.llf_induced.bush.footprint_bytes());
+                               session.strategy.llf_induced.footprint_bytes();
+  EXPECT_GE(payloads, session.mop.optimum.footprint_bytes() +
+                          session.mop.induced.footprint_bytes() +
+                          session.strategy.llf_induced.footprint_bytes());
   EXPECT_GE(footprint_bytes(session), footprint_bytes(session.ws) + payloads);
 }
 
@@ -394,6 +395,68 @@ TEST(EngineTest, BatchSessionsWarmInSubmissionOrder) {
   EXPECT_FALSE(resps[0].warm);
   EXPECT_TRUE(resps[1].warm);
   EXPECT_TRUE(resps[2].warm);
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+TEST(EngineTest, PeSessionSolvesEveryRequestCold) {
+  // Path equalization is a cold reference solver: a pe session walking a
+  // 4-level demand ramp answers every request bit for bit as a sessionless
+  // pe solve does, and offers none of its solves a warm payload.
+  EngineOptions opts;
+  opts.collect_counters = true;
+  Engine eng(opts);
+  const std::uint64_t s = eng.open_session();
+  for (int level = 0; level < 4; ++level) {
+    for (RequestKind kind : {RequestKind::kEquilibrium, RequestKind::kMop}) {
+      SolveRequest req = request(kind, grid_instance(1.0 + 0.25 * level), s);
+      req.backend = EquilibriumBackend::kPathEqualization;
+      const SolveResponse chained = eng.solve(req);
+      req.session = 0;
+      const SolveResponse cold = eng.solve(req);
+      ASSERT_TRUE(chained.ok && cold.ok) << chained.error << cold.error;
+      EXPECT_EQ(chained.warm, level > 0 || kind == RequestKind::kMop);
+      EXPECT_TRUE(same_bits(chained.cost, cold.cost)) << "level " << level;
+      EXPECT_TRUE(same_bits(chained.beta, cold.beta)) << "level " << level;
+      EXPECT_TRUE(same_bits(chained.optimum_cost, cold.optimum_cost));
+      EXPECT_EQ(chained.status, cold.status);
+      EXPECT_EQ(chained.counters.warm_attempts, 0u) << "level " << level;
+      for (const obs::SolveCounters::FieldInfo& f :
+           obs::SolveCounters::fields()) {
+        EXPECT_EQ(chained.counters.*f.member, cold.counters.*f.member)
+            << f.name << " at level " << level;
+      }
+    }
+  }
+}
+
+TEST(EngineTest, PeMopBetweenBushMopsRunsOnItsOwnSplit) {
+  // One session, one two-origin instance: bush MOP, pe MOP, bush MOP. The
+  // pe run must not read the first run's bushes as its per-origin split,
+  // and leaves no payload behind, so the last bush run starts cold.
+  Engine eng;
+  const std::uint64_t s = eng.open_session();
+  const auto mop_on = [&](EquilibriumBackend backend, std::uint64_t session) {
+    SolveRequest req =
+        request(RequestKind::kMop, two_commodity_instance(1.0, 0.6), session);
+    req.backend = backend;
+    const SolveResponse resp = eng.solve(req);
+    EXPECT_TRUE(resp.ok) << resp.error;
+    return resp;
+  };
+  const SolveResponse bush_first = mop_on(EquilibriumBackend::kBush, s);
+  ASSERT_FALSE(eng.session(s)->mop.optimum.empty());
+  const SolveResponse pe = mop_on(EquilibriumBackend::kPathEqualization, s);
+  EXPECT_TRUE(eng.session(s)->mop.optimum.empty());
+  EXPECT_TRUE(eng.session(s)->mop.induced.empty());
+  const SolveResponse bush_last = mop_on(EquilibriumBackend::kBush, s);
+  EXPECT_TRUE(
+      same_bits(pe.beta,
+                mop_on(EquilibriumBackend::kPathEqualization, 0).beta));
+  EXPECT_TRUE(same_bits(bush_last.beta, bush_first.beta));
+  EXPECT_TRUE(same_bits(bush_last.cost, bush_first.cost));
 }
 
 TEST(EngineTest, BushSeedRejectedAfterDemandSplitChange) {

@@ -1,8 +1,8 @@
 // Per-origin flows on the shipped TNTP networks: a bush optimum's origins
 // decompose into sink-tagged paths that carry every commodity's demand,
 // MOP's per-origin β on Anaheim stays within its declared warm-versus-
-// cold tolerance, and a warm optimum that stalls hands over to the cold
-// retry early.
+// cold tolerance, a warm optimum that stalls hands over to the cold
+// retry early, and path equalization's split comes from its own paths.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "stackroute/core/mop.h"
+#include "stackroute/engine/eval.h"
 #include "stackroute/equilibrium/network.h"
 #include "stackroute/io/tntp.h"
 #include "stackroute/network/paths.h"
@@ -54,7 +55,7 @@ void expect_sink_paths_carry_demands(const NetworkInstance& inst) {
   ASSERT_TRUE(opt.converged);
   std::vector<std::vector<double>> storage;
   const std::vector<OriginFlow> origins =
-      origin_flows(inst, opt.edge_flow, state, storage);
+      origin_flows(inst, opt.edge_flow, opt.commodity_paths, state, storage);
   ASSERT_FALSE(origins.empty());
   std::size_t seen = 0;
   for (const OriginFlow& of : origins) {
@@ -121,7 +122,7 @@ TEST(OriginFlows, StalledWarmOptimumGivesWayToTheColdRetryEarly) {
     return std::get<NetworkInstance>(std::move(inst));
   };
   SolverWorkspace ws;
-  BushWarmState warm;
+  EquilibriumWarmState warm;
   ASSERT_TRUE(solve_bush(at_total(40677.1), FlowObjective::kTotalCost, {},
                          {}, ws, nullptr, &warm)
                   .converged);
@@ -138,6 +139,19 @@ TEST(OriginFlows, StalledWarmOptimumGivesWayToTheColdRetryEarly) {
   EXPECT_EQ(sink.warm_fallbacks, 1u);
   EXPECT_LT(sink.gap_checks, 100u);
   EXPECT_NEAR(chained.objective, cold.objective, 1e-12 * cold.objective);
+}
+
+TEST(OriginFlows, PathEqualizationMopThenLlfSplitsByItsOwnPaths) {
+  // A pe solve publishes no warm payload; its per-origin split is its own
+  // commodity paths, which survive the Evaluation's reuse of MOP's
+  // optimum for LLF. pe solves cold and sums its paths per origin in
+  // commodity order, so β and LLF's C(S+T) are pinned bit for bit.
+  const engine::Instance inst(sioux_falls());
+  engine::Evaluation eval(inst, nullptr);
+  eval.set_backend(EquilibriumBackend::kPathEqualization);
+  EXPECT_EQ(eval.beta(), 0x1.224516e71c86p-5);
+  EXPECT_EQ(eval.strategy_cost(engine::StrategyKind::kLlf, 0.5),
+            0x1.2f058758e9023p+18);
 }
 
 }  // namespace

@@ -202,37 +202,6 @@ TEST(Counters, WaterFillWarmHintAccounting) {
   EXPECT_EQ(miss.warm_hits, 0u);
 }
 
-TEST(Counters, AssignmentWarmPayloadAccounting) {
-  Rng rng(5);
-  NetworkInstance inst = grid_city(rng, 3, 3, 1.5);
-  SolverWorkspace ws;
-  obs::SolveCounters sink;
-  obs::CountersScope scope(sink);
-
-  // Converged state of a real solve is an attempt and a hit.
-  const AssignmentResult first =
-      assign_traffic(inst, FlowObjective::kTotalCost, {}, {}, ws);
-  AssignmentWarmStart warm;
-  warm.commodity_paths = first.commodity_paths;
-  for (const auto& c : inst.commodities) warm.demands.push_back(c.demand);
-  const AssignmentResult rewarmed =
-      assign_traffic(inst, FlowObjective::kTotalCost, {}, {}, ws, warm);
-  EXPECT_EQ(rewarmed.counters.warm_attempts, 1u);
-  EXPECT_EQ(rewarmed.counters.warm_hits, 1u);
-
-  // A junk payload (wrong commodity count) is an attempted miss that
-  // falls back cold — same answer, hit not counted.
-  AssignmentWarmStart junk;
-  junk.commodity_paths.resize(inst.commodities.size() + 3);
-  junk.demands.assign(inst.commodities.size() + 3, 1.0);
-  const AssignmentResult missed =
-      assign_traffic(inst, FlowObjective::kTotalCost, {}, {}, ws, junk);
-  EXPECT_EQ(missed.counters.warm_attempts, 1u);
-  EXPECT_EQ(missed.counters.warm_hits, 0u);
-  EXPECT_NEAR(missed.objective, rewarmed.objective,
-              1e-8 * std::fmax(1.0, std::fabs(rewarmed.objective)));
-}
-
 // ---- Convergence trace ---------------------------------------------------
 
 TEST(ConvergenceTrace, RingBufferRetainsTheNewest) {

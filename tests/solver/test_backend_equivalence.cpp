@@ -198,7 +198,7 @@ TEST(Bush, WarmMatchesColdAcrossDemandScale) {
   const NetworkInstance base = grid_city_multicommodity(rng, 4, 5, 5, 0.5, 2.0);
 
   SolverWorkspace ws;
-  BushWarmState warm;
+  EquilibriumWarmState warm;
   obs::SolveCounters sink;
   obs::CountersScope scope(sink);
 
@@ -233,7 +233,7 @@ TEST(Bush, MismatchedWarmPayloadFallsBackCold) {
   b.commodities[0].sink = b.commodities[0].sink - 1;  // different endpoints
 
   SolverWorkspace ws;
-  BushWarmState warm;
+  EquilibriumWarmState warm;
   ASSERT_TRUE(
       solve_bush(a, FlowObjective::kBeckmann, {}, {}, ws, nullptr, &warm)
           .converged);
@@ -257,7 +257,7 @@ bool bitwise_equal(const std::vector<double>& a, const std::vector<double>& b) {
 /// counts: the result, its counters, and the warm payload it hands on.
 struct BushRun {
   BushResult result;
-  BushWarmState warm_out;
+  EquilibriumWarmState warm_out;
 };
 
 void expect_same_run(const BushRun& want, const BushRun& got,
@@ -300,7 +300,7 @@ std::pair<BushRun, BushRun> cold_then_warm(const NetworkInstance& inst,
   runs.first.result = solve_bush(inst, FlowObjective::kBeckmann, {}, opts,
                                  ws, nullptr, &runs.first.warm_out);
   if (aliased) {
-    BushWarmState chain = runs.first.warm_out;
+    EquilibriumWarmState chain = runs.first.warm_out;
     runs.second.result = solve_bush(scaled, FlowObjective::kBeckmann, {},
                                     opts, ws, &chain, &chain);
     runs.second.warm_out = std::move(chain);
@@ -374,7 +374,7 @@ TEST(Bush, CyclicWarmPayloadFallsBackColdAliasedOrNot) {
 
   // One solve of `scaled` on a fresh workspace, reading `warm` (null =
   // cold) and publishing into run.warm_out.
-  const auto solve_into = [&](BushRun& run, const BushWarmState* warm) {
+  const auto solve_into = [&](BushRun& run, const EquilibriumWarmState* warm) {
     SolverWorkspace ws;
     obs::SolveCounters sink;
     obs::CountersScope scope(sink);
@@ -387,7 +387,7 @@ TEST(Bush, CyclicWarmPayloadFallsBackColdAliasedOrNot) {
   // Flip one bit of the *last* bush, so every bush before it has already
   // passed validation when the bad one is found: the reverse of a bush edge
   // joins the bush and closes a two-edge cycle.
-  BushWarmState bad;
+  EquilibriumWarmState bad;
   {
     SolverWorkspace ws;
     ASSERT_TRUE(solve_bush(base, FlowObjective::kBeckmann, {}, {}, ws, nullptr,
@@ -458,29 +458,31 @@ TEST(Bush, CountersReportShiftsAndRebuilds) {
   EXPECT_GT(sink.gap_checks, 0u);
 }
 
-TEST(BackendWarmState, SwitchingBackendsDropsPayloads) {
+TEST(BackendWarmState, PathEqualizationNeitherReadsNorPublishes) {
+  // The warm state is the bush payload alone: a pe solve handed one does
+  // not count a warm attempt, answers exactly as a cold pe solve, and
+  // clears it so it never reads as the pe solve's own per-origin split.
   Rng rng(11);
   const NetworkInstance inst = grid_city(rng, 3, 3, 1.5);
   SolverWorkspace ws;
   EquilibriumWarmState warm;
-
   EquilibriumRequest req;
-  req.backend = EquilibriumBackend::kPathEqualization;
   ASSERT_TRUE(solve_equilibrium(inst, {}, req, ws, &warm, &warm).converged);
-  EXPECT_EQ(warm.backend, EquilibriumBackend::kPathEqualization);
-  EXPECT_FALSE(warm.paths.empty());
-
-  req.backend = EquilibriumBackend::kBush;
-  ASSERT_TRUE(solve_equilibrium(inst, {}, req, ws, &warm, &warm).converged);
-  EXPECT_EQ(warm.backend, EquilibriumBackend::kBush);
-  EXPECT_TRUE(warm.paths.empty()) << "pe payload must not survive a switch";
-  EXPECT_FALSE(warm.bush.empty());
+  ASSERT_FALSE(warm.empty());
 
   req.backend = EquilibriumBackend::kPathEqualization;
-  ASSERT_TRUE(solve_equilibrium(inst, {}, req, ws, &warm, &warm).converged);
-  EXPECT_EQ(warm.backend, EquilibriumBackend::kPathEqualization);
-  EXPECT_TRUE(warm.bush.empty()) << "bush payload must not survive a switch";
-  EXPECT_FALSE(warm.paths.empty());
+  obs::SolveCounters sink;
+  EquilibriumResult seeded;
+  {
+    obs::CountersScope scope(sink);
+    seeded = solve_equilibrium(inst, {}, req, ws, &warm, &warm);
+  }
+  EXPECT_EQ(sink.warm_attempts, 0u);
+  EXPECT_TRUE(warm.empty()) << "a pe solve must not leave a bush payload";
+  const EquilibriumResult cold =
+      solve_equilibrium(inst, {}, req, ws, nullptr, nullptr);
+  EXPECT_TRUE(bitwise_equal(seeded.edge_flow, cold.edge_flow));
+  EXPECT_FALSE(seeded.commodity_paths.empty());
 }
 
 // Sweep-table level: a bush-backed demand sweep exports byte-identical

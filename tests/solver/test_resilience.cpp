@@ -286,7 +286,7 @@ TEST(SolveBush, WarmSeedHitByAFaultFallsBackCold) {
   Rng rng(6);
   NetworkInstance inst = grid_city(rng, 4, 4, 2.0);
   SolverWorkspace ws;
-  BushWarmState warm;
+  EquilibriumWarmState warm;
   ASSERT_TRUE(solve_bush(inst, FlowObjective::kBeckmann, {}, {}, ws, nullptr,
                          &warm)
                   .converged);

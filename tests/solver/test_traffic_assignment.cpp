@@ -184,76 +184,5 @@ TEST(AssignTraffic, InvalidInstanceThrows) {
   EXPECT_THROW(assign_traffic(inst, FlowObjective::kBeckmann), Error);
 }
 
-
-TEST(AssignTraffic, WarmStartMatchesColdSolution) {
-  Rng rng(5);
-  const NetworkInstance base = grid_city(rng, 5, 5, 2.0);
-  SolverWorkspace ws;
-  const AssignmentResult prior =
-      assign_traffic(base, FlowObjective::kBeckmann, {}, {}, ws);
-
-  NetworkInstance scaled = base;
-  for (auto& c : scaled.commodities) c.demand *= 1.35;
-  AssignmentWarmStart warm;
-  warm.commodity_paths = prior.commodity_paths;
-  for (const auto& c : base.commodities) warm.demands.push_back(c.demand);
-
-  const AssignmentResult w =
-      assign_traffic(scaled, FlowObjective::kBeckmann, {}, {}, ws, warm);
-  const AssignmentResult c =
-      assign_traffic(scaled, FlowObjective::kBeckmann, {}, {}, ws);
-  EXPECT_TRUE(w.converged);
-  ASSERT_EQ(w.edge_flow.size(), c.edge_flow.size());
-  for (std::size_t e = 0; e < w.edge_flow.size(); ++e) {
-    EXPECT_NEAR(w.edge_flow[e], c.edge_flow[e], 1e-6) << "edge " << e;
-  }
-  EXPECT_NEAR(w.objective, c.objective, 1e-8 * std::fmax(1.0, c.objective));
-  // The whole point: the warm solve pays far fewer exact equalization
-  // steps than the cold one.
-  EXPECT_LT(w.steps, c.steps);
-  // Demands conserved exactly per commodity.
-  for (std::size_t i = 0; i < scaled.commodities.size(); ++i) {
-    double total = 0.0;
-    for (const PathFlow& pf : w.commodity_paths[i]) total += pf.flow;
-    EXPECT_NEAR(total, scaled.commodities[i].demand,
-                1e-9 * std::fmax(1.0, scaled.commodities[i].demand));
-  }
-}
-
-TEST(AssignTraffic, IllFittingWarmPayloadFallsBackToColdBitwise) {
-  Rng rng(6);
-  const NetworkInstance inst = grid_city(rng, 4, 4, 1.5);
-  SolverWorkspace ws;
-  const AssignmentResult cold =
-      assign_traffic(inst, FlowObjective::kTotalCost, {}, {}, ws);
-
-  // Wrong commodity count, a foreign path, and a demand the paths do not
-  // decompose: each must be rejected up front, yielding the cold result
-  // bit for bit.
-  std::vector<AssignmentWarmStart> bad(3);
-  bad[0].commodity_paths.resize(inst.commodities.size() + 1);
-  bad[0].demands.assign(inst.commodities.size() + 1, 1.0);
-
-  bad[1].commodity_paths.resize(inst.commodities.size());
-  bad[1].demands.assign(inst.commodities.size(), 1.5);
-  bad[1].commodity_paths[0].push_back(
-      PathFlow{Path{static_cast<EdgeId>(0)}, 1.5});  // not an s-t path
-
-  bad[2] = AssignmentWarmStart{};
-  bad[2].commodity_paths = cold.commodity_paths;
-  for (const auto& c : inst.commodities) bad[2].demands.push_back(c.demand);
-  bad[2].demands[0] *= 3.0;  // lies about the decomposed demand
-
-  for (const auto& warm : bad) {
-    const AssignmentResult r =
-        assign_traffic(inst, FlowObjective::kTotalCost, {}, {}, ws, warm);
-    ASSERT_EQ(r.edge_flow.size(), cold.edge_flow.size());
-    for (std::size_t e = 0; e < r.edge_flow.size(); ++e) {
-      EXPECT_EQ(r.edge_flow[e], cold.edge_flow[e]);
-    }
-    EXPECT_EQ(r.steps, cold.steps);
-  }
-}
-
 }  // namespace
 }  // namespace stackroute

@@ -35,7 +35,7 @@
 //   strategy      "aloof" | "scale" | "llf" (op=strategy, default aloof)
 //   backend       "pe" | "bush" backend of every network solve the
 //                 request runs (default: the server's --backend flag,
-//                 itself bush)
+//                 itself bush); only bush solves warm-start on a session
 //   deadline_ms   per-request wall-clock budget
 //   max_iters     per-request iteration budget
 //

@@ -45,7 +45,8 @@ int usage(std::ostream& os, int code) {
         "                        generator family, e.g. 'grid')\n"
         "  --backend NAME        backend of the network solves: bush\n"
         "                        (origin-based bushes, the default for\n"
-        "                        every sweep) | pe (path equalization);\n"
+        "                        every sweep) | pe (path equalization,\n"
+        "                        a cold reference: never warm-started);\n"
         "                        reports the equilibrium metric columns\n"
         "                        and needs --file/--generate\n"
         "  --strategy NAME       aloof | scale | llf | optop: report the\n"

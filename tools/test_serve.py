@@ -218,7 +218,8 @@ def main():
             '"backend":"fw"}',
             '{"id":5,"op":"equilibrium","generate":"grid-bpr",'
             '"backend":"path"}',
-            '{"id":6,"op":"equilibrium","generate":"grid-bpr"}',
+            '{"id":6,"op":"equilibrium","generate":"grid-bpr",'
+            '"backend":"pe"}',
         ]
     )
     proc = run(binary, stdin=backend_stream)
@@ -246,7 +247,8 @@ def main():
             str(r),
         )
     expect(resps[5]["ok"], "backend-stream-survives", str(resps[5]))
-    # The default pe path and the bush backend agree on equilibrium cost.
+    # The pe reference solver and the bush backend agree on equilibrium
+    # cost.
     rel = abs(resps[0]["cost"] - resps[5]["cost"]) / max(
         abs(resps[5]["cost"]), 1.0
     )
