@@ -108,25 +108,18 @@ struct MopOptions {
 
 MopResult mop(const NetworkInstance& inst, const MopOptions& opts = {});
 
-/// Converged solver state of a prior mop() run on the same network at a
-/// nearby demand — the warm-start payload for chained β_G evaluations
-/// along a sweep axis (bush solves only, see solver/backend.h; an
-/// ill-fitting payload degrades to cold solves, never to wrong answers).
-/// On bush, `optimum` also carries the optimum's per-origin flows
+/// Workspace/warm-start variant for chained β_G evaluations along a sweep
+/// axis: reuses the caller's workspace across the optimum solve, every
+/// tight-DAG Dijkstra and the induced verification solve. `optimum` and
+/// `induced` are in-out payloads of those two solves (see
+/// solver/backend.h): each seeds its solve unless empty and receives this
+/// run's converged state; null means neither read nor publish. An
+/// ill-fitting payload degrades to a cold solve, never to a wrong answer.
+/// On bush, `optimum` then holds the optimum's per-origin flows
 /// (origin_flows), which LLF reads after a MOP run.
-struct MopWarmStart {
-  EquilibriumWarmState optimum;  // the optimum solve's payload
-  EquilibriumWarmState induced;  // the verification solve's payload
-};
-
-/// Workspace/warm-start variant: reuses the caller's workspace across the
-/// optimum solve, every tight-DAG Dijkstra and the induced verification
-/// solve; reads warm state from `warm_in` (null = cold) and, when
-/// `warm_out` is non-null, overwrites it with this run's converged state
-/// for the next chained point. warm_in and warm_out may alias.
 MopResult mop(const NetworkInstance& inst, const MopOptions& opts,
-              SolverWorkspace& ws, const MopWarmStart* warm_in,
-              MopWarmStart* warm_out);
+              SolverWorkspace& ws, EquilibriumWarmState* optimum,
+              EquilibriumWarmState* induced);
 
 /// Convenience: just β_G.
 double price_of_optimum(const NetworkInstance& inst);

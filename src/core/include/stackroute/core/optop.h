@@ -79,13 +79,11 @@ struct OpTopWarmStart {
 };
 
 /// Workspace/warm-start variant: reuses the caller's workspace across the
-/// internal water-filling solves, reads level hints from `warm_in` (null =
-/// cold), and, when `warm_out` is non-null, overwrites it with this run's
-/// converged levels for the next chained point. warm_in and warm_out may
-/// alias.
+/// internal water-filling solves. `warm` is in-out: its levels are read
+/// as hints (NaN = cold) and then overwritten with this run's converged
+/// levels for the next chained point; null means neither.
 OpTopResult op_top(const ParallelLinks& m, const OpTopOptions& opts,
-                   SolverWorkspace& ws, const OpTopWarmStart* warm_in,
-                   OpTopWarmStart* warm_out);
+                   SolverWorkspace& ws, OpTopWarmStart* warm);
 
 /// Convenience: just β_M.
 double price_of_optimum(const ParallelLinks& m);

@@ -126,18 +126,17 @@ NetworkStackelbergOutcome evaluate_strategy(const NetworkInstance& inst,
 
 /// Precomputed-optimum / workspace / warm-start variant for chained
 /// α-sweeps: `optimum_cost` must be C(O) > 0; the induced solve runs on
-/// `ws`, warm-started from `warm_in` (null = cold) and, when `warm_out` is
-/// non-null, publishes its converged follower state there for the next
-/// chained point (bush only, see solver/backend.h; warm_in and warm_out
-/// may alias; an ill-fitting payload falls back to the cold start, never
-/// to a wrong answer).
+/// `ws` with `warm` as its in-out follower payload (see solve_induced in
+/// equilibrium/network.h: null = neither read nor publish, empty = cold;
+/// an ill-fitting payload falls back to the cold start, never to a wrong
+/// answer). When the Leader routes everything there is no induced solve
+/// and `warm` is left empty.
 NetworkStackelbergOutcome evaluate_strategy(const NetworkInstance& inst,
                                             const NetworkStrategy& strategy,
                                             double optimum_cost,
                                             const EquilibriumRequest& req,
                                             SolverWorkspace& ws,
-                                            const EquilibriumWarmState* warm_in,
-                                            EquilibriumWarmState* warm_out);
+                                            EquilibriumWarmState* warm);
 
 /// s = 0 on every edge: the do-nothing baseline.
 NetworkStrategy aloof_strategy(const NetworkInstance& inst);

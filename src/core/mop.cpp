@@ -97,8 +97,8 @@ MaxFlowResult free_flow_to_sinks(const Graph& g, NodeId origin,
 }  // namespace
 
 MopResult mop(const NetworkInstance& inst, const MopOptions& opts,
-              SolverWorkspace& ws, const MopWarmStart* warm_in,
-              MopWarmStart* warm_out) {
+              SolverWorkspace& ws, EquilibriumWarmState* optimum,
+              EquilibriumWarmState* induced) {
   obs::ScopedCounterDelta tally;
   obs::ScopedSpan span("mop");
   inst.validate();
@@ -111,17 +111,15 @@ MopResult mop(const NetworkInstance& inst, const MopOptions& opts,
   const std::size_t k = inst.commodities.size();
   const double r = inst.total_demand();
   // A bush optimum's payload holds its per-origin flows, so it is always
-  // published: into the caller's warm_out, or a local one.
-  MopWarmStart local;
-  MopWarmStart& state = warm_out != nullptr ? *warm_out : local;
+  // published: into the caller's payload, or a local one.
+  EquilibriumWarmState local;
+  EquilibriumWarmState& optimum_state = optimum != nullptr ? *optimum : local;
 
   MopResult result;
   // (1) Optimum flow and the induced edge costs ℓ_e(o_e).
   NetworkAssignment opt = [&] {
     obs::ScopedSpan phase("mop_optimum");
-    return solve_optimum(inst, req, ws,
-                         warm_in != nullptr ? &warm_in->optimum : nullptr,
-                         &state.optimum);
+    return solve_optimum(inst, req, ws, &optimum_state);
   }();
   result.status = worst_status(result.status, opt.status);
   result.optimum_edge_flow = std::move(opt.edge_flow);
@@ -141,7 +139,7 @@ MopResult mop(const NetworkInstance& inst, const MopOptions& opts,
   std::vector<std::vector<double>> storage;
   const std::vector<OriginFlow> origins =
       origin_flows(inst, result.optimum_edge_flow, result.optimum_paths,
-                   state.optimum, storage);
+                   optimum_state, storage);
   if (origins.empty()) {
     // A multi-origin bush solve that failed numerically publishes no
     // per-origin split: the Leader routes all of O, which induces O
@@ -238,13 +236,12 @@ MopResult mop(const NetworkInstance& inst, const MopOptions& opts,
     }
     if (!followers.commodities.empty()) {
       followers.graph = g;
-      NetworkAssignment induced = solve_induced(
-          followers, result.leader_edge_flow, req, ws,
-          warm_in != nullptr ? &warm_in->induced : nullptr, &state.induced);
+      NetworkAssignment followed = solve_induced(
+          followers, result.leader_edge_flow, req, ws, induced);
       induced_solved = true;
-      result.status = worst_status(result.status, induced.status);
-      result.follower_edge_flow = std::move(induced.edge_flow);
-      result.induced_cost = induced.cost;
+      result.status = worst_status(result.status, followed.status);
+      result.follower_edge_flow = std::move(followed.edge_flow);
+      result.induced_cost = followed.cost;
     } else {
       // Leader controls everything; the "induced" flow is the strategy.
       result.induced_cost = cost(inst, result.leader_edge_flow);
@@ -255,7 +252,7 @@ MopResult mop(const NetworkInstance& inst, const MopOptions& opts,
   } else {
     result.induced_cost = result.optimum_cost;
   }
-  if (!induced_solved) state.induced.clear();
+  if (!induced_solved && induced != nullptr) induced->clear();
   if (tally.active()) result.counters = tally.current();
   return result;
 }

@@ -16,25 +16,24 @@ OpTopResult op_top(const ParallelLinks& m, const OpTopOptions& opts) {
   // the induced solve: the water-filling kernels recompile the (shrinking)
   // subsystem into the same flat table each round without reallocating.
   SolverWorkspace ws;
-  return op_top(m, opts, ws, nullptr, nullptr);
+  return op_top(m, opts, ws, nullptr);
 }
 
 OpTopResult op_top(const ParallelLinks& m, const OpTopOptions& opts,
-                   SolverWorkspace& ws, const OpTopWarmStart* warm_in,
-                   OpTopWarmStart* warm_out) {
+                   SolverWorkspace& ws, OpTopWarmStart* warm) {
   m.validate();
   const double r0 = m.demand;
   const double tol = opts.freeze_tol * std::fmax(1.0, r0);
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const auto hint = [&](double OpTopWarmStart::* field) {
-    return warm_in != nullptr ? warm_in->*field : nan;
+    return warm != nullptr ? warm->*field : nan;
   };
   const auto round_hint = [&](std::size_t round) {
-    return warm_in != nullptr && round < warm_in->round_levels.size()
-               ? warm_in->round_levels[round]
+    return warm != nullptr && round < warm->round_levels.size()
+               ? warm->round_levels[round]
                : nan;
   };
-  // Collected locally so warm_in and warm_out may alias.
+  // Collected locally: the hints stay readable until the run ends.
   OpTopWarmStart levels;
 
   // One armed budget shared by every internal water-filling solve, so the
@@ -124,7 +123,7 @@ OpTopResult op_top(const ParallelLinks& m, const OpTopOptions& opts,
   }
   result.induced_cost =
       stackelberg_cost(m, result.strategy, result.induced);
-  if (warm_out != nullptr) *warm_out = std::move(levels);
+  if (warm != nullptr) *warm = std::move(levels);
   return result;
 }
 

@@ -169,8 +169,7 @@ NetworkStackelbergOutcome evaluate_strategy(const NetworkInstance& inst,
                                             const EquilibriumRequest& req) {
   SolverWorkspace ws;
   const NetworkAssignment opt = solve_optimum(inst, req, ws);
-  return evaluate_strategy(inst, strategy, opt.cost, req, ws, nullptr,
-                           nullptr);
+  return evaluate_strategy(inst, strategy, opt.cost, req, ws, nullptr);
 }
 
 NetworkStackelbergOutcome evaluate_strategy(const NetworkInstance& inst,
@@ -178,8 +177,7 @@ NetworkStackelbergOutcome evaluate_strategy(const NetworkInstance& inst,
                                             double optimum_cost,
                                             const EquilibriumRequest& req,
                                             SolverWorkspace& ws,
-                                            const EquilibriumWarmState* warm_in,
-                                            EquilibriumWarmState* warm_out) {
+                                            EquilibriumWarmState* warm) {
   obs::ScopedCounterDelta tally;
   obs::ScopedSpan span("evaluate_strategy");
   const auto ne = static_cast<std::size_t>(inst.graph.num_edges());
@@ -211,11 +209,11 @@ NetworkStackelbergOutcome evaluate_strategy(const NetworkInstance& inst,
     // α = 1: the Leader routes everything; there is no follower flow.
     out.induced.assign(ne, 0.0);
     out.cost = cost(inst, strategy.preload);
-    if (warm_out != nullptr) warm_out->clear();
+    if (warm != nullptr) warm->clear();
   } else {
     followers.graph = inst.graph;
-    NetworkAssignment induced = solve_induced(followers, strategy.preload,
-                                              req, ws, warm_in, warm_out);
+    NetworkAssignment induced =
+        solve_induced(followers, strategy.preload, req, ws, warm);
     out.converged = induced.converged;
     out.status = induced.status;
     out.cost = induced.cost;
@@ -258,8 +256,7 @@ NetworkStrategy llf_strategy(const NetworkInstance& inst, double alpha) {
   require_alpha(alpha, "LLF");
   SolverWorkspace ws;
   EquilibriumWarmState state;
-  const NetworkAssignment optimum =
-      solve_optimum(inst, {}, ws, nullptr, &state);
+  const NetworkAssignment optimum = solve_optimum(inst, {}, ws, &state);
   return llf_strategy(inst, alpha, optimum, state);
 }
 

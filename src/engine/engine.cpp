@@ -236,7 +236,7 @@ void Engine::prepare_tables(SolverWorkspace& ws, const Instance& inst) {
   stats_.peak_bytes = std::max(stats_.peak_bytes, resident_bytes_locked());
 }
 
-SolveResponse Engine::solve_on(SolveSession* session,
+SolveResponse Engine::solve_on(SolveSession& session,
                                const SolveRequest& req) {
   SolveResponse resp;
   resp.id = req.id;
@@ -244,16 +244,14 @@ SolveResponse Engine::solve_on(SolveSession* session,
   std::optional<obs::CountersScope> counter_scope;
   if (opts_.collect_counters) counter_scope.emplace(resp.counters);
   obs::Timer timer;
-  const bool had_anchor = session != nullptr && session->has_prev;
+  const bool had_anchor = session.has_prev;
   try {
-    // A session keeps its own copy of the instance alive as the next
-    // request's warm anchor; sessionless solves bind the request's.
-    std::optional<Instance> owned;
-    if (session != nullptr) owned = req.instance;
-    const Instance& inst = owned ? *owned : req.instance;
-    if (session != nullptr) prepare_tables(session->ws, inst);
+    // The session keeps its own copy of the instance alive as the next
+    // request's warm anchor.
+    Instance inst = req.instance;
+    prepare_tables(session.ws, inst);
 
-    Evaluation eval(inst, session, WarmPolicy::kValueEquality);
+    Evaluation eval(inst, &session, WarmPolicy::kValueEquality);
     resp.warm = eval.warm();
     const SolveBudget& budget =
         req.budget.active() ? req.budget : opts_.default_budget;
@@ -298,24 +296,17 @@ SolveResponse Engine::solve_on(SolveSession* session,
     }
 
     resp.status = eval.status();
+    eval.finish(std::move(inst));
     resp.ok = true;
-    if (session != nullptr) eval.finish(std::move(*owned));
   } catch (const std::exception& e) {
-    resp.ok = false;
     resp.error = e.what();
-    resp.status = SolveStatus::kNumericFailure;
-    if (session != nullptr) {
-      if (session->has_prev) obs::count(&obs::SolveCounters::chain_resets);
-      session->reset_warm();
-    }
   } catch (...) {
-    resp.ok = false;
     resp.error = "unknown error (non-std exception)";
+  }
+  if (!resp.ok) {
     resp.status = SolveStatus::kNumericFailure;
-    if (session != nullptr) {
-      if (session->has_prev) obs::count(&obs::SolveCounters::chain_resets);
-      session->reset_warm();
-    }
+    if (session.has_prev) obs::count(&obs::SolveCounters::chain_resets);
+    session.reset_warm();
   }
   resp.millis = timer.milliseconds();
 
@@ -356,7 +347,7 @@ SolveResponse Engine::solve(const SolveRequest& req) {
     // borrows depends on scheduling, so any surviving warm state would
     // make sessionless responses thread-count dependent.
     std::unique_ptr<SolveSession> pooled = acquire_pooled();
-    resp = solve_on(pooled.get(), req);
+    resp = solve_on(*pooled, req);
     release_pooled(std::move(pooled));
   } else {
     SolveSession* s = acquire_session(req.session);
@@ -372,7 +363,7 @@ SolveResponse Engine::solve(const SolveRequest& req) {
       ++stats_.errors;
       return resp;
     }
-    resp = solve_on(s, req);
+    resp = solve_on(*s, req);
     release_session(req.session);
   }
   const std::lock_guard<std::mutex> lock(mu_);

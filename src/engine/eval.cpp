@@ -1,6 +1,9 @@
 #include "stackroute/engine/eval.h"
 
+#include <bit>
+#include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <string>
 #include <utility>
@@ -11,54 +14,58 @@
 
 namespace stackroute::engine {
 
+namespace {
+
+/// Shortest round-trip spelling of `v`, so two distinct values never print
+/// alike (at most 24 characters for a double).
+std::string exact(double v) {
+  char buf[32];
+  return std::string(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+
+}  // namespace
+
 void SolveSession::reset_warm() {
   has_prev = false;
-  equilibrium.clear();
-  mop = {};
+  for (WarmEntry& entry : warm) entry = WarmEntry{};
   optop = {};
-  strategy = {};
-  nash_level = std::numeric_limits<double>::quiet_NaN();
-  opt_level = std::numeric_limits<double>::quiet_NaN();
 }
 
 void SolveSession::shed_memory() {
   reset_warm();
-  // reset_warm clears but keeps capacity; swapping with fresh objects is
-  // what actually returns the bytes to the allocator.
+  // reset_warm keeps the workspace's capacity; swapping with fresh objects
+  // is what actually returns the bytes to the allocator.
   ws = SolverWorkspace{};
   prev_instance = Instance{};
-  equilibrium = EquilibriumWarmState{};
 }
 
 Evaluation::Evaluation(const Instance& instance, SolveSession* session,
                        WarmPolicy policy)
-    : instance_(instance), session_(session) {
+    : instance_(instance),
+      own_session_(session == nullptr ? std::make_unique<SolveSession>()
+                                      : nullptr),
+      session_(session != nullptr ? *session : *own_session_) {
   // A broken chain must not leak stale payloads into this evaluation's
   // solves: the solve accessors below consume whatever payloads survive
   // this reset, so warm validity flows from the anchor test alone, not
   // from payload provenance.
-  warm_ = session_ != nullptr && session_->has_prev &&
+  warm_ = session_.has_prev &&
           (policy == WarmPolicy::kPointerIdentity
-               ? chain_compatible(session_->prev_instance, instance_)
-               : warm_compatible(session_->prev_instance, instance_));
-  if (session_ != nullptr && !warm_) {
+               ? chain_compatible(session_.prev_instance, instance_)
+               : warm_compatible(session_.prev_instance, instance_));
+  if (!warm_) {
     // Count only genuine breaks (an anchor existed and failed the test) —
     // a session's cold first request is not a reset.
-    if (session_->has_prev) obs::count(&obs::SolveCounters::chain_resets);
-    session_->reset_warm();
+    if (session_.has_prev) obs::count(&obs::SolveCounters::chain_resets);
+    session_.reset_warm();
   }
 }
 
-SolverWorkspace& Evaluation::ws() {
-  return session_ != nullptr ? session_->ws : own_ws_;
-}
-
 void Evaluation::finish(Instance&& instance) {
-  if (session_ == nullptr) return;
   SR_ASSERT(&instance == &instance_,
             "finish must be handed the evaluated instance");
-  session_->prev_instance = std::move(instance);
-  session_->has_prev = true;
+  session_.prev_instance = std::move(instance);
+  session_.has_prev = true;
 }
 
 bool Evaluation::is_parallel() const {
@@ -82,22 +89,11 @@ EquilibriumRequest Evaluation::request() const {
   return req;
 }
 
-MopWarmStart& Evaluation::mop_state() {
-  return session_ != nullptr ? session_->mop : own_state_;
-}
-
 const OpTopResult& Evaluation::optop() {
   if (!optop_) {
     OpTopOptions opts;
     opts.budget = budget_;
-    if (session_ != nullptr) {
-      // In/out aliasing is supported: the hints are read before the levels
-      // are overwritten with this evaluation's.
-      optop_ = op_top(links(), opts, session_->ws, &session_->optop,
-                      &session_->optop);
-    } else {
-      optop_ = op_top(links(), opts);
-    }
+    optop_ = op_top(links(), opts, ws(), &session_.optop);
     absorb(optop_->status);
   }
   return *optop_;
@@ -107,11 +103,11 @@ const MopResult& Evaluation::mop_result() {
   if (!mop_) {
     MopOptions opts;
     opts.equilibrium = request();
-    // A session's payloads seed the solves and receive this run's back;
-    // a session-less run only publishes (a bush optimum's per-origin
-    // flows are what LLF reads later).
+    // The optimum slot's bushes are also the per-origin flows LLF reads
+    // later.
     mop_ = mop(network(), opts, ws(),
-               session_ != nullptr ? &session_->mop : nullptr, &mop_state());
+               &session_.slot(WarmSlot::kOptimum).payload,
+               &session_.slot(WarmSlot::kMopInduced).payload);
     absorb(mop_->status);
   }
   return *mop_;
@@ -119,12 +115,8 @@ const MopResult& Evaluation::mop_result() {
 
 const NetworkAssignment& Evaluation::network_nash() {
   if (!net_nash_) {
-    // The session's warm state seeds the solve and receives the
-    // converged payload back (bush only, see solver/backend.h).
-    net_nash_ = solve_nash(
-        network(), request(), ws(),
-        session_ != nullptr ? &session_->equilibrium : nullptr,
-        session_ != nullptr ? &session_->equilibrium : nullptr);
+    net_nash_ = solve_nash(network(), request(), ws(),
+                           &session_.slot(WarmSlot::kNash).payload);
     absorb(net_nash_->status);
   }
   return *net_nash_;
@@ -135,7 +127,7 @@ const NetworkAssignment& Evaluation::network_optimum() {
     if (mop_) {
       // Reuse MOP's optimum instead of solving again. Its per-origin
       // flows come along: pe's as its paths, bush's as the payload
-      // already in mop_state().
+      // already in the optimum slot.
       NetworkAssignment a;
       a.edge_flow = mop_->optimum_edge_flow;
       a.commodity_paths = mop_->optimum_paths;
@@ -143,10 +135,8 @@ const NetworkAssignment& Evaluation::network_optimum() {
       a.converged = true;
       net_opt_ = std::move(a);
     } else {
-      net_opt_ = solve_optimum(
-          network(), request(), ws(),
-          session_ != nullptr ? &session_->mop.optimum : nullptr,
-          &mop_state().optimum);
+      net_opt_ = solve_optimum(network(), request(), ws(),
+                               &session_.slot(WarmSlot::kOptimum).payload);
       absorb(net_opt_->status);
     }
   }
@@ -155,15 +145,9 @@ const NetworkAssignment& Evaluation::network_optimum() {
 
 const LinkAssignment& Evaluation::parallel_nash() {
   if (!par_nash_) {
-    if (session_ != nullptr) {
-      par_nash_ = solve_nash(links(), 1e-13, session_->ws,
-                             session_->nash_level, budget_);
-      session_->nash_level = par_nash_->level;
-    } else {
-      par_nash_ = solve_nash(links(), 1e-13, ws(),
-                             std::numeric_limits<double>::quiet_NaN(),
-                             budget_);
-    }
+    double& level = session_.slot(WarmSlot::kNash).level;
+    par_nash_ = solve_nash(links(), 1e-13, ws(), level, budget_);
+    level = par_nash_->level;
     absorb(par_nash_->status);
   }
   return *par_nash_;
@@ -171,15 +155,9 @@ const LinkAssignment& Evaluation::parallel_nash() {
 
 const LinkAssignment& Evaluation::parallel_optimum() {
   if (!par_opt_) {
-    if (session_ != nullptr) {
-      par_opt_ = solve_optimum(links(), 1e-13, session_->ws,
-                               session_->opt_level, budget_);
-      session_->opt_level = par_opt_->level;
-    } else {
-      par_opt_ = solve_optimum(links(), 1e-13, ws(),
-                               std::numeric_limits<double>::quiet_NaN(),
-                               budget_);
-    }
+    double& level = session_.slot(WarmSlot::kOptimum).level;
+    par_opt_ = solve_optimum(links(), 1e-13, ws(), level, budget_);
+    level = par_opt_->level;
     absorb(par_opt_->status);
   }
   return *par_opt_;
@@ -231,23 +209,23 @@ double Evaluation::strategy_ratio(StrategyKind kind, double alpha) {
 
 double Evaluation::evaluate_baseline(StrategyKind kind, double alpha,
                                      bool chained) {
+  WarmEntry* warm = nullptr;
+  if (chained) {
+    warm = &session_.slot(kind == StrategyKind::kScale ? WarmSlot::kScale
+                                                       : WarmSlot::kLlf);
+  }
   if (is_parallel()) {
     const OpTopResult& ot = optop();
     const std::vector<double> s =
         kind == StrategyKind::kScale
             ? scale_strategy(links(), alpha, ot.optimum)
             : llf_strategy(links(), alpha, ot.optimum);
-    double* level = nullptr;
-    if (chained && session_ != nullptr) {
-      level = kind == StrategyKind::kScale ? &session_->strategy.scale_level
-                                           : &session_->strategy.llf_level;
-    }
     const StackelbergOutcome out = evaluate_strategy(
         links(), s, ot.optimum_cost, 1e-13, ws(),
-        level != nullptr ? *level
-                         : std::numeric_limits<double>::quiet_NaN(),
+        warm != nullptr ? warm->level
+                        : std::numeric_limits<double>::quiet_NaN(),
         budget_);
-    if (level != nullptr) *level = out.induced_level;
+    if (warm != nullptr) warm->level = out.induced_level;
     absorb(out.status);
     return out.cost;
   }
@@ -255,23 +233,28 @@ double Evaluation::evaluate_baseline(StrategyKind kind, double alpha,
   const NetworkStrategy s =
       kind == StrategyKind::kScale
           ? scale_strategy(network(), alpha, opt)
-          : llf_strategy(network(), alpha, opt, mop_state().optimum);
-  EquilibriumWarmState* warm = nullptr;
-  if (chained && session_ != nullptr) {
-    warm = kind == StrategyKind::kScale ? &session_->strategy.scale_induced
-                                        : &session_->strategy.llf_induced;
-  }
+          : llf_strategy(network(), alpha, opt,
+                         session_.slot(WarmSlot::kOptimum).payload);
   const NetworkStackelbergOutcome out =
-      evaluate_strategy(network(), s, opt.cost, request(), ws(), warm, warm);
+      evaluate_strategy(network(), s, opt.cost, request(), ws(),
+                        warm != nullptr ? &warm->payload : nullptr);
   absorb(out.status);
   return out.cost;
 }
 
 double Evaluation::strategy_cost(StrategyKind kind, double alpha) {
   if (kind == StrategyKind::kAloof) return nash_cost();
-  std::optional<double>& slot = strategy_cost_[static_cast<int>(kind)];
-  if (!slot) slot = evaluate_baseline(kind, alpha, /*chained=*/true);
-  return *slot;
+  std::optional<StrategyCost>& slot = strategy_cost_[static_cast<int>(kind)];
+  if (!slot) {
+    slot = StrategyCost{alpha,
+                        evaluate_baseline(kind, alpha, /*chained=*/true)};
+  } else if (std::bit_cast<std::uint64_t>(slot->alpha) !=
+             std::bit_cast<std::uint64_t>(alpha)) {
+    throw Error(std::string(strategy_name(kind)) + " cost cached at alpha " +
+                exact(slot->alpha) + ", asked again at alpha " + exact(alpha) +
+                " (one alpha per evaluation)");
+  }
+  return slot->cost;
 }
 
 double Evaluation::strategy_alpha_to_optimum(StrategyKind kind, double eps) {

@@ -63,10 +63,6 @@ std::size_t footprint_bytes(const SolverWorkspace& ws) {
          vec_bytes(ws.weights) + footprint_bytes(ws.bush);
 }
 
-std::size_t footprint_bytes(const MopWarmStart& warm) {
-  return warm.optimum.footprint_bytes() + warm.induced.footprint_bytes();
-}
-
 std::size_t footprint_bytes(const OpTopWarmStart& warm) {
   return vec_bytes(warm.round_levels);
 }
@@ -74,11 +70,10 @@ std::size_t footprint_bytes(const OpTopWarmStart& warm) {
 std::size_t footprint_bytes(const SolveSession& session) {
   std::size_t bytes = sizeof(session) - sizeof(SolverWorkspace) +
                       footprint_bytes(session.ws) +
-                      session.equilibrium.footprint_bytes() +
-                      footprint_bytes(session.mop) +
-                      footprint_bytes(session.optop) +
-                      session.strategy.scale_induced.footprint_bytes() +
-                      session.strategy.llf_induced.footprint_bytes();
+                      footprint_bytes(session.optop);
+  for (const WarmEntry& entry : session.warm) {
+    bytes += entry.payload.footprint_bytes();
+  }
   // The anchor instance holds memory even after reset_warm flips has_prev
   // off (the payload is dropped, the buffers may not be) — count what is
   // actually retained.

@@ -8,8 +8,9 @@
 //     warm-start each other whenever their instances are value-compatible
 //     (warm_compatible in instance.h: requests arrive freshly
 //     deserialized, so pointer identity is useless here).
-//   * a workspace pool — sessionless (session = 0) requests borrow a
-//     pooled workspace instead of allocating one per request.
+//   * a session pool — sessionless (session = 0) requests borrow a
+//     pooled session (its workspace persists, its warm payloads are reset
+//     after every request) instead of allocating one per request.
 //   * a compiled-LatencyTable cache keyed by the *content hash* of the
 //     latency set: a fresh session whose instance is value-equal to one
 //     the engine has already compiled adopts the cached kernel instead of
@@ -25,9 +26,8 @@
 // responses are deterministic at any thread count.
 //
 // The sweep layer is a thin client: SweepRunner opens one session per
-// warm chain and evaluates its metrics through the same Evaluation type
-// typed requests use, keeping its tables bitwise identical to the
-// pre-engine implementation.
+// warm chain, and its TaskEval is the same Evaluation typed requests run
+// on.
 #pragma once
 
 #include <atomic>
@@ -76,7 +76,7 @@ struct SolveRequest {
   /// Optional per-request budget; when inactive the engine's default
   /// applies. Armed per request — the deadline starts when the solve does.
   SolveBudget budget;
-  /// Session id from open_session(); 0 = sessionless (pooled workspace,
+  /// Session id from open_session(); 0 = sessionless (pooled session,
   /// no warm carry-over).
   std::uint64_t session = 0;
   /// Caller tag, echoed verbatim in the response.
@@ -215,9 +215,10 @@ class Engine {
   [[nodiscard]] std::size_t num_sessions() const;
 
  private:
-  /// The typed-request core: runs `req` on `session` (null = pooled
-  /// workspace, cold). Assumes exclusive use of the session.
-  SolveResponse solve_on(SolveSession* session, const SolveRequest& req);
+  /// The typed-request core: runs `req` on `session` (a client's, or a
+  /// pooled one whose warm state is reset afterwards). Assumes exclusive
+  /// use of the session.
+  SolveResponse solve_on(SolveSession& session, const SolveRequest& req);
   /// Seeds `ws.table` for `inst` from the content-hash cache (adopt) or
   /// compiles and caches. The sweep client never comes through here — its
   /// chains keep the pointer-identity fast path untouched.

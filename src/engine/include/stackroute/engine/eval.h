@@ -1,16 +1,18 @@
-// Evaluation: one instance's memoized solver results — the solve core
-// that used to live inside sweep::TaskEval, lifted into the engine so
-// typed requests and sweep metrics share a single battle-tested path.
+// Evaluation: one instance's memoized solver results — the one solve path
+// of typed engine requests and sweep metrics (sweep::TaskEval derives
+// from it).
 //
-// An Evaluation binds an instance to an optional SolveSession. On
-// construction it decides warm vs cold (the session's previous instance
-// must pass the configured compatibility test, else the session's warm
-// payloads are reset), then lazily runs and caches the expensive solves
-// (OpTop, MOP, the Nash and optimum assignments, baseline strategies) so
-// a caller asking for {beta, poa, nash_cost} pays for each solver once.
-// finish() publishes the instance as the session's next warm anchor.
+// An Evaluation binds an instance to a SolveSession — the caller's, or a
+// private one it owns. On construction it decides warm vs cold (the
+// session's previous instance must pass the configured compatibility
+// test, else the session's warm payloads are reset), then lazily runs and
+// caches the expensive solves (OpTop, MOP, the Nash and optimum
+// assignments, baseline strategies) so a caller asking for {beta, poa,
+// nash_cost} pays for each solver once. finish() publishes the instance
+// as the session's next warm anchor.
 #pragma once
 
+#include <memory>
 #include <optional>
 
 #include "stackroute/core/mop.h"
@@ -37,7 +39,9 @@ enum class WarmPolicy { kPointerIdentity, kValueEquality };
 
 class Evaluation {
  public:
-  /// `session` may be null (every solve runs cold on a private workspace).
+  /// A null `session` means a private one: every solve starts cold, and
+  /// the evaluation's own solves still seed each other (MOP run after
+  /// network_optimum() starts from that optimum, as on a session).
   Evaluation(const Instance& instance, SolveSession* session,
              WarmPolicy policy = WarmPolicy::kPointerIdentity);
 
@@ -91,12 +95,13 @@ class Evaluation {
   double rounds();  // OpTop freeze rounds; NaN on networks (MOP is one-shot)
 
   /// Cached baseline-strategy evaluation at `alpha` (Aloof ignores alpha
-  /// and reuses the Nash caches; a repeated kind returns the first call's
-  /// cached cost regardless of alpha — one α per evaluation, as in a
-  /// sweep task). Parallel links evaluate against the OpTop optimum,
-  /// networks against network_optimum() (LLF orders the paths of its
-  /// per-origin flows); chained evaluations warm-start each baseline's
-  /// induced solve from the session's converged follower state.
+  /// and reuses the Nash caches). One α per kind and evaluation, as in a
+  /// sweep task: a repeated call with the same α (bitwise) returns the
+  /// cache, one with another α throws stackroute::Error. Parallel links
+  /// evaluate against the OpTop optimum, networks against
+  /// network_optimum() (LLF orders the paths of its per-origin flows);
+  /// chained evaluations warm-start each baseline's induced solve from the
+  /// session's converged follower state.
   double strategy_cost(StrategyKind kind, double alpha);
   double strategy_ratio(StrategyKind kind, double alpha);  // C(S+T)/C(O)
 
@@ -114,43 +119,40 @@ class Evaluation {
   /// even α = 1 misses (eps below solver tolerance).
   double strategy_alpha_to_optimum(StrategyKind kind, double eps);
 
-  /// Publishes this instance as the session's warm anchor (no-op without a
-  /// session). Call once, after every solve succeeded — a failed
-  /// evaluation resets the session instead. The argument must be the very
-  /// instance this Evaluation was constructed over; it is moved into the
-  /// session (saving a graph copy), so no solve may run afterwards.
+  /// Publishes this instance as the session's warm anchor. Call once,
+  /// after every solve succeeded — a failed evaluation resets the session
+  /// instead. The argument must be the very instance this Evaluation was
+  /// constructed over; it is moved into the session (saving a graph copy),
+  /// so no solve may run afterwards.
   void finish(Instance&& instance);
 
-  /// The workspace every solve of this evaluation runs on: the session's
-  /// when attached, a private one otherwise.
-  SolverWorkspace& ws();
+  /// The session's workspace, which every solve of this evaluation runs on.
+  SolverWorkspace& ws() { return session_.ws; }
 
  private:
   /// The request every network solve runs under: backend + budget.
   [[nodiscard]] EquilibriumRequest request() const;
-  /// Where MOP and the optimum publish their payloads: the session's warm
-  /// state when attached, the private one otherwise.
-  MopWarmStart& mop_state();
 
   const Instance& instance_;
-  SolveSession* session_ = nullptr;
+  // The private session of a sessionless evaluation (declared first: it
+  // must exist before session_ binds to it).
+  std::unique_ptr<SolveSession> own_session_;
+  SolveSession& session_;
   bool warm_ = false;
   SolveBudget budget_;
   EquilibriumBackend backend_ = EquilibriumBackend::kBush;
   SolveStatus status_ = SolveStatus::kConverged;
-  // Private fallback workspace and optimum/induced payloads for
-  // session-less evaluations (one compiled kernel per evaluation; an
-  // Evaluation is confined to one thread). The optimum payload holds the
-  // per-origin flows LLF reads.
-  SolverWorkspace own_ws_;
-  MopWarmStart own_state_;
   std::optional<OpTopResult> optop_;
   std::optional<MopResult> mop_;
   std::optional<NetworkAssignment> net_nash_;
   std::optional<NetworkAssignment> net_opt_;
   std::optional<LinkAssignment> par_nash_;
   std::optional<LinkAssignment> par_opt_;
-  std::optional<double> strategy_cost_[3];  // indexed by StrategyKind
+  struct StrategyCost {
+    double alpha = 0.0;
+    double cost = 0.0;
+  };
+  std::optional<StrategyCost> strategy_cost_[3];  // indexed by StrategyKind
 };
 
 /// Printable baseline name ("aloof" / "scale" / "llf").

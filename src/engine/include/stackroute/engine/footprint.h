@@ -13,7 +13,6 @@
 
 #include <cstddef>
 
-#include "stackroute/core/mop.h"
 #include "stackroute/core/optop.h"
 #include "stackroute/engine/instance.h"
 #include "stackroute/network/dijkstra.h"
@@ -32,7 +31,6 @@ std::size_t footprint_bytes(const DijkstraWorkspace& ws);
 std::size_t footprint_bytes(const BushWorkspace& bw);
 std::size_t footprint_bytes(const SolverWorkspace& ws);
 
-std::size_t footprint_bytes(const MopWarmStart& warm);
 std::size_t footprint_bytes(const OpTopWarmStart& warm);
 
 /// Everything a session retains between requests: workspace buffers,

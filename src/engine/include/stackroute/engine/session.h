@@ -1,18 +1,18 @@
-// SolveSession: the persistent per-client solver state of the engine —
-// the generalization of the sweep layer's old ChainContext (which is now
-// an alias of this type). A session owns one SolverWorkspace (compiled
-// latency table, Dijkstra/path buffers) plus the converged warm-start
-// payloads of the last request it served, and hands them to the next
-// request whenever the instances are chain-compatible. Confined to one
+// SolveSession: the persistent per-client solver state of the engine. A
+// session owns one SolverWorkspace (compiled latency table, Dijkstra/path
+// buffers) plus the converged warm-start payloads of the last request it
+// served, and hands them to the next request whenever the instances are
+// chain-compatible. Sweep chains and engine clients both run on sessions,
+// and an Evaluation without one owns a private session. Confined to one
 // request at a time, hence one thread — the engine serializes a session's
 // requests and shards only across sessions.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <vector>
 
-#include "stackroute/core/mop.h"
 #include "stackroute/core/optop.h"
 #include "stackroute/engine/instance.h"
 #include "stackroute/solver/backend.h"
@@ -20,14 +20,25 @@
 
 namespace stackroute::engine {
 
-/// Converged baseline-strategy solver state carried along an α-sweep
-/// chain: the induced solves' bush payloads on networks, the induced
-/// water-filling levels on parallel links.
-struct StrategyWarmState {
-  EquilibriumWarmState scale_induced;  // network follower payloads
-  EquilibriumWarmState llf_induced;
-  double scale_level = std::numeric_limits<double>::quiet_NaN();
-  double llf_level = std::numeric_limits<double>::quiet_NaN();
+/// The solves whose converged state a session carries to its next
+/// request, one slot each (an internal index, not a setting).
+enum class WarmSlot : std::uint8_t {
+  kNash,        // plain Nash
+  kOptimum,     // the optimum, MOP's included: its bushes are the
+                // per-origin flows MOP and LLF read
+  kMopInduced,  // MOP's induced verification solve
+  kScale,       // SCALE's induced solve along an α chain
+  kLlf,         // LLF's induced solve along an α chain
+  kCount,       // number of slots, not a slot
+};
+inline constexpr std::size_t kWarmSlots =
+    static_cast<std::size_t>(WarmSlot::kCount);
+
+/// One slot's converged state: the bush payload of a network solve and
+/// the water-filling level of a parallel-links one (NaN = cold).
+struct WarmEntry {
+  EquilibriumWarmState payload;
+  double level = std::numeric_limits<double>::quiet_NaN();
 };
 
 struct SolveSession {
@@ -36,21 +47,21 @@ struct SolveSession {
   /// The previous request's instance — kept alive so chain_compatible's
   /// pointer-identity test is sound (and warm_compatible has an anchor).
   Instance prev_instance;
-  /// The last Nash solve's per-origin bushes (see solver/backend.h). A pe
-  /// solve reads none of these payloads and leaves the one it would
-  /// have filled empty, so after a pe request the next bush request on
-  /// that slot starts cold.
-  EquilibriumWarmState equilibrium;
-  MopWarmStart mop;          // optimum + induced bushes (the .optimum
-                             // half also feeds plain optimum solves and
-                             // holds the per-origin flows LLF reads)
-  OpTopWarmStart optop;      // parallel-links water-filling levels
-  StrategyWarmState strategy;  // per-baseline induced payloads (α chains)
-  /// Water-filling levels of the last plain parallel-links Nash/optimum
-  /// solves — the warm seeds of chained equilibrium/optimum requests
-  /// (OpTop keeps its own levels in `optop`).
-  double nash_level = std::numeric_limits<double>::quiet_NaN();
-  double opt_level = std::numeric_limits<double>::quiet_NaN();
+  /// Warm state by WarmSlot. A pe solve reads none of these payloads and
+  /// leaves the one it passes through empty, so after a pe request the
+  /// next bush request on that slot starts cold.
+  std::array<WarmEntry, kWarmSlots> warm;
+  /// OpTop's own water-filling levels (never shared with the kNash or
+  /// kOptimum levels: a session mixing request kinds must not seed one
+  /// solve from another's state).
+  OpTopWarmStart optop;
+
+  [[nodiscard]] WarmEntry& slot(WarmSlot s) {
+    return warm[static_cast<std::size_t>(s)];
+  }
+  [[nodiscard]] const WarmEntry& slot(WarmSlot s) const {
+    return warm[static_cast<std::size_t>(s)];
+  }
 
   /// Drops the warm payloads (workspace capacity is kept): called when a
   /// task fails or an incompatible instance breaks the chain, so stale

@@ -29,10 +29,11 @@ struct NetworkAssignment {
 
 // Every solve below runs on the backend `req` names (see solver/backend.h;
 // bush by default) and overrides req.objective with its own program. The
-// workspace variants reuse the caller's buffers; warm state flows through
-// the bush payload EquilibriumWarmState (either pointer may be null, and
-// they may alias; a pe solve ignores `warm_in` and clears `warm_out`). A
-// bush solve's per-origin flows are read back from `warm_out`
+// workspace variants reuse the caller's buffers; `warm` is an in-out bush
+// payload (EquilibriumWarmState): a non-empty one seeds the solve, and
+// the solve publishes its converged state back into it; null means
+// neither read nor publish. A pe solve reads nothing and leaves `warm`
+// empty. A bush solve's per-origin flows are read back from `warm`
 // (origin_flows).
 
 /// Wardrop equilibrium of the instance (no Leader).
@@ -41,8 +42,7 @@ NetworkAssignment solve_nash(const NetworkInstance& inst,
 NetworkAssignment solve_nash(const NetworkInstance& inst,
                              const EquilibriumRequest& req,
                              SolverWorkspace& ws,
-                             const EquilibriumWarmState* warm_in = nullptr,
-                             EquilibriumWarmState* warm_out = nullptr);
+                             EquilibriumWarmState* warm = nullptr);
 
 /// System optimum of the instance.
 NetworkAssignment solve_optimum(const NetworkInstance& inst,
@@ -50,8 +50,7 @@ NetworkAssignment solve_optimum(const NetworkInstance& inst,
 NetworkAssignment solve_optimum(const NetworkInstance& inst,
                                 const EquilibriumRequest& req,
                                 SolverWorkspace& ws,
-                                const EquilibriumWarmState* warm_in = nullptr,
-                                EquilibriumWarmState* warm_out = nullptr);
+                                EquilibriumWarmState* warm = nullptr);
 
 /// Followers' equilibrium given a Leader edge preload. The instance's
 /// demands must already be the *followers'* demands (the caller subtracts
@@ -65,8 +64,7 @@ NetworkAssignment solve_induced(const NetworkInstance& inst,
                                 std::span<const double> preload,
                                 const EquilibriumRequest& req,
                                 SolverWorkspace& ws,
-                                const EquilibriumWarmState* warm_in = nullptr,
-                                EquilibriumWarmState* warm_out = nullptr);
+                                EquilibriumWarmState* warm = nullptr);
 
 /// C(f) on the instance's latencies.
 double cost(const NetworkInstance& inst, std::span<const double> edge_flow);

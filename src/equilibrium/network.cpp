@@ -18,12 +18,11 @@ NetworkAssignment solve_program(const NetworkInstance& inst,
                                 std::span<const double> preload,
                                 const EquilibriumRequest& req,
                                 SolverWorkspace& ws,
-                                const EquilibriumWarmState* warm_in,
-                                EquilibriumWarmState* warm_out) {
+                                EquilibriumWarmState* warm) {
   EquilibriumRequest program = req;
   program.objective = objective;
   EquilibriumResult r =
-      solve_equilibrium(inst, preload, program, ws, warm_in, warm_out);
+      solve_equilibrium(inst, preload, program, ws, warm, warm);
   NetworkAssignment out;
   out.edge_flow = std::move(r.edge_flow);
   out.commodity_paths = std::move(r.commodity_paths);
@@ -50,10 +49,8 @@ NetworkAssignment solve_nash(const NetworkInstance& inst,
 NetworkAssignment solve_nash(const NetworkInstance& inst,
                              const EquilibriumRequest& req,
                              SolverWorkspace& ws,
-                             const EquilibriumWarmState* warm_in,
-                             EquilibriumWarmState* warm_out) {
-  return solve_program(inst, FlowObjective::kBeckmann, {}, req, ws, warm_in,
-                       warm_out);
+                             EquilibriumWarmState* warm) {
+  return solve_program(inst, FlowObjective::kBeckmann, {}, req, ws, warm);
 }
 
 NetworkAssignment solve_optimum(const NetworkInstance& inst,
@@ -65,10 +62,8 @@ NetworkAssignment solve_optimum(const NetworkInstance& inst,
 NetworkAssignment solve_optimum(const NetworkInstance& inst,
                                 const EquilibriumRequest& req,
                                 SolverWorkspace& ws,
-                                const EquilibriumWarmState* warm_in,
-                                EquilibriumWarmState* warm_out) {
-  return solve_program(inst, FlowObjective::kTotalCost, {}, req, ws, warm_in,
-                       warm_out);
+                                EquilibriumWarmState* warm) {
+  return solve_program(inst, FlowObjective::kTotalCost, {}, req, ws, warm);
 }
 
 NetworkAssignment solve_induced(const NetworkInstance& inst,
@@ -82,15 +77,14 @@ NetworkAssignment solve_induced(const NetworkInstance& inst,
                                 std::span<const double> preload,
                                 const EquilibriumRequest& req,
                                 SolverWorkspace& ws,
-                                const EquilibriumWarmState* warm_in,
-                                EquilibriumWarmState* warm_out) {
+                                EquilibriumWarmState* warm) {
   // An empty preload would silently mean "no Leader"; the caller asked
   // for one, so its size must match.
   SR_REQUIRE(preload.size() ==
                  static_cast<std::size_t>(inst.graph.num_edges()),
              "preload vector must have one entry per edge");
   return solve_program(inst, FlowObjective::kBeckmann, preload, req, ws,
-                       warm_in, warm_out);
+                       warm);
 }
 
 double cost(const NetworkInstance& inst, std::span<const double> edge_flow) {

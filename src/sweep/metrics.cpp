@@ -1,17 +1,21 @@
 #include "stackroute/sweep/metrics.h"
 
+#include <limits>
+
 namespace stackroute::sweep {
 
-double TaskEval::strategy_ratio(StrategyKind kind) {
-  // Same denominator the evaluations use, so ratio == cost/C(O) exactly.
-  return strategy_cost(kind) /
-         (is_parallel() ? optop().optimum_cost : network_optimum().cost);
+double TaskEval::alpha_of(StrategyKind kind) const {
+  return kind == StrategyKind::kAloof
+             ? std::numeric_limits<double>::quiet_NaN()
+             : point_.get("alpha");
 }
 
 double TaskEval::strategy_cost(StrategyKind kind) {
-  if (kind == StrategyKind::kAloof) return nash_cost();
-  // One α per task (the point's), cached per kind inside the Evaluation.
-  return eval_.strategy_cost(kind, point_.get("alpha"));
+  return strategy_cost(kind, alpha_of(kind));
+}
+
+double TaskEval::strategy_ratio(StrategyKind kind) {
+  return strategy_ratio(kind, alpha_of(kind));
 }
 
 Metric metric_beta() {

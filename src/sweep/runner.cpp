@@ -305,10 +305,9 @@ SweepResult SweepRunner::run(const ScenarioSpec& spec,
       [&](std::size_t c) {
         // The chain's persistent state: the engine session owning the
         // workspace + warm-start payloads, handed from each task to the
-        // next in axis order. With inactive layouts (length 1) the context
-        // is never consulted across tasks, so solves run exactly as the
-        // pre-chain cold path did.
-        ChainContext& ctx = *eng.session(session_ids[c]);
+        // next in axis order. With inactive layouts (length 1) every chain
+        // is one task on a fresh session, so solves run cold.
+        engine::SolveSession& ctx = *eng.session(session_ids[c]);
         // Tracing sinks live per chain (one thread each); counters per
         // task, installed below so each record tallies its own work.
         std::optional<obs::TraceScope> trace_scope;
@@ -362,8 +361,7 @@ SweepResult SweepRunner::run(const ScenarioSpec& spec,
               // Latency-evaluation faults arm on the first attempt only —
               // they model transient numeric trouble a cold retry outlives.
               fault::FaultScope fault_scope(tf, attempt);
-              TaskEval eval(rec.point, instance,
-                            layout.active ? &ctx : nullptr);
+              TaskEval eval(rec.point, instance, ctx);
               eval.set_budget(opts_.budget);
               eval.set_backend(spec.backend);
               rec.metrics.clear();
@@ -380,31 +378,29 @@ SweepResult SweepRunner::run(const ScenarioSpec& spec,
               rec.status = eval.status();
               rec.ok = true;
               rec.error.clear();
-              eval.finish_chain(std::move(instance));
+              eval.finish(std::move(instance));
               break;
             } catch (const std::exception& e) {
-              rec.ok = false;
               rec.error = e.what();
-              rec.metrics.assign(spec.metrics.size(),
-                                 std::numeric_limits<double>::quiet_NaN());
-              rec.status = SolveStatus::kNumericFailure;
-              // The next point (or this task's retry) restarts the chain
-              // cold; only count a reset when there was warm state to drop,
-              // so the reset lands once, on the first failing attempt.
-              if (ctx.has_prev) obs::count(&obs::SolveCounters::chain_resets);
-              ctx.reset_warm();
             } catch (...) {  // foreign exceptions must not escape either
-              rec.ok = false;
               rec.error = "unknown error (non-std exception)";
-              rec.metrics.assign(spec.metrics.size(),
-                                 std::numeric_limits<double>::quiet_NaN());
-              rec.status = SolveStatus::kNumericFailure;
-              if (ctx.has_prev) obs::count(&obs::SolveCounters::chain_resets);
-              ctx.reset_warm();
             }
+            // Only a failed attempt gets here (success breaks out above).
+            rec.ok = false;
+            rec.metrics.assign(spec.metrics.size(),
+                               std::numeric_limits<double>::quiet_NaN());
+            rec.status = SolveStatus::kNumericFailure;
+            // The next point (or this task's retry) restarts the chain
+            // cold; only count a reset when there was warm state to drop,
+            // so the reset lands once, on the first failing attempt.
+            if (ctx.has_prev) obs::count(&obs::SolveCounters::chain_resets);
+            ctx.reset_warm();
           }
           rec.millis = sw.milliseconds();
         }
+        // The chain is done: free its workspace and anchor now rather than
+        // when the sweep ends (a cold sweep has one chain per task).
+        ctx.shed_memory();
       });
   result.total_millis = total.milliseconds();
 

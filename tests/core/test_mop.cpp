@@ -175,14 +175,16 @@ TEST(Mop, WarmStartAgreesWithColdAndHarvestsState) {
   Rng rng(4);
   NetworkInstance inst = random_layered_dag(rng, 3, 4, 0.6, 1.0);
   SolverWorkspace ws;
-  MopWarmStart warm;
-  const MopResult first = mop(inst, {}, ws, nullptr, &warm);
-  EXPECT_FALSE(warm.optimum.empty());
-  ASSERT_EQ(warm.optimum.commodities.size(), inst.commodities.size());
+  EquilibriumWarmState optimum;
+  EquilibriumWarmState induced;
+  const MopResult first = mop(inst, {}, ws, &optimum, &induced);
+  EXPECT_FALSE(optimum.empty());
+  EXPECT_FALSE(induced.empty());
+  ASSERT_EQ(optimum.commodities.size(), inst.commodities.size());
 
   for (auto& c : inst.commodities) c.demand *= 1.4;
   const MopResult cold = mop(inst);
-  const MopResult w = mop(inst, {}, ws, &warm, &warm);
+  const MopResult w = mop(inst, {}, ws, &optimum, &induced);
   EXPECT_NEAR(w.beta, cold.beta, 1e-7);
   EXPECT_NEAR(w.optimum_cost, cold.optimum_cost,
               1e-7 * std::fmax(1.0, cold.optimum_cost));
@@ -190,8 +192,8 @@ TEST(Mop, WarmStartAgreesWithColdAndHarvestsState) {
               1e-7 * std::fmax(1.0, cold.induced_cost));
   EXPECT_NEAR(w.induced_residual, cold.induced_residual, 1e-6);
   // The harvest now reflects the new point.
-  ASSERT_EQ(warm.optimum.commodities.size(), inst.commodities.size());
-  EXPECT_DOUBLE_EQ(warm.optimum.commodities[0].demand,
+  ASSERT_EQ(optimum.commodities.size(), inst.commodities.size());
+  EXPECT_DOUBLE_EQ(optimum.commodities[0].demand,
                    inst.commodities[0].demand);
   (void)first;
 }

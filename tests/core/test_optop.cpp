@@ -170,14 +170,11 @@ TEST(OpTop, WarmLevelsReproduceTheColdRun) {
   // must be finite where solves ran.
   ParallelLinks m = mm1_two_groups(3, 4.0, 7, 8.0 / 7.0, 11.0);
   SolverWorkspace ws;
-  OpTopWarmStart warm;
-  bool first = true;
+  OpTopWarmStart warm;  // NaN levels: the first point solves cold
   for (double demand : {11.0, 12.5, 14.0, 15.5, 17.0}) {
     m.demand = demand;
     const OpTopResult cold = op_top(m);
-    const OpTopResult w =
-        op_top(m, {}, ws, first ? nullptr : &warm, &warm);
-    first = false;
+    const OpTopResult w = op_top(m, {}, ws, &warm);
     EXPECT_NEAR(w.beta, cold.beta, 1e-9) << "demand " << demand;
     EXPECT_NEAR(w.nash_cost, cold.nash_cost,
                 1e-7 * std::fmax(1.0, cold.nash_cost));

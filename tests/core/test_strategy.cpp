@@ -198,7 +198,7 @@ struct OptimumWithState {
 OptimumWithState optimum_with_state(const NetworkInstance& net) {
   OptimumWithState out;
   SolverWorkspace ws;
-  out.a = solve_optimum(net, {}, ws, nullptr, &out.state);
+  out.a = solve_optimum(net, {}, ws, &out.state);
   return out;
 }
 
@@ -272,7 +272,7 @@ TEST(NetworkStrategy, PrecomputedOptimumOverloadAgrees) {
     const NetworkStrategy s = scale_strategy(net, alpha, opt);
     const NetworkStackelbergOutcome convenient = evaluate_strategy(net, s);
     const NetworkStackelbergOutcome precomputed =
-        evaluate_strategy(net, s, opt.cost, {}, ws, nullptr, nullptr);
+        evaluate_strategy(net, s, opt.cost, {}, ws, nullptr);
     EXPECT_NEAR(convenient.cost, precomputed.cost,
                 1e-9 * std::fmax(1.0, convenient.cost));
     EXPECT_NEAR(convenient.ratio, precomputed.ratio, 1e-9);
@@ -292,7 +292,7 @@ TEST(NetworkStrategy, WarmStartedChainAgreesWithCold) {
     const double alpha = 0.1 * k;
     const NetworkStrategy s = llf_strategy(net, alpha, opt.a, opt.state);
     const NetworkStackelbergOutcome chained =
-        evaluate_strategy(net, s, opt.a.cost, {}, ws, &warm, &warm);
+        evaluate_strategy(net, s, opt.a.cost, {}, ws, &warm);
     const NetworkStackelbergOutcome cold = evaluate_strategy(net, s);
     EXPECT_NEAR(chained.cost, cold.cost, 1e-6 * std::fmax(1.0, cold.cost))
         << alpha;
@@ -343,7 +343,7 @@ TEST(NetworkStrategy, ScaleAndLlfNeverBeatMop) {
           use_llf ? llf_strategy(net, alpha, opt.a, opt.state)
                   : scale_strategy(net, alpha, opt.a);
       const NetworkStackelbergOutcome out =
-          evaluate_strategy(net, s, opt.a.cost, {}, ws, nullptr, nullptr);
+          evaluate_strategy(net, s, opt.a.cost, {}, ws, nullptr);
       EXPECT_GE(out.cost, mr.induced_cost * (1.0 - 1e-7))
           << "alpha " << alpha << " llf " << use_llf;
     }
@@ -363,7 +363,7 @@ TEST(NetworkStrategy, ScaleAtModerateAlphaCanBeWorseThanAloof) {
   SolverWorkspace ws;
   const NetworkStrategy s = scale_strategy(net, 0.65, opt);
   const NetworkStackelbergOutcome out =
-      evaluate_strategy(net, s, opt.cost, {}, ws, nullptr, nullptr);
+      evaluate_strategy(net, s, opt.cost, {}, ws, nullptr);
   EXPECT_GT(out.cost, nash.cost * 1.001);
 }
 
@@ -385,7 +385,7 @@ TEST(NetworkStrategy, NoTestedAlphaBelowOneMatchesMopOnThisInstance) {
           use_llf ? llf_strategy(net, alpha, opt.a, opt.state)
                   : scale_strategy(net, alpha, opt.a);
       const NetworkStackelbergOutcome out =
-          evaluate_strategy(net, s, opt.a.cost, {}, ws, nullptr, nullptr);
+          evaluate_strategy(net, s, opt.a.cost, {}, ws, nullptr);
       EXPECT_GT(out.ratio, 1.0 + 1e-3)
           << "alpha " << alpha << " llf " << use_llf;
     }

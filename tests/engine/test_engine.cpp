@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -15,8 +16,10 @@
 #include "stackroute/engine/footprint.h"
 #include "stackroute/gen/registry.h"
 #include "stackroute/latency/families.h"
+#include "stackroute/network/generators.h"
 #include "stackroute/solver/bush.h"
 #include "stackroute/sweep/scenario.h"
+#include "stackroute/util/error.h"
 #include "stackroute/util/parallel.h"
 
 namespace stackroute::engine {
@@ -175,22 +178,36 @@ TEST(EngineTest, BetaAndLlfWarmChainsMatchColdSolves) {
 }
 
 TEST(EngineTest, SessionFootprintCountsMopAndStrategyPayloads) {
-  // MOP's optimum/induced payloads and the baselines' induced payloads
-  // are bush states now; the session's byte charge must include them.
+  // Every warm slot holds a bush payload after the evaluation below; the
+  // session's byte charge must include each, and shedding must give every
+  // byte back.
   SolveSession session;
   const Instance inst = grid_instance(1.0);
   Evaluation eval(inst, &session);
+  (void)eval.network_nash();
   (void)eval.beta();
+  (void)eval.strategy_cost(StrategyKind::kScale, 0.3);
   (void)eval.strategy_cost(StrategyKind::kLlf, 0.3);
-  ASSERT_FALSE(session.mop.optimum.empty());
-  ASSERT_FALSE(session.mop.induced.empty());
-  ASSERT_FALSE(session.strategy.llf_induced.empty());
-  const std::size_t payloads = footprint_bytes(session.mop) +
-                               session.strategy.llf_induced.footprint_bytes();
-  EXPECT_GE(payloads, session.mop.optimum.footprint_bytes() +
-                          session.mop.induced.footprint_bytes() +
-                          session.strategy.llf_induced.footprint_bytes());
-  EXPECT_GE(footprint_bytes(session), footprint_bytes(session.ws) + payloads);
+  const std::size_t full = footprint_bytes(session);
+  std::size_t payloads = 0;
+  for (const WarmEntry& entry : session.warm) {
+    payloads += entry.payload.footprint_bytes();
+  }
+  EXPECT_GE(full, footprint_bytes(session.ws) + payloads +
+                      footprint_bytes(session.optop));
+  for (std::size_t i = 0; i < kWarmSlots; ++i) {
+    EquilibriumWarmState& payload =
+        session.slot(static_cast<WarmSlot>(i)).payload;
+    ASSERT_FALSE(payload.empty()) << "slot " << i;
+    EquilibriumWarmState taken;
+    std::swap(taken, payload);
+    const std::size_t without = footprint_bytes(session);
+    EXPECT_GE(full - without, taken.footprint_bytes()) << "slot " << i;
+    std::swap(taken, payload);
+    EXPECT_EQ(footprint_bytes(session), full) << "slot " << i;
+  }
+  session.shed_memory();
+  EXPECT_EQ(footprint_bytes(session), footprint_bytes(SolveSession{}));
 }
 
 TEST(EngineTest, TableCacheServesValueEqualInstances) {
@@ -401,6 +418,74 @@ bool same_bits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
+/// Every headline value of one evaluation plus the solver work it did.
+struct Reading {
+  std::vector<double> values;
+  obs::SolveCounters counters;
+};
+
+Reading read_evaluation(const Instance& inst, SolveSession* session,
+                        EquilibriumBackend backend) {
+  Reading out;
+  obs::CountersScope scope(out.counters);
+  Evaluation eval(inst, session);
+  eval.set_backend(backend);
+  out.values = {eval.nash_cost(), eval.optimum_cost(), eval.beta(),
+                eval.strategy_cost(StrategyKind::kScale, 0.4),
+                eval.strategy_cost(StrategyKind::kLlf, 0.4)};
+  return out;
+}
+
+TEST(EngineTest, SessionlessEvaluationEqualsOneOnAFreshSession) {
+  // A sessionless Evaluation runs on a private session, so it must match
+  // one on a fresh SolveSession bit for bit, work counters included.
+  const std::pair<Instance, EquilibriumBackend> cases[] = {
+      {grid_instance(1.0), EquilibriumBackend::kBush},
+      {grid_instance(1.0), EquilibriumBackend::kPathEqualization},
+      {Instance(fig4_instance()), EquilibriumBackend::kBush},
+  };
+  for (const auto& [inst, backend] : cases) {
+    SolveSession fresh;
+    const Reading own = read_evaluation(inst, nullptr, backend);
+    const Reading held = read_evaluation(inst, &fresh, backend);
+    ASSERT_EQ(own.values.size(), held.values.size());
+    for (std::size_t i = 0; i < own.values.size(); ++i) {
+      EXPECT_TRUE(same_bits(own.values[i], held.values[i]))
+          << to_string(backend) << " value " << i;
+    }
+    for (const obs::SolveCounters::FieldInfo& f :
+         obs::SolveCounters::fields()) {
+      EXPECT_EQ(own.counters.*f.member, held.counters.*f.member)
+          << to_string(backend) << " " << f.name;
+    }
+  }
+}
+
+TEST(EngineTest, StrategyCostRejectsASecondAlpha) {
+  // One α per kind and evaluation: the same α (bitwise) returns the
+  // cache, another α is an error naming both, Aloof ignores α.
+  for (const Instance& inst : {grid_instance(1.0), links_instance(2.0)}) {
+    Evaluation eval(inst, nullptr);
+    const double scale = eval.strategy_cost(StrategyKind::kScale, 0.4);
+    EXPECT_TRUE(
+        same_bits(eval.strategy_cost(StrategyKind::kScale, 0.4), scale));
+    try {
+      (void)eval.strategy_cost(StrategyKind::kScale, 0.6);
+      ADD_FAILURE() << "a second alpha must throw";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("0.4"), std::string::npos) << what;
+      EXPECT_NE(what.find("0.6"), std::string::npos) << what;
+    }
+    const double next = std::nextafter(0.4, 1.0);  // one ulp away
+    EXPECT_THROW((void)eval.strategy_cost(StrategyKind::kScale, next), Error);
+    // Each baseline keeps its own α.
+    (void)eval.strategy_cost(StrategyKind::kLlf, 0.6);
+    EXPECT_TRUE(same_bits(eval.strategy_cost(StrategyKind::kAloof, 0.1),
+                          eval.strategy_cost(StrategyKind::kAloof, 0.9)));
+  }
+}
+
 TEST(EngineTest, PeSessionSolvesEveryRequestCold) {
   // Path equalization is a cold reference solver: a pe session walking a
   // 4-level demand ramp answers every request bit for bit as a sessionless
@@ -447,10 +532,14 @@ TEST(EngineTest, PeMopBetweenBushMopsRunsOnItsOwnSplit) {
     return resp;
   };
   const SolveResponse bush_first = mop_on(EquilibriumBackend::kBush, s);
-  ASSERT_FALSE(eng.session(s)->mop.optimum.empty());
+  const auto payload = [&](WarmSlot slot) -> const EquilibriumWarmState& {
+    return eng.session(s)->slot(slot).payload;
+  };
+  ASSERT_FALSE(payload(WarmSlot::kOptimum).empty());
+  ASSERT_FALSE(payload(WarmSlot::kMopInduced).empty());
   const SolveResponse pe = mop_on(EquilibriumBackend::kPathEqualization, s);
-  EXPECT_TRUE(eng.session(s)->mop.optimum.empty());
-  EXPECT_TRUE(eng.session(s)->mop.induced.empty());
+  EXPECT_TRUE(payload(WarmSlot::kOptimum).empty());
+  EXPECT_TRUE(payload(WarmSlot::kMopInduced).empty());
   const SolveResponse bush_last = mop_on(EquilibriumBackend::kBush, s);
   EXPECT_TRUE(
       same_bits(pe.beta,

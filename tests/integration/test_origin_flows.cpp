@@ -51,7 +51,7 @@ NetworkInstance anaheim(double factor) {
 void expect_sink_paths_carry_demands(const NetworkInstance& inst) {
   SolverWorkspace ws;
   EquilibriumWarmState state;
-  const NetworkAssignment opt = solve_optimum(inst, {}, ws, nullptr, &state);
+  const NetworkAssignment opt = solve_optimum(inst, {}, ws, &state);
   ASSERT_TRUE(opt.converged);
   std::vector<std::vector<double>> storage;
   const std::vector<OriginFlow> origins =
@@ -97,9 +97,11 @@ TEST(OriginFlows, AnaheimBetaWarmAgreesWithColdWithinTolerance) {
   MopOptions opts;
   opts.verify_induced = false;
   SolverWorkspace ws;
-  MopWarmStart warm;
-  (void)mop(anaheim(0.5), opts, ws, nullptr, &warm);
-  const MopResult chained = mop(anaheim(1.0), opts, ws, &warm, &warm);
+  EquilibriumWarmState optimum;
+  EquilibriumWarmState induced;
+  (void)mop(anaheim(0.5), opts, ws, &optimum, &induced);
+  ASSERT_FALSE(optimum.empty());
+  const MopResult chained = mop(anaheim(1.0), opts, ws, &optimum, &induced);
   const MopResult cold = mop(anaheim(1.0), opts);
   EXPECT_NEAR(chained.beta, cold.beta, 1e-3);
   EXPECT_NEAR(chained.optimum_cost, cold.optimum_cost,

@@ -110,11 +110,11 @@ TEST(WarmChains, PrototypeScenariosChainCompatiblyAlongDemand) {
     ParamPoint b({"degree", "fast_links", "demand"}, {3.0, 3.0, 2.0});
     const Instance ia = spec.factory(a, rng_a);
     const Instance ib = spec.factory(b, rng_b);
-    EXPECT_TRUE(chain_compatible(ia, ib)) << name;
+    EXPECT_TRUE(engine::chain_compatible(ia, ib)) << name;
     // A different non-warm coordinate must not be compatible.
     ParamPoint c({"degree", "fast_links", "demand"}, {4.0, 4.0, 2.0});
     const Instance ic = spec.factory(c, rng_b);
-    EXPECT_FALSE(chain_compatible(ia, ic)) << name;
+    EXPECT_FALSE(engine::chain_compatible(ia, ic)) << name;
   }
 }
 
