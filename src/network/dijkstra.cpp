@@ -57,6 +57,17 @@ enum class HeapKind {
   kQuaternary,  // production: hand-rolled 4-ary sift
 };
 
+// O(m) validation kept out of release builds: it sits inside the solvers'
+// hottest loop, and in-tree callers derive costs from non-negative
+// latencies.
+void check_non_negative([[maybe_unused]] std::span<const double> edge_cost) {
+#ifndef NDEBUG
+  for (double c : edge_cost) {
+    SR_ASSERT_DEBUG(c >= 0.0, "Dijkstra needs non-negative edge costs");
+  }
+#endif
+}
+
 // Lazy-deletion Dijkstra over the CSR adjacency, on a workspace-owned
 // min-heap whose layout is a compile-time switch. All live queue entries
 // are distinct pairs (a node is only re-pushed with a strictly smaller
@@ -67,14 +78,7 @@ enum class HeapKind {
 template <HeapKind kHeap>
 void run_dijkstra(const CsrAdjacency& adj, std::size_t num_nodes, NodeId root,
                   std::span<const double> edge_cost, DijkstraWorkspace& ws) {
-#ifndef NDEBUG
-  // O(m) validation kept out of release builds: this sits inside the
-  // solvers' hottest loop, and in-tree callers derive costs from
-  // non-negative latencies.
-  for (double c : edge_cost) {
-    SR_ASSERT_DEBUG(c >= 0.0, "Dijkstra needs non-negative edge costs");
-  }
-#endif
+  check_non_negative(edge_cost);
   ShortestPathTree& tree = ws.tree;
   tree.dist.assign(num_nodes, kInf);
   tree.parent_edge.assign(num_nodes, kInvalidEdge);
@@ -146,6 +150,44 @@ const ShortestPathTree& dijkstra_binary_heap(const Graph& g, NodeId source,
                                      static_cast<std::size_t>(g.num_nodes()),
                                      source, edge_cost, ws);
   return ws.tree;
+}
+
+void dijkstra_from_bounds(const Graph& g, std::span<const double> edge_cost,
+                          std::span<double> dist, DijkstraWorkspace& ws) {
+  check_sizes(g, edge_cost);
+  SR_REQUIRE(dist.size() == static_cast<std::size_t>(g.num_nodes()),
+             "distance vector size mismatch");
+  check_non_negative(edge_cost);
+  const CsrAdjacency& out = g.out_csr();
+  auto& heap = ws.heap;
+  heap.clear();
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    const double du = dist[static_cast<std::size_t>(u)];
+    for (const CsrAdjacency::Arc& arc : out.arcs_of(u)) {
+      if (du + edge_cost[static_cast<std::size_t>(arc.edge)] <
+          dist[static_cast<std::size_t>(arc.target)]) {
+        heap4_push(heap, HeapItem{du, u});
+        break;
+      }
+    }
+  }
+  // Every push is at least the key just popped, so pops come in
+  // non-decreasing order and a node is settled at most once.
+  std::uint64_t settled = 0;
+  while (!heap.empty()) {
+    const auto [d, v] = heap4_pop(heap);
+    if (d > dist[static_cast<std::size_t>(v)]) continue;  // stale
+    ++settled;
+    for (const CsrAdjacency::Arc& arc : out.arcs_of(v)) {
+      const auto w = static_cast<std::size_t>(arc.target);
+      const double nd = d + edge_cost[static_cast<std::size_t>(arc.edge)];
+      if (nd < dist[w]) {
+        dist[w] = nd;
+        heap4_push(heap, HeapItem{nd, arc.target});
+      }
+    }
+  }
+  ws.settled = settled;
 }
 
 ShortestPathTree dijkstra_to(const Graph& g, NodeId sink,

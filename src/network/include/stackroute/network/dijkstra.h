@@ -65,6 +65,19 @@ const ShortestPathTree& dijkstra(const Graph& g, NodeId source,
                                  std::span<const double> edge_cost,
                                  DijkstraWorkspace& ws);
 
+/// Lowers `dist` to the shortest distances from its one source, given
+/// labels that are each the cost of some path from that source (0 at the
+/// source, +inf where no path is known): one scan of every edge seeds the
+/// heap with the tails of arcs that beat their head's label, and the
+/// relaxation runs until no label drops. For non-negative costs the result
+/// is bit for bit dijkstra()'s dist — floating-point addition is monotone,
+/// so every path sum is >= dijkstra's label and dijkstra's labels are the
+/// only path sums no edge beats. Touches only `dist` and ws.heap (dist may
+/// be ws.tree.dist; parent edges are not kept); ws.settled counts the
+/// pops, 0 when the bounds were already exact.
+void dijkstra_from_bounds(const Graph& g, std::span<const double> edge_cost,
+                          std::span<double> dist, DijkstraWorkspace& ws);
+
 /// The pre-4-ary binary-heap implementation (std::push_heap/pop_heap),
 /// kept under a compile-time heap switch as the reference: with all live
 /// queue keys distinct, the relaxation order — hence dist/parent_edge — is

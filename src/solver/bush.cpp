@@ -1,7 +1,9 @@
 #include "stackroute/solver/bush.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <utility>
 
 #include "stackroute/network/dijkstra.h"
@@ -191,6 +193,25 @@ void build_in_arcs(const Graph& g, const OriginBush& b, CsrAdjacency& arcs) {
       if (b.in_bush[static_cast<std::size_t>(arc.edge)]) arcs.arcs.push_back(arc);
     }
     arcs.offsets.push_back(static_cast<std::int32_t>(arcs.arcs.size()));
+  }
+}
+
+/// Min path labels from the origin into `dist` (+inf off the bush), in one
+/// topological sweep of its in-arc lists: the upper bounds the gap check
+/// hands to dijkstra_from_bounds.
+void bush_min_labels(const OriginBush& b, const CsrAdjacency& arcs,
+                     std::span<const double> costs, std::vector<double>& dist) {
+  std::fill(dist.begin(), dist.end(), kInf);
+  dist[static_cast<std::size_t>(b.origin)] = 0.0;
+  for (std::size_t i = 0; i < b.order.size(); ++i) {
+    const auto vi = static_cast<std::size_t>(b.order[i]);
+    double d = dist[vi];
+    for (const CsrAdjacency::Arc& arc : arcs.arcs_of(static_cast<NodeId>(i))) {
+      const double via = dist[static_cast<std::size_t>(arc.target)] +
+                         costs[static_cast<std::size_t>(arc.edge)];
+      if (via < d) d = via;
+    }
+    dist[vi] = d;
   }
 }
 
@@ -597,6 +618,13 @@ BushResult bush_run(const NetworkInstance& inst, FlowObjective objective,
         build_initial_bush(g, inst, groups[gi], ws.costs, lane, bw.state[gi]);
       });
     }
+    // The gap check reads each origin's distances off its bush, so the
+    // in-arc lists exist from the first check on.
+    bw.in_arcs.resize(ng);
+    for (std::size_t gi = 0; gi < ng; ++gi) {
+      build_in_arcs(g, bw.state[gi], bw.in_arcs[gi]);
+    }
+    ws.dijkstra.tree.dist.resize(nv);
 
     double best_gap = kInf;
     int since_improved = 0;
@@ -627,18 +655,26 @@ BushResult bush_run(const NetworkInstance& inst, FlowObjective objective,
         break;
       }
 
-      // SPTT: one full-graph Dijkstra per origin, fanned out over the lanes;
-      // each lane writes only its own origins' commodity distances, which
-      // are reduced in commodity order below.
-      fan_out_origins(g, bw, ng, [&](BushLane& lane, std::size_t gi) {
+      // SPTT: each origin's shortest distances, read off its bush and
+      // repaired where an arc beats them — bit for bit dijkstra()'s (see
+      // "Cost" in bush.h), which debug builds check at every sink.
+      std::vector<double>& dist = ws.dijkstra.tree.dist;
+      for (std::size_t gi = 0; gi < ng; ++gi) {
         const OriginGroup& group = groups[gi];
-        const ShortestPathTree& tree =
-            dijkstra(g, group.origin, ws.costs, lane.dijkstra);
+        bush_min_labels(bw.state[gi], bw.in_arcs[gi], ws.costs, dist);
+        dijkstra_from_bounds(g, ws.costs, dist, ws.dijkstra);
+        if (ws.dijkstra.settled > 0) count_dijkstra(ws.dijkstra);
+#ifndef NDEBUG
+        const ShortestPathTree exact = dijkstra(g, group.origin, ws.costs);
+#endif
         for (std::size_t ci : group.commodities) {
-          ws.dists[ci] =
-              tree.dist[static_cast<std::size_t>(inst.commodities[ci].sink)];
+          const auto t = static_cast<std::size_t>(inst.commodities[ci].sink);
+          SR_ASSERT_DEBUG(std::bit_cast<std::uint64_t>(dist[t]) ==
+                              std::bit_cast<std::uint64_t>(exact.dist[t]),
+                          "bush: certified distance differs from Dijkstra's");
+          ws.dists[ci] = dist[t];
         }
-      });
+      }
       double sptt = 0.0;
       for (std::size_t i = 0; i < k; ++i) {
         sptt += inst.commodities[i].demand * ws.dists[i];
@@ -677,15 +713,7 @@ BushResult bush_run(const NetworkInstance& inst, FlowObjective objective,
       }
 
       // Improve + equilibrate, strictly sequential in origin order — the
-      // determinism contract's load-bearing wall. The in-arc lists are first
-      // needed here, so a solve that converges at its first check never
-      // builds them.
-      if (iter == 1) {
-        bw.in_arcs.resize(ng);
-        for (std::size_t gi = 0; gi < ng; ++gi) {
-          build_in_arcs(g, bw.state[gi], bw.in_arcs[gi]);
-        }
-      }
+      // determinism contract's load-bearing wall.
       for (std::size_t gi = 0; gi < ng; ++gi) {
         OriginBush& b = bw.state[gi];
         for (std::size_t v = 0; v < nv; ++v) bw.pos[v] = -1;

@@ -2,7 +2,10 @@
 // max-flow — the graph machinery MOP is assembled from.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "stackroute/latency/families.h"
 #include "stackroute/network/dijkstra.h"
@@ -78,6 +81,112 @@ TEST(Dijkstra, QuaternaryHeapMatchesBinaryReferenceExactly) {
           << "trial " << trial << " node " << v;
     }
   }
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+TEST(Dijkstra, FromBoundsEqualsDijkstraBitwise) {
+  // dijkstra_from_bounds must land on dijkstra()'s labels bit for bit from
+  // any path-sum upper bounds (see dijkstra.h). Random digraphs with
+  // zero-cost arcs, mixed cost scales and nodes no edge enters; three
+  // kinds of bounds: the exact distances (nothing to repair), path sums
+  // along a random spanning tree of the reachable nodes, and path sums
+  // over the shortest-path DAG with some of its arcs removed.
+  Rng rng(2026);
+  std::uint64_t repaired = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    const int n = 2 + static_cast<int>(rng.uniform_int(0, 60));
+    const int cut = static_cast<int>(rng.uniform_int(0, n / 4));  // unentered
+    Graph g(n);
+    const int m = static_cast<int>(rng.uniform_int(n / 2, 4 * n));
+    for (int e = 0; e < m; ++e) {
+      const auto u = static_cast<NodeId>(rng.uniform_int(0, n - 1));
+      const auto v = static_cast<NodeId>(rng.uniform_int(1, n - 1));
+      if (u == v || v >= n - cut) continue;
+      g.add_edge(u, v, make_linear(1.0));
+    }
+    const auto ne = static_cast<std::size_t>(g.num_edges());
+    std::vector<double> cost(ne);
+    for (auto& c : cost) {
+      c = rng.bernoulli(0.2) ? 0.0
+                             : rng.uniform(0.0, 1.0) * rng.uniform(1e-3, 1e3);
+    }
+    const ShortestPathTree exact = dijkstra(g, 0, cost);
+    const auto nv = static_cast<std::size_t>(n);
+
+    // Path sums along a random spanning tree of the reachable nodes.
+    std::vector<double> tree_bounds(nv, kInf);
+    tree_bounds[0] = 0.0;
+    for (bool grew = true; grew;) {
+      grew = false;
+      for (std::size_t e = 0; e < ne; ++e) {
+        const Edge& ed = g.edge(static_cast<EdgeId>(e));
+        const auto u = static_cast<std::size_t>(ed.tail);
+        const auto v = static_cast<std::size_t>(ed.head);
+        if (std::isfinite(tree_bounds[u]) && !std::isfinite(tree_bounds[v]) &&
+            rng.bernoulli(0.3)) {
+          tree_bounds[v] = tree_bounds[u] + cost[e];
+          grew = true;
+        }
+      }
+      if (!grew) {  // every arc declined this round: take the first one left
+        for (std::size_t e = 0; e < ne && !grew; ++e) {
+          const Edge& ed = g.edge(static_cast<EdgeId>(e));
+          const auto u = static_cast<std::size_t>(ed.tail);
+          const auto v = static_cast<std::size_t>(ed.head);
+          if (std::isfinite(tree_bounds[u]) && !std::isfinite(tree_bounds[v])) {
+            tree_bounds[v] = tree_bounds[u] + cost[e];
+            grew = true;
+          }
+        }
+      }
+    }
+
+    // Min path sums over the shortest-path DAG's tight arcs, a fifth of
+    // them removed (Bellman-Ford over what is left).
+    std::vector<char> kept(ne, 0);
+    for (std::size_t e = 0; e < ne; ++e) {
+      const Edge& ed = g.edge(static_cast<EdgeId>(e));
+      const double du = exact.dist[static_cast<std::size_t>(ed.tail)];
+      kept[e] = std::isfinite(du) &&
+                du + cost[e] == exact.dist[static_cast<std::size_t>(ed.head)] &&
+                !rng.bernoulli(0.2);
+    }
+    std::vector<double> dag_bounds(nv, kInf);
+    dag_bounds[0] = 0.0;
+    for (bool dropped = true; dropped;) {
+      dropped = false;
+      for (std::size_t e = 0; e < ne; ++e) {
+        if (!kept[e]) continue;
+        const Edge& ed = g.edge(static_cast<EdgeId>(e));
+        const double via = dag_bounds[static_cast<std::size_t>(ed.tail)] + cost[e];
+        if (via < dag_bounds[static_cast<std::size_t>(ed.head)]) {
+          dag_bounds[static_cast<std::size_t>(ed.head)] = via;
+          dropped = true;
+        }
+      }
+    }
+
+    const std::vector<std::vector<double>> starts = {exact.dist, tree_bounds,
+                                                     dag_bounds};
+    for (std::size_t kind = 0; kind < starts.size(); ++kind) {
+      std::vector<double> dist = starts[kind];
+      for (std::size_t v = 0; v < nv; ++v) {
+        ASSERT_FALSE(dist[v] < exact.dist[v]) << "not an upper bound";
+      }
+      DijkstraWorkspace ws;
+      dijkstra_from_bounds(g, cost, dist, ws);
+      if (kind == 0) {
+        EXPECT_EQ(ws.settled, 0u) << "trial " << trial;
+      }
+      repaired += ws.settled;
+      for (std::size_t v = 0; v < nv; ++v) {
+        EXPECT_EQ(bits(dist[v]), bits(exact.dist[v]))
+            << "trial " << trial << " bounds " << kind << " node " << v;
+      }
+    }
+  }
+  EXPECT_GT(repaired, 0u);  // the non-exact bounds did need repairs
 }
 
 TEST(Dijkstra, UnreachableIsInfinite) {
