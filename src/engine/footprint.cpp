@@ -35,22 +35,17 @@ std::size_t footprint_bytes(const DijkstraWorkspace& ws) {
 }
 
 std::size_t footprint_bytes(const BushWorkspace& bw) {
-  std::size_t bytes = vec_bytes(bw.pos) + vec_bytes(bw.dmin) +
-                      vec_bytes(bw.dmax) + vec_bytes(bw.pmin) +
-                      vec_bytes(bw.pmax) + vec_bytes(bw.indeg) +
-                      vec_bytes(bw.queue) + vec_bytes(bw.chain) +
-                      vec_bytes(bw.total_flow) + vec_bytes(bw.seg_max) +
-                      vec_bytes(bw.seg_min) +
+  std::size_t bytes = vec_bytes(bw.pos) + vec_bytes(bw.depth) +
+                      vec_bytes(bw.dmin) + vec_bytes(bw.dmax) +
+                      vec_bytes(bw.pmin) + vec_bytes(bw.pmax) +
+                      vec_bytes(bw.indeg) + vec_bytes(bw.queue) +
+                      vec_bytes(bw.chain) + vec_bytes(bw.total_flow) +
+                      vec_bytes(bw.seg_max) + vec_bytes(bw.seg_min) +
                       vec_bytes(bw.tail) + vec_bytes(bw.head) +
-                      vec_bytes(bw.state) + vec_bytes(bw.in_arcs) +
-                      vec_bytes(bw.lanes);
+                      vec_bytes(bw.state) + vec_bytes(bw.in_arcs);
   for (const OriginBush& b : bw.state) bytes += b.footprint_bytes();
   for (const CsrAdjacency& arcs : bw.in_arcs) {
     bytes += vec_bytes(arcs.offsets) + vec_bytes(arcs.arcs);
-  }
-  for (const BushLane& lane : bw.lanes) {
-    bytes += footprint_bytes(lane.dijkstra) + vec_bytes(lane.depth) +
-             vec_bytes(lane.pos) + vec_bytes(lane.chain);
   }
   return bytes;
 }

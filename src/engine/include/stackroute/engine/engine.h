@@ -17,10 +17,8 @@
 //     recompiling (hash fast path + full value-equality check, so a
 //     collision can never cause wrong reuse — see instance.h).
 //
-// Every solve runs on its caller's thread; only a bush solve fans its
-// per-origin Dijkstra runs out over util/parallel.h, and runs them inline
-// when the caller is itself a parallel worker. solve() may be called from
-// any number of threads at once; solve_batch fans its requests out over
+// Every solve runs single-threaded on its caller's thread. solve() may be
+// called from any number of threads at once; solve_batch fans its requests out over
 // util/parallel.h, one group per session (a session's requests run in
 // submission order on one thread, exactly the sweep chain discipline), so
 // responses are deterministic at any thread count.
@@ -191,8 +189,7 @@ class Engine {
   /// The caller owns the thread discipline (one session, one thread).
   [[nodiscard]] SolveSession* session(std::uint64_t id);
 
-  /// Serves one request in the caller's thread (a bush solve may fan out,
-  /// see the file comment). Never throws: failures come back as !ok
+  /// Serves one request in the caller's thread. Never throws: failures come back as !ok
   /// responses and reset the session's warm state. Safe to call from any
   /// number of threads at once, on any number of engines; a sessionless
   /// response is identical to a serial call's. Concurrent calls naming the

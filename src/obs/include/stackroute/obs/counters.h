@@ -8,11 +8,9 @@
 // and a branch, which Release benches show is indistinguishable from no
 // instrumentation at all (bench/bench_obs_overhead.cpp guards this).
 //
-// Thread-count invariance: every solve counts on the thread that installed
-// the sink — the bush solver's fan-out helpers run only Dijkstra and count
-// nothing; the caller tallies their work after the join — so the same
-// solve produces the same counters at any thread count, whatever else runs
-// in the process.
+// Thread-count invariance: every solve runs, and counts, on the thread that
+// installed the sink, so the same solve produces the same counters at any
+// thread count, whatever else runs in the process.
 //
 // Solvers wrap their body in a ScopedCounterDelta: when a sink is
 // installed it reroutes counting into a private struct for the call's

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "stackroute/util/error.h"
-#include "stackroute/util/parallel.h"
 
 namespace stackroute::serve {
 
@@ -258,8 +257,6 @@ FrontEnd::Client* FrontEnd::pick_client_locked(std::uint64_t* id) {
 }
 
 void FrontEnd::worker_main() {
-  // Each worker is a unit of parallelism already: its solves run inline.
-  const ParallelWorkerScope parallel_worker;
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
     std::uint64_t cid = 0;

@@ -25,8 +25,7 @@
 //     the client's engine sessions once the in-flight solve drains.
 //
 // Workers call Engine::solve directly: each solve runs single-threaded on
-// its worker (a ParallelWorkerScope keeps the bush solver's per-origin
-// fan-out inline), all parallelism comes from the worker pool, and other
+// its worker, all parallelism comes from the worker pool, and other
 // callers of the same or any other Engine are never blocked by it.
 //
 // Thread model: submit_line / next_response / finish_client /

@@ -4,7 +4,7 @@
 // subgraph (a "bush") that carries all of that origin's flow. Each outer
 // iteration measures the relative gap (c·f − SPTT)/c·f — total cost at
 // the current costs against the shortest-path total travel time, zero
-// exactly at equilibrium — with one full-graph Dijkstra per origin, then,
+// exactly at equilibrium — from each origin's shortest distances, then,
 // origin by origin, (a) improves the bush (drops zero-flow edges, adds
 // strictly cost-improving edges, re-topological-sorts) and (b) equilibrates
 // it with Newton flow shifts from the max-cost to the min-cost path
@@ -15,19 +15,25 @@
 // Cost: the min/max trees, the drop scan and every equilibration pass walk
 // only the origin's bush arcs (a compact per-origin in-arc list kept in
 // ws.bush and remade only when the bush's edge set changes), so they cost
-// O(bush arcs), not O(graph edges); only the add scan and the re-sort after
-// an addition see every edge.
+// O(bush arcs), not O(graph edges); only the add scan, the re-sort after
+// an addition and the gap check's arc scan see every edge. Full-graph
+// Dijkstras run only in a cold start, one per origin to build its first
+// bush. The gap check needs none: as in Algorithm B the bush keeps its
+// origin's shortest paths, so one min-label pass over the in-arc list
+// gives path-sum upper bounds that are almost always exact, and
+// dijkstra_from_bounds (network/dijkstra.h) scans every edge once and
+// repairs only the labels some arc beats. The result is bit for bit the
+// full Dijkstra's: floating-point addition is monotone, so for costs >= 0
+// every path sum is at least Dijkstra's label, and Dijkstra's labels are
+// the only path sums that no edge beats. So the SPTT, the gap and every
+// shift are exactly what a full Dijkstra per origin would give (debug
+// builds check every sink against one). The dijkstra_calls counter counts
+// the cold-start Dijkstras plus the repairs that settle at least one node.
 //
-// Threads and determinism: the two per-origin Dijkstra fan-outs — the gap
-// check's SPTT and a cold start's initial bushes — only read the costs the
-// calling thread computed, so they run over util/parallel.h on
-// ws.bush.lanes (one lane per contiguous chunk of origins, each writing
-// only its own origins' outputs). Everything else — latency evaluation,
-// improve/equilibrate, counters, spans, budget polls — runs on the calling
-// thread in origin order, and the SPTT sum and the Dijkstra counters are
-// reduced there in a fixed order. So results and counters are a pure
-// function of the inputs (and of the warm payload, when one is passed),
-// never of the thread count.
+// Threads and determinism: a solve runs on its caller's thread, origin by
+// origin in a fixed order, and reads no thread count. So results and
+// counters are a pure function of the inputs (and of the warm payload,
+// when one is passed).
 //
 // Faults: every batch cost evaluation and every shift's cost refresh is
 // one fault-injection event (util/fault.h), and a non-finite cost stops

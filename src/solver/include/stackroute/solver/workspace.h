@@ -9,11 +9,9 @@
 // setup stops allocating once the buffers have grown to the instance size.
 //
 // A workspace serves one solve at a time: its owner (a call, a session, a
-// sweep chain) is its only user. Solves run on the caller's thread except
-// for the bush solver's per-origin Dijkstra fan-outs, which run over
-// util/parallel.h on lanes the workspace owns (BushWorkspace::lanes) — so
-// the bush scratch, lanes included, lives here, where the engine's session
-// byte accounting sees it, and no solver keeps thread-local scratch.
+// sweep chain) is its only user, and every solve runs on the caller's
+// thread. The bush scratch lives here too, where the engine's session byte
+// accounting sees it; no solver keeps thread-local scratch.
 //
 // Buffers are sized on use and never shrunk; a workspace carries no state
 // between calls beyond capacity (delta_mask is the one exception: it must
@@ -53,30 +51,18 @@ struct OriginBush {
   [[nodiscard]] std::size_t footprint_bytes() const;
 };
 
-/// One lane of the bush solver's per-origin fan-outs (SPTT gap check,
-/// cold bush build): the scratch a contiguous chunk of origins runs on,
-/// possibly on a helper thread. Cache-line aligned so neighbouring lanes'
-/// vector headers, written on every heap push and pop, never share a line.
-struct alignas(64) BushLane {
-  DijkstraWorkspace dijkstra;
-  std::vector<std::int32_t> depth;   // tree depth scratch (initial order)
-  std::vector<std::int32_t> pos;     // node -> position in initial order
-  std::vector<NodeId> chain;         // parent-chase scratch
-  /// Nodes settled by this lane's Dijkstra runs in the current fan-out;
-  /// the caller tallies it after the join.
-  std::uint64_t settled = 0;
-};
-
 /// Scratch for the bush hot loops (solver/bush.h); sized on use, never
 /// shrunk, carries no state between calls.
 ///
 /// The inner loops never scan the whole graph per bush: each origin's bush
 /// is walked through `in_arcs`, a compact copy of its in-arcs made once per
-/// solve (before the first improvement pass) and remade only when its edge
-/// set changes, and the few loops that must see every edge read the flat
-/// `tail`/`head` arrays instead of Graph::edge().
+/// solve (before the first gap check) and remade only when its edge set
+/// changes, and the few loops that must see every edge read the flat
+/// `tail`/`head` arrays instead of Graph::edge(). The gap check's and the
+/// cold start's shortest-path work runs on SolverWorkspace::dijkstra.
 struct BushWorkspace {
   std::vector<std::int32_t> pos;     // node -> position in topo order
+  std::vector<std::int32_t> depth;   // tree depth scratch (initial order)
   std::vector<double> dmin;          // min-path cost from origin, per node
   std::vector<double> dmax;          // max used-path cost from origin
   std::vector<EdgeId> pmin;          // min-tree parent edge, per node
@@ -95,7 +81,6 @@ struct BushWorkspace {
   /// in_arcs[g].arcs_of(i) — in in-CSR (ascending EdgeId) order within
   /// each node. Never part of a warm payload.
   std::vector<CsrAdjacency> in_arcs;
-  std::vector<BushLane> lanes;       // one per fan-out thread, grown on use
 };
 
 struct SolverWorkspace {

@@ -1,11 +1,8 @@
 // SweepRunner: expands a ScenarioSpec's grid into tasks, partitions them
 // into warm-start chains, fans the chains out over util/parallel.h's
 // threads (one chain per thread at a time), and aggregates metric rows
-// into io::Table. Solves inside a multi-chain run are single-threaded (a
-// chain thread is a parallel worker, so inner fan-outs run inline); a
-// single-chain run leaves the idle cores to its bush solves' per-origin
-// Dijkstra fan-out. The runner reads the max_threads() cap and writes no
-// process-wide state.
+// into io::Table. Every solve runs single-threaded on its chain's thread.
+// The runner reads the max_threads() cap and writes no process-wide state.
 //
 // Chains: when the scenario declares a warm axis (ScenarioSpec::warm_axis,
 // typically "demand") and warm-starting is enabled, the grid decomposes
@@ -141,9 +138,7 @@ struct SweepResult {
   int digits = 6;
   double total_millis = 0.0;
   /// Threads the chains actually ran on: threads_for(chains), i.e.
-  /// min(max_threads(), chains), and 1 for a single chain. Counts chain
-  /// threads only — not the helpers a single chain's bush solves fan out
-  /// to.
+  /// min(max_threads(), chains), and 1 for a single chain.
   int threads = 1;
   /// Number of chains the grid decomposed into (== num_tasks() when no
   /// warm axis applied), and the axis used (empty when none did).

@@ -6,10 +6,9 @@
 // arms one task's faults at a time through a thread-local FaultScope, and
 // the solver evaluation seams (batched edge costs, incremental path cost
 // refreshes, the bush solver's per-shift cost refreshes, water-filling
-// supply probes) each consume one "evaluation event" from the armed scope. Every seam runs on the task's own thread
-// (the bush solver's fan-out helpers run only Dijkstra), so event indices
-// — and therefore the injected faults — are invariant under the thread
-// count.
+// supply probes) each consume one "evaluation event" from the armed scope.
+// Every seam runs on the task's own thread, so event indices — and
+// therefore the injected faults — are invariant under the thread count.
 //
 // With no scope armed every hook is a thread-local load plus a branch, the
 // same zero-overhead-when-off contract as the obs counters.

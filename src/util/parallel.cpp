@@ -12,16 +12,7 @@ namespace stackroute {
 
 namespace {
 std::atomic<int> g_max_threads{0};
-// True on a thread that is one of a multi-thread parallel_for's workers or
-// sits inside a ParallelWorkerScope: its own parallel_for calls run inline.
-thread_local bool tl_parallel_worker = false;
 }  // namespace
-
-ParallelWorkerScope::ParallelWorkerScope() : saved_(tl_parallel_worker) {
-  tl_parallel_worker = true;
-}
-
-ParallelWorkerScope::~ParallelWorkerScope() { tl_parallel_worker = saved_; }
 
 void set_max_threads(int n) { g_max_threads.store(n < 0 ? 0 : n); }
 
@@ -32,7 +23,7 @@ int max_threads() {
 }
 
 int threads_for(std::size_t n) {
-  if (n < 2 || tl_parallel_worker) return 1;
+  if (n < 2) return 1;
   return static_cast<int>(
       std::min<std::size_t>(n, static_cast<std::size_t>(max_threads())));
 }
@@ -49,7 +40,6 @@ void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn) {
   std::exception_ptr first;
   std::mutex first_mu;
   const auto worker = [&] {
-    const ParallelWorkerScope scope;
     while (!failed.load()) {
       const std::size_t i = next.fetch_add(1);
       if (i >= n) return;

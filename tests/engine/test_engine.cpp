@@ -361,43 +361,53 @@ TEST(EngineTest, BatchBitwiseIdenticalAcrossThreadCounts) {
 }
 
 TEST(EngineTest, WorkspaceFootprintCountsBushScratch) {
-  // The bush scratch lives in the caller's workspace, so a session's
-  // byte charge covers it — including the per-origin fan-out lanes, one
-  // per thread the solve's Dijkstra runs used (Anaheim: 38 origins, enough
-  // work for four lanes at a cap of 4), and each origin's in-arc list.
+  // The bush scratch and the Dijkstra buffers the solve runs on live in
+  // the caller's workspace, so a session's byte charge covers them: the
+  // whole bush scratch, and each piece on its own — dropping any one of
+  // ws.dijkstra, the cold build's depth scratch or the in-arc lists cuts
+  // the charge by at least its size.
   const NetworkInstance net = std::get<NetworkInstance>(
       sweep::load_instance_file(std::string(STACKROUTE_SOURCE_DIR) +
                                 "/examples/instances/Anaheim_net.tntp"));
   SolverWorkspace ws;
-  set_max_threads(4);
   const BushResult r = solve_bush(net, FlowObjective::kBeckmann, {}, {}, ws);
-  set_max_threads(0);
   ASSERT_TRUE(r.converged);
   const auto nv = static_cast<std::size_t>(net.graph.num_nodes());
   const auto ne = static_cast<std::size_t>(net.graph.num_edges());
-  ASSERT_EQ(ws.bush.lanes.size(), 4u);
-  // pos, indeg; dmin, dmax; pmin, pmax — per node. total_flow, tail and
-  // head per edge. Each lane: its Dijkstra dist and parent_edge, plus the
-  // cold build's depth and pos — per node. Each origin: its live bush
-  // (order over the nodes it reaches, per-edge in_bush and flow) and at
-  // least one in-arc per node it reaches besides the origin itself.
+  // pos, depth, indeg; dmin, dmax; pmin, pmax — per node. total_flow, tail
+  // and head per edge. Each origin: its live bush (order over the nodes it
+  // reaches, per-edge in_bush and flow) and its in-arc list, with an
+  // offset per node it reaches (+1) and at least one in-arc per such node
+  // besides the origin itself.
   ASSERT_EQ(ws.bush.state.size(), 38u);
   std::size_t origins_floor = 0;
+  std::size_t arcs_floor = 0;
   for (const OriginBush& b : ws.bush.state) {
     origins_floor += b.order.size() * sizeof(NodeId) +
-                     ne * (sizeof(char) + sizeof(double)) +
-                     (b.order.size() - 1) * sizeof(CsrAdjacency::Arc);
+                     ne * (sizeof(char) + sizeof(double));
+    arcs_floor += (b.order.size() + 1) * sizeof(std::int32_t) +
+                  (b.order.size() - 1) * sizeof(CsrAdjacency::Arc);
   }
   const std::size_t bush_floor =
-      nv * (2 * sizeof(std::int32_t) + 2 * sizeof(double) +
+      nv * (3 * sizeof(std::int32_t) + 2 * sizeof(double) +
             2 * sizeof(EdgeId)) +
-      ne * (sizeof(double) + 2 * sizeof(NodeId)) +
-      4 * nv * (sizeof(double) + sizeof(EdgeId) + 2 * sizeof(std::int32_t)) +
-      origins_floor;
-  const std::size_t with_bush = footprint_bytes(ws);
+      ne * (sizeof(double) + 2 * sizeof(NodeId)) + origins_floor + arcs_floor;
   EXPECT_GE(footprint_bytes(ws.bush), bush_floor);
-  ws.bush = BushWorkspace{};
-  EXPECT_GE(with_bush - footprint_bytes(ws), bush_floor);
+
+  const auto charge_of = [&](const auto& drop) {
+    const std::size_t before = footprint_bytes(ws);
+    drop();
+    return before - footprint_bytes(ws);
+  };
+  // The cold start's full Dijkstras fill dist and parent_edge per node.
+  EXPECT_GE(charge_of([&] { ws.dijkstra = DijkstraWorkspace{}; }),
+            nv * (sizeof(double) + sizeof(EdgeId)));
+  EXPECT_GE(charge_of([&] { ws.bush.depth = std::vector<std::int32_t>(); }),
+            nv * sizeof(std::int32_t));
+  EXPECT_GE(charge_of([&] { ws.bush.in_arcs = std::vector<CsrAdjacency>(); }),
+            arcs_floor);
+  EXPECT_GE(charge_of([&] { ws.bush = BushWorkspace{}; }),
+            bush_floor - nv * sizeof(std::int32_t) - arcs_floor);
 }
 
 TEST(EngineTest, BatchSessionsWarmInSubmissionOrder) {

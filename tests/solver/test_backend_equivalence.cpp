@@ -4,9 +4,8 @@
 // across generator families and seeds, and each must pass the
 // solver-independent certificate of support/equilibrium_certificate.h.
 // Plus the bush solver's own contracts: warm-vs-cold agreement, honest
-// degraded statuses, and results that are bitwise identical at any thread
-// count (its per-origin Dijkstra fan-outs run over util/parallel.h), both
-// for single solves and for a bush sweep table, and whether a warm payload
+// degraded statuses, and results that are bitwise identical at any
+// set_max_threads cap, both for single solves and for a bush sweep table, and whether a warm payload
 // is swapped into the solver (it aliases warm_out) or copied.
 #include "stackroute/solver/backend.h"
 
@@ -314,10 +313,10 @@ std::pair<BushRun, BushRun> cold_then_warm(const NetworkInstance& inst,
 }
 
 TEST(Bush, EdgeFlowBitwiseInvariantAcrossThreadCounts) {
-  // Anaheim's 38 origins split unevenly over 3 and 4 lanes; the
-  // multi-commodity grid's 23 origins carry work for at most 3 lanes; the
-  // generated grid-bpr instance has one origin, so it runs inline at any
-  // cap. Each warm solve also runs with its payload aliasing warm_out.
+  // Anaheim's 38 origins, the multi-commodity grid's 23 and the generated
+  // grid-bpr instance's one, under thread caps from 1 to 4: nothing a bush
+  // solve computes may depend on the cap. Each warm solve also runs with
+  // its payload aliasing warm_out.
   struct Case {
     std::string name;
     sweep::Instance instance;

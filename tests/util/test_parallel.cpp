@@ -1,13 +1,11 @@
 // util/parallel.h: every index runs exactly once, the first exception is
-// rethrown after the join, threads_for follows the cap, and the nesting
-// rule — a parallel worker's inner fan-outs run inline on that worker.
+// rethrown after the join, and threads_for follows the cap.
 #include "stackroute/util/parallel.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <mutex>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -79,63 +77,6 @@ TEST_F(ParallelTest, ThreadsForFollowsTheCap) {
   EXPECT_EQ(threads_for(1), 1);
   EXPECT_EQ(threads_for(3), 3);
   EXPECT_EQ(threads_for(9), 4);
-}
-
-TEST_F(ParallelTest, InnerFanOutOnAWorkerRunsInline) {
-  set_max_threads(4);
-  std::mutex mu;
-  std::vector<int> inner_threads;
-  bool inner_on_worker_thread = true;
-  std::atomic<int> inner_hits{0};
-  parallel_for(4, [&](std::size_t) {
-    const std::thread::id worker = std::this_thread::get_id();
-    const int inner = threads_for(8);
-    bool same_thread = true;
-    parallel_for(8, [&](std::size_t) {
-      if (std::this_thread::get_id() != worker) same_thread = false;
-      inner_hits.fetch_add(1);
-    });
-    const std::lock_guard<std::mutex> lock(mu);
-    inner_threads.push_back(inner);
-    inner_on_worker_thread = inner_on_worker_thread && same_thread;
-  });
-  EXPECT_EQ(inner_threads, (std::vector<int>{1, 1, 1, 1}));
-  EXPECT_TRUE(inner_on_worker_thread);
-  EXPECT_EQ(inner_hits.load(), 32);
-  // The mark ends with the fan-out: the caller may fan out again.
-  EXPECT_EQ(threads_for(8), 4);
-}
-
-TEST_F(ParallelTest, OneThreadRunDoesNotMarkTheThread) {
-  // A single-chain sweep runs its one chain through a one-thread
-  // parallel_for; the solves inside must still be free to fan out.
-  set_max_threads(4);
-  int inner = 0;
-  parallel_for(1, [&](std::size_t) { inner = threads_for(8); });
-  EXPECT_EQ(inner, 4);
-}
-
-TEST_F(ParallelTest, WorkerScopeRunsFanOutsInline) {
-  set_max_threads(4);
-  std::thread worker([] {
-    // What a serve front-end worker does for its lifetime.
-    const ParallelWorkerScope scope;
-    EXPECT_EQ(threads_for(8), 1);
-    const std::thread::id self = std::this_thread::get_id();
-    std::size_t hits = 0;
-    parallel_for(8, [&](std::size_t) {
-      EXPECT_EQ(std::this_thread::get_id(), self);
-      ++hits;
-    });
-    EXPECT_EQ(hits, 8u);
-    {
-      const ParallelWorkerScope nested;
-      EXPECT_EQ(threads_for(8), 1);
-    }
-    EXPECT_EQ(threads_for(8), 1);  // the outer scope still holds
-  });
-  worker.join();
-  EXPECT_EQ(threads_for(8), 4);  // other threads are unaffected
 }
 
 }  // namespace
