@@ -6,13 +6,14 @@
 // The headline is time-to-gap: the bush solver reaches a 1e-10 relative
 // gap on Anaheim in tens of milliseconds (see EXPERIMENTS.md for the
 // convergence tables). Each instance also has a fixed-work row — one
-// free-flow shortest-path tree per origin, the Dijkstra fan-out every
-// bush iteration's gap check repeats — which is the machine-speed
-// calibration for gating the bush rows in BENCH_assignment.json: what CI
-// checks is "bush time per free-flow fan-out", clock-free. The bush rows
-// fan their per-origin Dijkstras out over every core; the *Serial row caps
-// the solve at one thread, so it times the order-dependent improve and
-// equilibrate loops plus serial Dijkstras, whatever the runner's cores.
+// free-flow shortest-path tree per origin, the Dijkstras a cold start
+// runs — which is the machine-speed calibration for gating the bush rows
+// in BENCH_assignment.json: what CI checks is "bush time per set of
+// free-flow trees", clock-free. Every row runs on one thread. The bush
+// rows report the solve's gap checks and the nodes its Dijkstra work
+// settled: the gap checks read each origin's distances off its bush and
+// repair only what an arc beats, so the settled count stays far below
+// one full Dijkstra per origin per check.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -23,9 +24,9 @@
 #include "stackroute/gen/registry.h"
 #include "stackroute/network/dijkstra.h"
 #include "stackroute/network/instance.h"
+#include "stackroute/obs/counters.h"
 #include "stackroute/solver/bush.h"
 #include "stackroute/sweep/scenario.h"
-#include "stackroute/util/parallel.h"
 
 namespace {
 
@@ -67,17 +68,21 @@ void bush_to_gap(benchmark::State& state, const NetworkInstance& inst,
                  double tol) {
   BushOptions opts;
   opts.rel_gap_tol = tol;
-  double gap = 0.0;
-  int iters = 0;
   for (auto _ : state) {
     const BushResult r = solve_bush(inst, FlowObjective::kBeckmann, {}, opts);
     if (!r.converged) state.SkipWithError("bush failed to converge");
-    gap = r.rel_gap;
-    iters = r.iterations;
     benchmark::DoNotOptimize(r.objective);
   }
-  state.counters["rel_gap"] = gap;
-  state.counters["iters"] = iters;
+  // One more solve, counted, outside the timed loop: the work counters are
+  // a pure function of the instance.
+  obs::SolveCounters sink;
+  const obs::CountersScope scope(sink);
+  const BushResult r = solve_bush(inst, FlowObjective::kBeckmann, {}, opts);
+  state.counters["rel_gap"] = r.rel_gap;
+  state.counters["iters"] = r.iterations;
+  state.counters["gap_checks"] = static_cast<double>(r.counters.gap_checks);
+  state.counters["dijkstra_settled"] =
+      static_cast<double>(r.counters.dijkstra_settled);
 }
 
 // ---- synthetic Anaheim (416 nodes / 914 links / 380 OD pairs) ----------
@@ -96,13 +101,6 @@ void BM_AssignAnaheimBushGap10(benchmark::State& state) {
   bush_to_gap(state, anaheim(), 1e-10);
 }
 BENCHMARK(BM_AssignAnaheimBushGap10)->Unit(benchmark::kMillisecond);
-
-void BM_AssignAnaheimBushGap10Serial(benchmark::State& state) {
-  set_max_threads(1);
-  bush_to_gap(state, anaheim(), 1e-10);
-  set_max_threads(0);
-}
-BENCHMARK(BM_AssignAnaheimBushGap10Serial)->Unit(benchmark::kMillisecond);
 
 // ---- generated grid-bpr (multicommodity grid) --------------------------
 

@@ -18,10 +18,10 @@
 //     collision can never cause wrong reuse — see instance.h).
 //
 // Every solve runs single-threaded on its caller's thread. solve() may be
-// called from any number of threads at once; solve_batch fans its requests out over
-// util/parallel.h, one group per session (a session's requests run in
-// submission order on one thread, exactly the sweep chain discipline), so
-// responses are deterministic at any thread count.
+// called from any number of threads at once; solve_batch fans its requests
+// out over util/parallel.h, one group per session (a session's requests
+// run in submission order on one thread, exactly the sweep chain
+// discipline), so responses are deterministic at any thread count.
 //
 // The sweep layer is a thin client: SweepRunner opens one session per
 // warm chain, and its TaskEval is the same Evaluation typed requests run
@@ -189,12 +189,12 @@ class Engine {
   /// The caller owns the thread discipline (one session, one thread).
   [[nodiscard]] SolveSession* session(std::uint64_t id);
 
-  /// Serves one request in the caller's thread. Never throws: failures come back as !ok
-  /// responses and reset the session's warm state. Safe to call from any
-  /// number of threads at once, on any number of engines; a sessionless
-  /// response is identical to a serial call's. Concurrent calls naming the
-  /// same session id queue on it in arrival order — a session serves one
-  /// request at a time.
+  /// Serves one request in the caller's thread. Never throws: failures
+  /// come back as !ok responses and reset the session's warm state. Safe
+  /// to call from any number of threads at once, on any number of
+  /// engines; a sessionless response is identical to a serial call's.
+  /// Concurrent calls naming the same session id queue on it in arrival
+  /// order — a session serves one request at a time.
   SolveResponse solve(const SolveRequest& req);
 
   /// solve() under its former name, kept only because perfbench/ calls it.

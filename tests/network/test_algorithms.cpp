@@ -159,9 +159,10 @@ TEST(Dijkstra, FromBoundsEqualsDijkstraBitwise) {
       for (std::size_t e = 0; e < ne; ++e) {
         if (!kept[e]) continue;
         const Edge& ed = g.edge(static_cast<EdgeId>(e));
-        const double via = dag_bounds[static_cast<std::size_t>(ed.tail)] + cost[e];
-        if (via < dag_bounds[static_cast<std::size_t>(ed.head)]) {
-          dag_bounds[static_cast<std::size_t>(ed.head)] = via;
+        const auto u = static_cast<std::size_t>(ed.tail);
+        const auto v = static_cast<std::size_t>(ed.head);
+        if (dag_bounds[u] + cost[e] < dag_bounds[v]) {
+          dag_bounds[v] = dag_bounds[u] + cost[e];
           dropped = true;
         }
       }

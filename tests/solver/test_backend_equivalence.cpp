@@ -5,8 +5,9 @@
 // solver-independent certificate of support/equilibrium_certificate.h.
 // Plus the bush solver's own contracts: warm-vs-cold agreement, honest
 // degraded statuses, and results that are bitwise identical at any
-// set_max_threads cap, both for single solves and for a bush sweep table, and whether a warm payload
-// is swapped into the solver (it aliases warm_out) or copied.
+// set_max_threads cap, both for single solves and for a bush sweep table,
+// and whether a warm payload is swapped into the solver (it aliases
+// warm_out) or copied.
 #include "stackroute/solver/backend.h"
 
 #include <gtest/gtest.h>
