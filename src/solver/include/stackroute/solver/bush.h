@@ -18,17 +18,20 @@
 // O(bush arcs), not O(graph edges); only the add scan, the re-sort after
 // an addition and the gap check's arc scan see every edge. Full-graph
 // Dijkstras run only in a cold start, one per origin to build its first
-// bush. The gap check needs none: as in Algorithm B the bush keeps its
-// origin's shortest paths, so one min-label pass over the in-arc list
-// gives path-sum upper bounds that are almost always exact, and
-// dijkstra_from_bounds (network/dijkstra.h) scans every edge once and
-// repairs only the labels some arc beats. The result is bit for bit the
-// full Dijkstra's: floating-point addition is monotone, so for costs >= 0
-// every path sum is at least Dijkstra's label, and Dijkstra's labels are
-// the only path sums that no edge beats. So the SPTT, the gap and every
-// shift are exactly what a full Dijkstra per origin would give (debug
-// builds check every sink against one). The dijkstra_calls counter counts
-// the cold-start Dijkstras plus the repairs that settle at least one node.
+// bush. The gap check needs none: as in Algorithm B the bush keeps (nearly
+// all of) its origin's shortest paths, so one min-label pass over the
+// in-arc list gives path-sum upper bounds, and dijkstra_from_bounds
+// (network/dijkstra.h) scans every edge once and repairs only the labels
+// some arc beats. Over the 16-point Anaheim golden sweep about half of the
+// 18,468 origin checks need a repair at all, and the repairs settle
+// 117,278 nodes where full Dijkstras settled 7.7 million. The result is
+// bit for bit the full Dijkstra's: floating-point addition is monotone,
+// so for costs >= 0 every path sum is at least Dijkstra's label, and
+// Dijkstra's labels are the only path sums that no edge beats. So the
+// SPTT, the gap and every shift are exactly what a full Dijkstra per
+// origin would give (debug builds check every sink against one). The
+// dijkstra_calls counter counts the cold-start Dijkstras plus the repairs
+// that settle at least one node.
 //
 // Threads and determinism: a solve runs on its caller's thread, origin by
 // origin in a fixed order, and reads no thread count. So results and

@@ -117,27 +117,15 @@ TEST(Dijkstra, FromBoundsEqualsDijkstraBitwise) {
     // Path sums along a random spanning tree of the reachable nodes.
     std::vector<double> tree_bounds(nv, kInf);
     tree_bounds[0] = 0.0;
-    for (bool grew = true; grew;) {
-      grew = false;
+    for (bool open = true; open;) {  // until no arc reaches a new node
+      open = false;
       for (std::size_t e = 0; e < ne; ++e) {
         const Edge& ed = g.edge(static_cast<EdgeId>(e));
         const auto u = static_cast<std::size_t>(ed.tail);
         const auto v = static_cast<std::size_t>(ed.head);
-        if (std::isfinite(tree_bounds[u]) && !std::isfinite(tree_bounds[v]) &&
-            rng.bernoulli(0.3)) {
-          tree_bounds[v] = tree_bounds[u] + cost[e];
-          grew = true;
-        }
-      }
-      if (!grew) {  // every arc declined this round: take the first one left
-        for (std::size_t e = 0; e < ne && !grew; ++e) {
-          const Edge& ed = g.edge(static_cast<EdgeId>(e));
-          const auto u = static_cast<std::size_t>(ed.tail);
-          const auto v = static_cast<std::size_t>(ed.head);
-          if (std::isfinite(tree_bounds[u]) && !std::isfinite(tree_bounds[v])) {
-            tree_bounds[v] = tree_bounds[u] + cost[e];
-            grew = true;
-          }
+        if (std::isfinite(tree_bounds[u]) && !std::isfinite(tree_bounds[v])) {
+          open = true;
+          if (rng.bernoulli(0.3)) tree_bounds[v] = tree_bounds[u] + cost[e];
         }
       }
     }
