@@ -44,7 +44,7 @@ namespace stackroute::obs {
   X(warm_attempts, "solves offered a non-empty warm-start payload")           \
   X(warm_hits, "warm payloads accepted and used (attempts - hits = misses)")  \
   X(warm_fallbacks, "warm-started solves rerun cold after the warm seed "     \
-                    "degraded (non-finite costs, gap regression, or stall)")  \
+                    "degraded (non-finite costs or the iteration cap)")       \
   X(chain_resets, "sweep chains dropped warm state (topology break or task "  \
                   "failure)")                                                 \
   X(task_retries, "sweep tasks re-attempted cold after a failed attempt "     \

@@ -22,17 +22,6 @@ namespace {
 constexpr double kAddEps = 1e-12;
 constexpr double kShiftEps = 1e-14;
 
-// A warm-seeded run that goes kWarmStallWindow gap checks without cutting
-// its best gap by kWarmProgress is given up as stalled (when the caller set
-// no stall window of its own), so solve_bush's cold retry takes over. A
-// seed can leave a bush that never admits an improving edge — each one
-// proposed closes a cycle through edges kept only for connectivity — and
-// then creep for the whole iteration cap: a 2x demand step on Anaheim did,
-// 500 checks at a 1.5e-4 gap. Converging runs cut the gap by far more than
-// 10% at every check.
-constexpr int kWarmStallWindow = 16;
-constexpr double kWarmProgress = 0.9;
-
 /// The Newton denominator's per-edge slope: d/dx of the equilibration cost.
 /// Beckmann equilibrates ℓ (slope ℓ'); total cost equilibrates the marginal
 /// ℓ + x·ℓ', whose slope is 2ℓ' + x·ℓ''. The table has no second
@@ -243,6 +232,38 @@ bool kahn_reorder(const Graph& g, OriginBush& b, BushWorkspace& bw) {
   return true;
 }
 
+/// The dust pass of bush.h, in one topological sweep: zeroes the flow out
+/// of every non-origin node left with no flow-carrying in-edge and drops
+/// zero-flow in-arcs under improve_bush's rule. Fed flags go in bw.indeg.
+bool clear_dust(OriginBush& b, const CsrAdjacency& arcs, BushWorkspace& bw) {
+  std::vector<std::int32_t>& fed = bw.indeg;
+  bool dropped = false;
+  for (std::size_t i = 0; i < b.order.size(); ++i) {
+    const auto vi = static_cast<std::size_t>(b.order[i]);
+    fed[vi] = b.order[i] == b.origin ? 1 : 0;
+    std::int32_t indeg = 0;  // `arcs` may list edges dropped this pass
+    for (const CsrAdjacency::Arc& arc : arcs.arcs_of(static_cast<NodeId>(i))) {
+      indeg += b.in_bush[static_cast<std::size_t>(arc.edge)];
+    }
+    for (const CsrAdjacency::Arc& arc : arcs.arcs_of(static_cast<NodeId>(i))) {
+      const auto e = static_cast<std::size_t>(arc.edge);
+      if (!b.in_bush[e]) continue;
+      if (!fed[static_cast<std::size_t>(arc.target)] && b.flow[e] != 0.0) {
+        bw.total_flow[e] = std::fmax(bw.total_flow[e] - b.flow[e], 0.0);
+        b.flow[e] = 0.0;
+      }
+      if (b.flow[e] > 0.0) {
+        fed[vi] = 1;
+      } else if (indeg > 1 && arc.edge != bw.pmin[vi]) {
+        b.in_bush[e] = 0;
+        --indeg;
+        dropped = true;
+      }
+    }
+  }
+  return dropped;
+}
+
 /// One bush-improvement pass: drop zero-flow edges (never the min-tree
 /// edge or a node's last in-edge, so every reachable node keeps a path
 /// from the origin), add strictly cost-improving edges, and re-sort.
@@ -287,16 +308,27 @@ bool improve_bush(const Graph& g, OriginBush& b, CsrAdjacency& arcs,
 
   bool changed = dropped;
   if (!bw.seg_min.empty()) {
-    if (kahn_reorder(g, b, bw)) {
-      changed = true;
-    } else {
-      // A cycle can only come from the additions (drops are monotone, and
-      // keep the old order valid): back them out and try again next outer
-      // iteration at evolved costs.
+    // A cycle can only come from the additions (drops keep the old order
+    // valid). One that dust closed is re-sorted away; others are reverted.
+    bool sorted = kahn_reorder(g, b, bw);
+    if (!sorted && clear_dust(b, arcs, bw)) {
+      dropped = true;
+      sorted = kahn_reorder(g, b, bw);
+    }
+    if (!sorted) {
       for (EdgeId e : bw.seg_min) b.in_bush[static_cast<std::size_t>(e)] = 0;
     }
+    changed = dropped || sorted;
   }
   if (changed) build_in_arcs(g, b, arcs);
+  SR_ASSERT_DEBUG(
+      std::count(b.in_bush.begin(), b.in_bush.end(), 1) ==
+              std::ssize(arcs.arcs) &&
+          std::all_of(arcs.arcs.begin(), arcs.arcs.end(),
+                      [&](const CsrAdjacency::Arc& arc) {
+                        return b.in_bush[static_cast<std::size_t>(arc.edge)];
+                      }),
+      "bush: in-arc lists do not hold exactly the bush's edges");
   return changed;
 }
 
@@ -566,9 +598,6 @@ BushResult bush_run(const NetworkInstance& inst, FlowObjective objective,
     }
     ws.dijkstra.tree.dist.resize(nv);
 
-    double best_gap = kInf;
-    int since_improved = 0;
-
     for (int iter = 1; iter <= opts.max_iters; ++iter) {
       if (gate.over_iters(iter - 1)) break;  // budget cap below opts.max_iters
       if (gate.expired()) {
@@ -624,23 +653,6 @@ BushResult bush_run(const NetworkInstance& inst, FlowObjective objective,
       if (!std::isfinite(result.rel_gap)) {
         result.status = SolveStatus::kNumericFailure;
         break;
-      }
-      if (opts.budget.stall_window > 0) {
-        if (result.rel_gap < best_gap) {
-          best_gap = result.rel_gap;
-          since_improved = 0;
-        } else if (++since_improved >= opts.budget.stall_window) {
-          result.status = SolveStatus::kStalled;
-          break;
-        }
-      } else if (used_warm && result.rel_gap > opts.rel_gap_tol) {
-        if (result.rel_gap < kWarmProgress * best_gap) {
-          best_gap = result.rel_gap;
-          since_improved = 0;
-        } else if (++since_improved >= kWarmStallWindow) {
-          result.status = SolveStatus::kStalled;
-          break;
-        }
       }
       if (result.rel_gap <= opts.rel_gap_tol) {
         result.status = SolveStatus::kConverged;
@@ -756,10 +768,9 @@ BushResult solve_bush(const NetworkInstance& inst, FlowObjective objective,
   BushResult result =
       bush_run(inst, objective, opts, gate, ws, warm, consumable, used_warm);
 
-  // Warm-start guard: a warm seed that went numerically bad, stalled, or
-  // burned the iteration cap without converging gets one cold retry — the
-  // seed, not the instance, is the prime suspect. A deadline hit is not
-  // retried (no time left to retry with).
+  // Warm-start guard: a warm seed that went numerically bad or burned the
+  // iteration cap gets one cold retry (the seed, not the instance, is the
+  // prime suspect); a deadline hit has no time left to retry with.
   if (used_warm && !solve_ok(result.status) &&
       result.status != SolveStatus::kDeadlineExceeded) {
     obs::count(&obs::SolveCounters::warm_fallbacks);

@@ -24,7 +24,7 @@
 // (network/dijkstra.h) scans every edge once and repairs only the labels
 // some arc beats. Over the 16-point Anaheim golden sweep about half of the
 // 18,468 origin checks need a repair at all, and the repairs settle
-// 117,278 nodes where full Dijkstras settled 7.7 million. The result is
+// 113,180 nodes where full Dijkstras settled 7.7 million. The result is
 // bit for bit the full Dijkstra's: floating-point addition is monotone,
 // so for costs >= 0 every path sum is at least Dijkstra's label, and
 // Dijkstra's labels are the only path sums that no edge beats. So the
@@ -32,6 +32,14 @@
 // origin would give (debug builds check every sink against one). The
 // dijkstra_calls counter counts the cold-start Dijkstras plus the repairs
 // that settle at least one node.
+//
+// Dust: rounding can leave 1e-14 of flow on an edge out of a node that
+// receives none; no shift moves it and no drop removes it, so an improving
+// edge into that node can close a cycle through it at every gap check. A
+// re-sort that finds a cycle therefore first zeroes the flow out of every
+// non-origin node with no flow-carrying in-edge, drops those edges and
+// re-sorts once. There is no stall detector: a run ends converged, at the
+// iteration cap, at the deadline, or on non-finite numbers.
 //
 // Threads and determinism: a solve runs on its caller's thread, origin by
 // origin in a fixed order, and reads no thread count. So results and
@@ -65,8 +73,8 @@ struct BushOptions {
   /// Equilibration passes per origin per outer iteration (each pass
   /// rebuilds the min/max trees and shifts once at every unbalanced node).
   int max_inner = 16;
-  /// Resource limits (iteration cap, wall-clock deadline, opt-in stall
-  /// detection on the relative gap). Inactive by default; see status.h.
+  /// Resource limits (iteration cap, wall-clock deadline). Inactive by
+  /// default; see status.h.
   SolveBudget budget;
 };
 
@@ -129,9 +137,9 @@ BushResult solve_bush(const NetworkInstance& inst, FlowObjective objective,
 /// Same, reusing the caller's workspace across calls (see workspace.h; the
 /// bush scratch is ws.bush). A non-null `warm` seeds the bushes and flows
 /// (scaled by the proportional demand ratio), falling back to the cold
-/// start when the payload does not fit. A seeded run that fails, hits the
-/// iteration cap or stalls — 16 gap checks without a 10% cut in its best
-/// gap, unless opts.budget sets a stall window — gets one cold retry. When
+/// start when the payload does not fit. A seeded run that fails on
+/// non-finite numbers or hits the iteration cap gets one cold retry (a
+/// deadline hit does not: the retry would share the spent deadline). When
 /// `warm_out` is non-null the final bushes are moved into it for the next
 /// solve in the chain (cleared on numeric failure so a poisoned state is
 /// never republished).

@@ -18,18 +18,16 @@ namespace stackroute {
 enum class SolveStatus : std::uint8_t {
   kConverged = 0,         ///< reached the requested tolerance
   kIterLimit = 1,         ///< iteration/sweep cap hit; result is best-so-far
-  kStalled = 2,           ///< progress stopped before tolerance (opt-in
-                          ///< detection via SolveBudget::stall_window)
-  kDeadlineExceeded = 3,  ///< wall-clock budget expired mid-solve
-  kNumericFailure = 4,    ///< NaN/Inf surfaced in costs/objective/gap
-  kOverloaded = 5,        ///< shed by admission control before solving: the
+  kDeadlineExceeded = 2,  ///< wall-clock budget expired mid-solve
+  kNumericFailure = 3,    ///< NaN/Inf surfaced in costs/objective/gap
+  kOverloaded = 4,        ///< shed by admission control before solving: the
                           ///< service refused the request (queue full,
                           ///< per-client cap, or shutdown in progress) —
                           ///< no solver ever ran, so there is no best-so-far
 };
 
-/// Short stable identifier ("converged", "iter_limit", "stalled",
-/// "deadline", "numeric", "overloaded") used in tables and logs.
+/// Short stable identifier ("converged", "iter_limit", "deadline",
+/// "numeric", "overloaded") used in tables and logs.
 const char* to_string(SolveStatus status) noexcept;
 
 /// True when the solve met its tolerance.
@@ -61,17 +59,12 @@ struct SolveBudget {
   /// sharing a deadline across solves.
   std::int64_t deadline_ns = 0;
 
-  /// Opt-in stall detection: declare kStalled when this many consecutive
-  /// iterations/sweeps fail to improve the best gap seen so far. 0 = off
-  /// (keeps default behavior identical to pre-budget solvers).
-  int stall_window = 0;
-
   [[nodiscard]] bool limits_iters() const noexcept { return max_iters > 0; }
   [[nodiscard]] bool has_deadline() const noexcept {
     return deadline_ns > 0 || deadline_ms > 0.0;
   }
   [[nodiscard]] bool active() const noexcept {
-    return limits_iters() || has_deadline() || stall_window > 0;
+    return limits_iters() || has_deadline();
   }
 
   /// Copy of this budget with `deadline_ms` resolved to an absolute

@@ -36,8 +36,8 @@ struct AssignmentOptions {
   int max_sweeps = 2000;
   /// Inner equalization steps per commodity per sweep.
   int max_inner = 200;
-  /// Resource limits (equalization-step cap, wall-clock deadline, opt-in
-  /// stall detection on the per-sweep spread). Inactive by default.
+  /// Resource limits (equalization-step cap, wall-clock deadline).
+  /// Inactive by default.
   SolveBudget budget;
 };
 

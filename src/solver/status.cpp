@@ -10,8 +10,6 @@ const char* to_string(SolveStatus status) noexcept {
       return "converged";
     case SolveStatus::kIterLimit:
       return "iter_limit";
-    case SolveStatus::kStalled:
-      return "stalled";
     case SolveStatus::kDeadlineExceeded:
       return "deadline";
     case SolveStatus::kNumericFailure:

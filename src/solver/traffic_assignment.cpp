@@ -303,8 +303,6 @@ AssignmentResult assign_traffic(const NetworkInstance& inst,
     }
 
     const bool tracing = obs::convergence() != nullptr;
-    double best_spread = kInf;
-    int since_improved = 0;
     bool out_of_budget = false;
     for (int sweep = 1; sweep <= opts.max_sweeps && !out_of_budget; ++sweep) {
       obs::ScopedSpan sweep_span("equalize_sweep");
@@ -345,15 +343,6 @@ AssignmentResult assign_traffic(const NetworkInstance& inst,
       if (spread <= opts.tol) {
         result.status = SolveStatus::kConverged;
         break;
-      }
-      if (opts.budget.stall_window > 0) {
-        if (spread < best_spread) {
-          best_spread = spread;
-          since_improved = 0;
-        } else if (++since_improved >= opts.budget.stall_window) {
-          result.status = SolveStatus::kStalled;
-          break;
-        }
       }
     }
   } catch (const NumericError&) {

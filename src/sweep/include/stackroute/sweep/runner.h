@@ -152,7 +152,7 @@ struct SweepResult {
   [[nodiscard]] std::size_t num_tasks() const { return records.size(); }
   [[nodiscard]] std::size_t num_failed() const;
   /// Tasks that completed but with a non-converged SolveStatus (budget
-  /// hit, stall, numeric trouble): their metrics are best-so-far values,
+  /// hit, numeric trouble): their metrics are best-so-far values,
   /// honestly labeled in the status column.
   [[nodiscard]] std::size_t num_degraded() const;
 

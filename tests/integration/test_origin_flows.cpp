@@ -1,8 +1,9 @@
 // Per-origin flows on the shipped TNTP networks: a bush optimum's origins
 // decompose into sink-tagged paths that carry every commodity's demand,
 // MOP's per-origin β on Anaheim stays within its declared warm-versus-
-// cold tolerance, a warm optimum that stalls hands over to the cold
-// retry early, and path equalization's split comes from its own paths.
+// cold tolerance, a warm optimum whose bushes carry rounding dust still
+// converges on its own, and path equalization's split comes from its own
+// paths.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -110,13 +111,13 @@ TEST(OriginFlows, AnaheimBetaWarmAgreesWithColdWithinTolerance) {
   EXPECT_LT(cold.beta, 1.0);
 }
 
-TEST(OriginFlows, StalledWarmOptimumGivesWayToTheColdRetryEarly) {
+TEST(OriginFlows, WarmOptimumClearsDustAndConvergesWithoutColdRetry) {
   // The default Anaheim --file sweep's two points, demands set the way the
-  // sweep sets them: seeded from the first point's optimum, the second
-  // point's warm bushes plateau at a 1.5e-4 gap (an improving edge that
-  // closes a cycle is proposed at every check). The warm run gives up
-  // after 16 checks without a 10% cut instead of burning the 500-check
-  // cap, and the cold retry converges.
+  // sweep sets them. Seeded from the first point's optimum, the second
+  // point's bushes keep 1e-14 of flow on an edge out of a node that
+  // receives none, and every improving edge into that node closes a cycle
+  // through it. Clearing that dust on the cycle path lets the warm run
+  // converge by itself, well inside the iteration cap, to the cold optimum.
   const auto at_total = [](double demand) {
     sweep::Instance inst =
         sweep::load_instance_file(kInstances + "Anaheim_net.tntp");
@@ -138,7 +139,7 @@ TEST(OriginFlows, StalledWarmOptimumGivesWayToTheColdRetryEarly) {
   }
   const BushResult cold = solve_bush(inst, FlowObjective::kTotalCost);
   EXPECT_TRUE(chained.converged);
-  EXPECT_EQ(sink.warm_fallbacks, 1u);
+  EXPECT_EQ(sink.warm_fallbacks, 0u);
   EXPECT_LT(sink.gap_checks, 100u);
   EXPECT_NEAR(chained.objective, cold.objective, 1e-12 * cold.objective);
 }

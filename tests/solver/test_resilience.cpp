@@ -33,7 +33,7 @@ TEST(SolveStatus, SeverityOrderAndStrings) {
   EXPECT_EQ(worst_status(SolveStatus::kConverged, SolveStatus::kIterLimit),
             SolveStatus::kIterLimit);
   EXPECT_EQ(worst_status(SolveStatus::kDeadlineExceeded,
-                         SolveStatus::kStalled),
+                         SolveStatus::kIterLimit),
             SolveStatus::kDeadlineExceeded);
   EXPECT_EQ(worst_status(SolveStatus::kNumericFailure,
                          SolveStatus::kDeadlineExceeded),
@@ -41,7 +41,6 @@ TEST(SolveStatus, SeverityOrderAndStrings) {
 
   EXPECT_STREQ(to_string(SolveStatus::kConverged), "converged");
   EXPECT_STREQ(to_string(SolveStatus::kIterLimit), "iter_limit");
-  EXPECT_STREQ(to_string(SolveStatus::kStalled), "stalled");
   EXPECT_STREQ(to_string(SolveStatus::kDeadlineExceeded), "deadline");
   EXPECT_STREQ(to_string(SolveStatus::kNumericFailure), "numeric");
 }
