@@ -51,6 +51,8 @@ namespace stackroute::obs {
                   "(RetryPolicy)")                                             \
   X(bush_shifts, "bush Newton flow shifts (one max-to-min path segment "       \
                  "move)")                                                      \
+  X(bush_passes, "bush equilibration passes (one min/max tree rebuild and "    \
+                 "shift sweep over an origin's bush)")                         \
   X(bush_rebuilds, "bush edge-set updates (drop/add passes that changed an "   \
                    "origin bush)")
 

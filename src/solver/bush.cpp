@@ -21,6 +21,12 @@ namespace {
 // close, and far above ulp noise so the bush does not churn on ties.
 constexpr double kAddEps = 1e-12;
 constexpr double kShiftEps = 1e-14;
+// Share of the outer relative gap a node's max-min spread may keep before
+// a Beckmann pass shifts it ("Inner stopping rule" in bush.h).
+constexpr double kGapShare = 0.1;
+// Equilibration passes per origin per outer iteration (each pass rebuilds
+// the min/max trees and shifts once at every unbalanced node).
+constexpr int kMaxPasses = 16;
 
 /// The Newton denominator's per-edge slope: d/dx of the equilibration cost.
 /// Beckmann equilibrates ℓ (slope ℓ'); total cost equilibrates the marginal
@@ -266,9 +272,9 @@ bool clear_dust(OriginBush& b, const CsrAdjacency& arcs, BushWorkspace& bw) {
 
 /// One bush-improvement pass: drop zero-flow edges (never the min-tree
 /// edge or a node's last in-edge, so every reachable node keeps a path
-/// from the origin), add strictly cost-improving edges, and re-sort.
-/// Returns true when the edge set changed, after rebuilding `arcs` to
-/// match.
+/// from the origin), add strictly cost-improving edges, and re-sort if an
+/// addition points backward. Returns true when the edge set changed, after
+/// rebuilding `arcs` to match.
 bool improve_bush(const Graph& g, OriginBush& b, CsrAdjacency& arcs,
                   BushWorkspace& bw, std::span<const double> costs) {
   const auto ne = static_cast<std::size_t>(g.num_edges());
@@ -295,6 +301,7 @@ bool improve_bush(const Graph& g, OriginBush& b, CsrAdjacency& arcs,
   // branches; a stale label off the bush is still an initialized double,
   // and the position tests reject its edge.
   bw.seg_min.clear();  // reused as the list of added edges
+  bool forward = true;
   for (std::size_t e = 0; e < ne; ++e) {
     const auto ti = static_cast<std::size_t>(bw.tail[e]);
     const auto hi = static_cast<std::size_t>(bw.head[e]);
@@ -303,11 +310,14 @@ bool improve_bush(const Graph& g, OriginBush& b, CsrAdjacency& arcs,
         bw.pos[ti] >= 0 && bw.pos[hi] >= 0) {
       b.in_bush[e] = 1;
       bw.seg_min.push_back(static_cast<EdgeId>(e));
+      forward = forward && bw.pos[ti] < bw.pos[hi];
     }
   }
 
-  bool changed = dropped;
-  if (!bw.seg_min.empty()) {
+  // Additions that all point forward keep the old order topological (drops
+  // never invalidate it), so only a backward addition re-sorts.
+  bool changed = dropped || !bw.seg_min.empty();
+  if (!forward) {
     // A cycle can only come from the additions (drops keep the old order
     // valid). One that dust closed is re-sorted away; others are reverted.
     bool sorted = kahn_reorder(g, b, bw);
@@ -329,6 +339,14 @@ bool improve_bush(const Graph& g, OriginBush& b, CsrAdjacency& arcs,
                         return b.in_bush[static_cast<std::size_t>(arc.edge)];
                       }),
       "bush: in-arc lists do not hold exactly the bush's edges");
+  SR_ASSERT_DEBUG(
+      std::all_of(arcs.arcs.begin(), arcs.arcs.end(),
+                  [&](const CsrAdjacency::Arc& arc) {
+                    const auto e = static_cast<std::size_t>(arc.edge);
+                    return bw.pos[static_cast<std::size_t>(bw.tail[e])] <
+                           bw.pos[static_cast<std::size_t>(bw.head[e])];
+                  }),
+      "bush: a bush edge points backward in the topological order");
   return changed;
 }
 
@@ -356,12 +374,13 @@ void refresh_fault_check(const BushWorkspace& bw, std::span<double> costs) {
 
 /// One equilibration pass: rebuild min/max trees, then walk the nodes in
 /// reverse topological order and apply one Newton shift wherever the max
-/// used path costs measurably more than the min path. Touched edge costs
-/// are re-evaluated immediately. Returns true when any flow moved.
+/// used path costs more than the min path by over
+/// max(kShiftEps·(1+|dmin|), rel_slack·|dmin|). Touched edge costs are
+/// re-evaluated immediately. Returns true when any flow moved.
 bool equilibrate_pass(const LatencyTable& table, FlowObjective objective,
-                      OriginBush& b, const CsrAdjacency& arcs,
-                      BushWorkspace& bw, std::span<double> costs,
-                      std::uint64_t& shifts) {
+                      double rel_slack, OriginBush& b,
+                      const CsrAdjacency& arcs, BushWorkspace& bw,
+                      std::span<double> costs, std::uint64_t& shifts) {
   compute_trees(b, arcs, bw, costs, /*want_max=*/true);
   bool moved = false;
   for (std::size_t idx = b.order.size(); idx-- > 0;) {
@@ -370,7 +389,9 @@ bool equilibrate_pass(const LatencyTable& table, FlowObjective objective,
     if (v == b.origin) continue;
     const EdgeId pmax = bw.pmax[vi];
     if (pmax == kInvalidEdge || pmax == bw.pmin[vi]) continue;
-    const double slack = kShiftEps * (1.0 + std::fabs(bw.dmin[vi]));
+    const double label = std::fabs(bw.dmin[vi]);
+    const double slack =
+        std::fmax(kShiftEps * (1.0 + label), rel_slack * label);
     if (!(bw.dmax[vi] - bw.dmin[vi] > slack)) continue;
 
     // Segments from the divergence node down to v: seed both walkers one
@@ -571,6 +592,7 @@ BushResult bush_run(const NetworkInstance& inst, FlowObjective objective,
     }
   }
   std::uint64_t shifts = 0;
+  std::uint64_t passes = 0;
   std::uint64_t rebuilds = 0;
   result.rel_gap = kInf;
   result.status = SolveStatus::kIterLimit;  // until proven otherwise
@@ -664,6 +686,14 @@ BushResult bush_run(const NetworkInstance& inst, FlowObjective objective,
         break;
       }
 
+      // Beckmann passes stop at a share of this gap: balancing a bush to
+      // 1e-14 is wasted while other origins still move its costs by the
+      // gap. Total-cost passes stay exact, because MOP reads the optimum's
+      // per-origin split and a loosely balanced split moves β.
+      const double rel_slack =
+          objective == FlowObjective::kBeckmann ? kGapShare * result.rel_gap
+                                                : 0.0;
+
       // Improve + equilibrate, strictly sequential in origin order — the
       // determinism contract's load-bearing wall.
       for (std::size_t gi = 0; gi < ng; ++gi) {
@@ -675,9 +705,10 @@ BushResult bush_run(const NetworkInstance& inst, FlowObjective objective,
         }
         CsrAdjacency& arcs = bw.in_arcs[gi];
         if (improve_bush(g, b, arcs, bw, ws.costs)) ++rebuilds;
-        for (int pass = 0; pass < opts.max_inner; ++pass) {
-          if (!equilibrate_pass(table, objective, b, arcs, bw, ws.costs,
-                                shifts)) {
+        for (int pass = 0; pass < kMaxPasses; ++pass) {
+          ++passes;
+          if (!equilibrate_pass(table, objective, rel_slack, b, arcs, bw,
+                                ws.costs, shifts)) {
             break;
           }
         }
@@ -700,6 +731,7 @@ BushResult bush_run(const NetworkInstance& inst, FlowObjective objective,
   result.converged = solve_ok(result.status);
   result.objective = objective_value(table, result.edge_flow, objective);
   obs::count(&obs::SolveCounters::bush_shifts, shifts);
+  obs::count(&obs::SolveCounters::bush_passes, passes);
   obs::count(&obs::SolveCounters::bush_rebuilds, rebuilds);
   obs::count(&obs::SolveCounters::gap_checks,
              static_cast<std::uint64_t>(result.iterations));

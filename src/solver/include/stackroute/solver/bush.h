@@ -12,26 +12,42 @@
 // costs immediately, so the method reaches gaps near machine precision on
 // city-scale networks (see solver/backend.h).
 //
+// Inner stopping rule: each outer iteration runs up to 16 equilibration
+// passes per origin and stops early after a pass that moves nothing. A
+// Beckmann pass shifts a node only when its max path costs more than its
+// min path by over max(1e-14·(1+|dmin|), 0.1·gap·|dmin|), where gap is the
+// relative gap the iteration just measured: balancing one bush to 1e-14 is
+// wasted while the other origins still move its costs by about the gap.
+// Once every node is within a tenth of the gap and no edge improves, the
+// next gap is at most about a tenth of this one, so the threshold shrinks
+// with the gap and the solve cannot stall on it (a share of 1.0 on both
+// objectives left two grid-bpr scenario rows at the iteration cap).
+// Total-cost solves keep the exact 1e-14 rule: MOP reads the optimum's
+// per-origin split (origin_flows), and a loosely balanced split moved the
+// warm β at Anaheim's native demand 2e-3 away from the cold one.
+//
 // Cost: the min/max trees, the drop scan and every equilibration pass walk
 // only the origin's bush arcs (a compact per-origin in-arc list kept in
 // ws.bush and remade only when the bush's edge set changes), so they cost
-// O(bush arcs), not O(graph edges); only the add scan, the re-sort after
-// an addition and the gap check's arc scan see every edge. Full-graph
+// O(bush arcs), not O(graph edges); only the add scan, the re-sort after an
+// addition that points backward and the gap check's arc scan see every
+// edge. An addition that points forward in the current topological order
+// leaves that order valid, so it only remakes the in-arc list. Full-graph
 // Dijkstras run only in a cold start, one per origin to build its first
 // bush. The gap check needs none: as in Algorithm B the bush keeps (nearly
 // all of) its origin's shortest paths, so one min-label pass over the
 // in-arc list gives path-sum upper bounds, and dijkstra_from_bounds
 // (network/dijkstra.h) scans every edge once and repairs only the labels
-// some arc beats. Over the 16-point Anaheim golden sweep about half of the
-// 18,468 origin checks need a repair at all, and the repairs settle
-// 113,180 nodes where full Dijkstras settled 7.7 million. The result is
-// bit for bit the full Dijkstra's: floating-point addition is monotone,
-// so for costs >= 0 every path sum is at least Dijkstra's label, and
-// Dijkstra's labels are the only path sums that no edge beats. So the
-// SPTT, the gap and every shift are exactly what a full Dijkstra per
-// origin would give (debug builds check every sink against one). The
-// dijkstra_calls counter counts the cold-start Dijkstras plus the repairs
-// that settle at least one node.
+// some arc beats. Over the 16-point Anaheim golden sweep 6,851 of the
+// 17,518 origin checks need a repair at all, and the repairs settle 76,759
+// nodes where full Dijkstras would settle about 7.3 million. The result is
+// bit for bit the full Dijkstra's: floating-point addition is monotone, so
+// for costs >= 0 every path sum is at least Dijkstra's label, and
+// Dijkstra's labels are the only path sums that no edge beats. So the SPTT,
+// the gap and every shift are exactly what a full Dijkstra per origin would
+// give (debug builds check every sink against one). The dijkstra_calls
+// counter counts the cold-start Dijkstras plus the repairs that settle at
+// least one node.
 //
 // Dust: rounding can leave 1e-14 of flow on an edge out of a node that
 // receives none; no shift moves it and no drop removes it, so an improving
@@ -70,9 +86,6 @@ struct BushOptions {
   /// Stop when (c·f − SPTT)/max(c·f, eps) <= rel_gap_tol. Tight by
   /// default: closing such gaps is this solver's purpose.
   double rel_gap_tol = 1e-10;
-  /// Equilibration passes per origin per outer iteration (each pass
-  /// rebuilds the min/max trees and shifts once at every unbalanced node).
-  int max_inner = 16;
   /// Resource limits (iteration cap, wall-clock deadline). Inactive by
   /// default; see status.h.
   SolveBudget budget;

@@ -77,11 +77,11 @@ struct SweepOptions {
   /// zero-overhead load-and-branch path.
   bool collect_counters = false;
   /// Cold re-attempts for failed tasks (see RetryPolicy above).
-  RetryPolicy retry;
+  RetryPolicy retry{};
   /// Per-task solve budget: armed at each task attempt, shared by every
   /// solve the task runs (see SolveBudget in solver/status.h). Inactive by
   /// default — tables are bitwise identical to a budget-free run.
-  SolveBudget budget;
+  SolveBudget budget{};
   /// Fault-injection schedule (see util/fault.h); not owned, may be null.
   /// With no plan armed and no budget set, the runner's behavior — and
   /// every metric byte — is identical to a plan-free run.

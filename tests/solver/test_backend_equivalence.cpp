@@ -94,6 +94,40 @@ TEST(Bush, ReachesTightGapOnMulticommodityGrid) {
   EXPECT_LE(r.rel_gap, 1e-10);
 }
 
+// Beckmann passes stop at a share of the outer gap (bush.h, "Inner
+// stopping rule"); that threshold shrinks with the gap, so cold solves on
+// the shipped city networks still close a 1e-12 gap, and the certificate
+// sees the same gap from scratch.
+TEST(Bush, BeckmannConvergesAtTightGapOnCityNetworks) {
+  const std::string dir =
+      std::string(STACKROUTE_SOURCE_DIR) + "/examples/instances/";
+  NetworkInstance sioux = std::get<NetworkInstance>(
+      sweep::load_instance_file(dir + "SiouxFalls_net.tntp"));
+  for (NodeId s : {0, 6, 12}) {
+    for (NodeId t : {19, 9, 23}) {
+      if (s != t) sioux.commodities.push_back(Commodity{s, t, 2500.0});
+    }
+  }
+  const std::vector<std::pair<std::string, NetworkInstance>> cases = {
+      {"siouxfalls", sioux},
+      {"anaheim", std::get<NetworkInstance>(
+                      sweep::load_instance_file(dir + "Anaheim_net.tntp"))}};
+  BushOptions opts;
+  opts.rel_gap_tol = 1e-12;
+  for (const auto& [name, inst] : cases) {
+    SCOPED_TRACE(name);
+    const BushResult r = solve_bush(inst, FlowObjective::kBeckmann, {}, opts);
+    ASSERT_EQ(r.status, SolveStatus::kConverged)
+        << "gap " << r.rel_gap << " after " << r.iterations;
+    EXPECT_LE(r.rel_gap, 1e-12);
+    expect_certified(inst, {}, FlowObjective::kBeckmann, r.edge_flow);
+    EXPECT_LE(certify_equilibrium(inst, {}, FlowObjective::kBeckmann,
+                                  r.edge_flow)
+                  .rel_gap,
+              1e-11);
+  }
+}
+
 // The headline equivalence sweep: both backends, several generator
 // families, several seeds; equilibrium *costs* agree, and each backend's
 // flow passes the certificate on its own.
