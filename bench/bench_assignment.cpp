@@ -76,7 +76,7 @@ void bush_to_gap(benchmark::State& state, const NetworkInstance& inst,
   opts.rel_gap_tol = tol;
   for (auto _ : state) {
     const BushResult r = solve_bush(inst, FlowObjective::kBeckmann, {}, opts);
-    if (!r.converged) state.SkipWithError("bush failed to converge");
+    if (!solve_ok(r.status)) state.SkipWithError("bush failed to converge");
     benchmark::DoNotOptimize(r.objective);
   }
   // One more solve, counted, outside the timed loop: the work counters are

@@ -40,6 +40,11 @@ AtomicInstance atomize(const ParallelLinks& m, int players) {
 
 namespace {
 
+/// Round-robin passes before best-response dynamics gives up.
+constexpr int kMaxRounds = 100000;
+/// A move must improve the player's latency by more than this.
+constexpr double kImprovementTol = 1e-12;
+
 std::vector<double> loads_of(const AtomicInstance& game,
                              std::span<const int> choice) {
   std::vector<double> load(game.num_links(), 0.0);
@@ -81,11 +86,10 @@ int best_link_for(const AtomicInstance& game, std::span<const double> load,
 
 BestResponseResult run_dynamics(const AtomicInstance& game,
                                 std::vector<int> choice,
-                                std::span<const char> frozen,
-                                const BestResponseOptions& opts) {
+                                std::span<const char> frozen) {
   std::vector<double> load = loads_of(game, choice);
   BestResponseResult out;
-  for (int round = 1; round <= opts.max_rounds; ++round) {
+  for (int round = 1; round <= kMaxRounds; ++round) {
     out.rounds = round;
     bool moved = false;
     for (std::size_t p = 0; p < game.num_players(); ++p) {
@@ -94,7 +98,7 @@ BestResponseResult run_dynamics(const AtomicInstance& game,
       const int from = choice[p];
       // Remove the player, pick the best link, re-insert.
       load[static_cast<std::size_t>(from)] -= w;
-      const int to = best_link_for(game, load, from, w, opts.improvement_tol);
+      const int to = best_link_for(game, load, from, w, kImprovementTol);
       load[static_cast<std::size_t>(to)] += w;
       if (to != from) {
         choice[p] = to;
@@ -115,15 +119,14 @@ BestResponseResult run_dynamics(const AtomicInstance& game,
 }  // namespace
 
 BestResponseResult best_response_dynamics(const AtomicInstance& game,
-                                          std::vector<int> initial,
-                                          const BestResponseOptions& opts) {
+                                          std::vector<int> initial) {
   game.validate();
   if (initial.empty()) {
     initial.assign(game.num_players(), 0);
   }
   SR_REQUIRE(initial.size() == game.num_players(),
              "initial assignment size mismatch");
-  return run_dynamics(game, std::move(initial), {}, opts);
+  return run_dynamics(game, std::move(initial), {});
 }
 
 bool is_pure_nash(const AtomicInstance& game, std::span<const int> choice,
@@ -143,8 +146,7 @@ bool is_pure_nash(const AtomicInstance& game, std::span<const int> choice,
 }
 
 AtomicStackelbergResult atomic_stackelberg(
-    const AtomicInstance& game, std::span<const std::size_t> leader_players,
-    const BestResponseOptions& opts) {
+    const AtomicInstance& game, std::span<const std::size_t> leader_players) {
   game.validate();
   AtomicStackelbergResult result;
   result.is_leader.assign(game.num_players(), 0);
@@ -202,16 +204,15 @@ AtomicStackelbergResult atomic_stackelberg(
   const std::vector<char> frozen(result.is_leader.begin(),
                                  result.is_leader.end());
   const BestResponseResult dynamics =
-      run_dynamics(game, std::move(choice), frozen, opts);
+      run_dynamics(game, std::move(choice), frozen);
   result.choice = dynamics.choice;
   result.cost = dynamics.cost;
   result.converged = dynamics.converged;
   return result;
 }
 
-AtomicStackelbergResult atomic_stackelberg_share(
-    const AtomicInstance& game, double share,
-    const BestResponseOptions& opts) {
+AtomicStackelbergResult atomic_stackelberg_share(const AtomicInstance& game,
+                                                 double share) {
   SR_REQUIRE(share >= 0.0 && share <= 1.0, "share must lie in [0, 1]");
   game.validate();
   // Heaviest players first until the share is covered.
@@ -230,7 +231,7 @@ AtomicStackelbergResult atomic_stackelberg_share(
       budget -= game.weights[p];
     }
   }
-  return atomic_stackelberg(game, leaders, opts);
+  return atomic_stackelberg(game, leaders);
 }
 
 }  // namespace stackroute

@@ -241,11 +241,13 @@ Thm24Result optimal_strategy_common_slope(const ParallelLinks& m, double alpha,
   return best;
 }
 
-StackelbergOutcome brute_force_strategy(const ParallelLinks& m, double alpha,
-                                        const BruteForceOptions& opts) {
+StackelbergOutcome brute_force_strategy(const ParallelLinks& m, double alpha) {
+  // Simplex grid resolution (αr split into kGrid units), then the
+  // pattern-search refinement rounds after the grid scan.
+  constexpr int kGrid = 16;
+  constexpr int kRefineRounds = 60;
   m.validate();
   SR_REQUIRE(alpha >= 0.0 && alpha <= 1.0, "alpha must lie in [0, 1]");
-  SR_REQUIRE(opts.grid >= 1, "brute force needs grid >= 1");
   const std::size_t mm = m.size();
   const double budget = alpha * m.demand;
 
@@ -263,7 +265,7 @@ StackelbergOutcome brute_force_strategy(const ParallelLinks& m, double alpha,
   };
 
   // Grid scan over the simplex {Σ s_i = budget}.
-  const double unit = budget / opts.grid;
+  const double unit = budget / kGrid;
   auto scan = [&](auto&& self, std::size_t link, int left) -> void {
     if (link + 1 == mm) {
       s[link] = left * unit;
@@ -276,14 +278,14 @@ StackelbergOutcome brute_force_strategy(const ParallelLinks& m, double alpha,
     }
   };
   if (budget > 0.0) {
-    scan(scan, 0, opts.grid);
+    scan(scan, 0, kGrid);
   } else {
     try_strategy(s);
   }
 
   // Pattern search: greedily move `step` of flow between link pairs.
   double step = unit > 0.0 ? unit : budget;
-  for (int round = 0; round < opts.refine_rounds && step > 1e-12 * budget;
+  for (int round = 0; round < kRefineRounds && step > 1e-12 * budget;
        ++round) {
     bool improved = false;
     for (std::size_t i = 0; i < mm; ++i) {

@@ -40,12 +40,6 @@ struct AtomicInstance {
 /// n unit-weight players (weight total/n each) on a copy of `m`'s links.
 AtomicInstance atomize(const ParallelLinks& m, int players);
 
-struct BestResponseOptions {
-  int max_rounds = 100000;
-  /// A move must improve the player's latency by more than this.
-  double improvement_tol = 1e-12;
-};
-
 struct BestResponseResult {
   std::vector<int> choice;   // player -> link index
   std::vector<double> load;  // per link
@@ -57,8 +51,7 @@ struct BestResponseResult {
 /// Round-robin best-response dynamics from `initial` (player -> link;
 /// empty = everyone starts on link 0). Deterministic.
 BestResponseResult best_response_dynamics(
-    const AtomicInstance& game, std::vector<int> initial = {},
-    const BestResponseOptions& opts = {});
+    const AtomicInstance& game, std::vector<int> initial = {});
 
 /// Is the assignment a pure Nash equilibrium (within tol)?
 bool is_pure_nash(const AtomicInstance& game, std::span<const int> choice,
@@ -78,13 +71,11 @@ struct AtomicStackelbergResult {
 /// optimum share is least filled (an atomic LLF) — then frozen while the
 /// rest best-respond.
 AtomicStackelbergResult atomic_stackelberg(
-    const AtomicInstance& game, std::span<const std::size_t> leader_players,
-    const BestResponseOptions& opts = {});
+    const AtomicInstance& game, std::span<const std::size_t> leader_players);
 
 /// Convenience: Leader owns the heaviest players up to `share` of the
 /// total weight.
-AtomicStackelbergResult atomic_stackelberg_share(
-    const AtomicInstance& game, double share,
-    const BestResponseOptions& opts = {});
+AtomicStackelbergResult atomic_stackelberg_share(const AtomicInstance& game,
+                                                 double share);
 
 }  // namespace stackroute

@@ -49,18 +49,11 @@ struct Thm24Options {
 Thm24Result optimal_strategy_common_slope(const ParallelLinks& m, double alpha,
                                           const Thm24Options& opts = {});
 
-struct BruteForceOptions {
-  /// Initial simplex grid resolution (αr split into `grid` units).
-  int grid = 16;
-  /// Pattern-search refinement rounds after the grid scan.
-  int refine_rounds = 60;
-};
-
-/// Exhaustive-ish oracle: grid scan over the Leader simplex followed by
-/// greedy pairwise pattern search. Exponential-ish in m via the grid —
-/// only for small instances in tests/benches.
-StackelbergOutcome brute_force_strategy(const ParallelLinks& m, double alpha,
-                                        const BruteForceOptions& opts = {});
+/// Exhaustive-ish oracle: a 16-unit grid scan over the Leader simplex
+/// followed by up to 60 rounds of greedy pairwise pattern search.
+/// Exponential-ish in m via the grid — only for small instances in
+/// tests/benches.
+StackelbergOutcome brute_force_strategy(const ParallelLinks& m, double alpha);
 
 /// The Stackelberg threshold (Sharma & Williamson [43], discussed around
 /// footnote 6 of §7.2): the smallest α at which the *optimal* strategy

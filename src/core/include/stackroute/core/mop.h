@@ -96,10 +96,6 @@ struct MopOptions {
   /// Backend, knobs and budget of the optimum and induced solves (bush by
   /// default); the budget is armed once and shared by both.
   EquilibriumRequest equilibrium;
-  /// Slack below which an edge counts as lying on a shortest path.
-  double tight_tol = 1e-7;
-  /// Flows below this are treated as zero.
-  double flow_tol = 1e-9;
   /// Skip the induced-equilibrium verification solve (benches that only
   /// need β can save the second solve).
   bool verify_induced = true;

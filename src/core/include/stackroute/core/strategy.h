@@ -105,7 +105,8 @@ struct NetworkStackelbergOutcome {
   std::vector<double> induced;  // followers' edge flows t_e
   double cost = 0.0;            // C(S+T) on the instance's own latencies
   double ratio = 0.0;           // C(S+T)/C(O)
-  /// converged == solve_ok(status); kept for existing call sites.
+  /// converged == solve_ok(status); kept because perfbench's serve-load
+  /// client reads it.
   bool converged = true;
   /// How the induced solve ended (see solver/status.h). Budgets flow in
   /// through EquilibriumRequest::budget.

@@ -68,22 +68,27 @@ MopResult mop(const NetworkInstance& inst, const MopOptions& opts) {
 
 namespace {
 
+/// Slack below which an edge counts as lying on a shortest path.
+constexpr double kTightTol = 1e-7;
+/// Flows below this are treated as zero.
+constexpr double kFlowTol = 1e-9;
+
 /// Step 3's free flow from one origin into its sinks: the exact max flow,
 /// or the greedy peel ablation (sink by sink on the shared capacities).
 MaxFlowResult free_flow_to_sinks(const Graph& g, NodeId origin,
                                  std::span<const NodeId> sinks,
                                  std::span<const double> demands,
                                  std::span<const double> caps,
-                                 const MopOptions& opts) {
-  if (opts.free_flow_method == FreeFlowMethod::kMaxFlow) {
-    return max_flow_to_sinks(g, origin, sinks, demands, caps, opts.flow_tol);
+                                 FreeFlowMethod method) {
+  if (method == FreeFlowMethod::kMaxFlow) {
+    return max_flow_to_sinks(g, origin, sinks, demands, caps, kFlowTol);
   }
   MaxFlowResult out;
   out.edge_flow.assign(caps.size(), 0.0);
   std::vector<double> residual(caps.begin(), caps.end());
   for (std::size_t j = 0; j < sinks.size(); ++j) {
     const MaxFlowResult peel = greedy_peel_flow(g, origin, sinks[j], residual,
-                                                demands[j], opts.flow_tol);
+                                                demands[j], kFlowTol);
     for (std::size_t e = 0; e < caps.size(); ++e) {
       residual[e] -= peel.edge_flow[e];
       out.edge_flow[e] += peel.edge_flow[e];
@@ -167,7 +172,7 @@ MopResult mop(const NetworkInstance& inst, const MopOptions& opts,
         const double du = tree.dist[static_cast<std::size_t>(edge.tail)];
         const double dv = tree.dist[static_cast<std::size_t>(edge.head)];
         tight[e] = std::isfinite(du) && std::isfinite(dv) &&
-                   du + opt_costs[e] <= dv + opts.tight_tol;
+                   du + opt_costs[e] <= dv + kTightTol;
         caps[e] = tight[e] ? flow[e] : 0.0;
       }
       sinks.clear();
@@ -178,7 +183,7 @@ MopResult mop(const NetworkInstance& inst, const MopOptions& opts,
       }
       // (3) Free flow: one max flow inside the tight DAG.
       const MaxFlowResult mf =
-          free_flow_to_sinks(g, s, sinks, demands, caps, opts);
+          free_flow_to_sinks(g, s, sinks, demands, caps, opts.free_flow_method);
       // (4) The Leader controls the remainder of the origin's optimum.
       for (std::size_t e = 0; e < ne; ++e) {
         leader[e] = std::fmax(0.0, flow[e] - mf.edge_flow[e]);
@@ -228,7 +233,7 @@ MopResult mop(const NetworkInstance& inst, const MopOptions& opts,
     obs::ScopedSpan verify_span("mop_induced");
     NetworkInstance followers;
     for (std::size_t i = 0; i < k; ++i) {
-      if (result.commodities[i].free_flow > opts.flow_tol) {
+      if (result.commodities[i].free_flow > kFlowTol) {
         Commodity c = inst.commodities[i];
         c.demand = result.commodities[i].free_flow;
         followers.commodities.push_back(c);

@@ -11,19 +11,28 @@
 
 namespace stackroute {
 
-OpTopResult op_top(const ParallelLinks& m, const OpTopOptions& opts) {
+namespace {
+
+/// A link counts as under-loaded when o_i > n_i + kFreezeTol·max(1, r).
+constexpr double kFreezeTol = 1e-9;
+/// Water-filling tolerance of every internal solve.
+constexpr double kSolveTol = 1e-13;
+
+}  // namespace
+
+OpTopResult op_top(const ParallelLinks& m, const SolveBudget& budget) {
   // One workspace across the optimum solve, every round's Nash solve and
   // the induced solve: the water-filling kernels recompile the (shrinking)
   // subsystem into the same flat table each round without reallocating.
   SolverWorkspace ws;
-  return op_top(m, opts, ws, nullptr);
+  return op_top(m, budget, ws, nullptr);
 }
 
-OpTopResult op_top(const ParallelLinks& m, const OpTopOptions& opts,
+OpTopResult op_top(const ParallelLinks& m, const SolveBudget& budget,
                    SolverWorkspace& ws, OpTopWarmStart* warm) {
   m.validate();
   const double r0 = m.demand;
-  const double tol = opts.freeze_tol * std::fmax(1.0, r0);
+  const double tol = kFreezeTol * std::fmax(1.0, r0);
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const auto hint = [&](double OpTopWarmStart::* field) {
     return warm != nullptr ? warm->*field : nan;
@@ -38,7 +47,7 @@ OpTopResult op_top(const ParallelLinks& m, const OpTopOptions& opts,
 
   // One armed budget shared by every internal water-filling solve, so the
   // whole pipeline draws on a single deadline.
-  const SolveBudget budget = opts.budget.armed();
+  const SolveBudget armed = budget.armed();
 
   OpTopResult result;
   const auto absorb = [&result](const LinkAssignment& a) {
@@ -47,13 +56,13 @@ OpTopResult op_top(const ParallelLinks& m, const OpTopOptions& opts,
   };
   {
     const LinkAssignment opt =
-        solve_optimum(m, opts.solve_tol, ws,
-                      hint(&OpTopWarmStart::optimum_level), budget);
+        solve_optimum(m, kSolveTol, ws,
+                      hint(&OpTopWarmStart::optimum_level), armed);
     absorb(opt);
     result.optimum = opt.flows;
     levels.optimum_level = opt.level;
     const LinkAssignment nash = solve_nash(
-        m, opts.solve_tol, ws, hint(&OpTopWarmStart::nash_level), budget);
+        m, kSolveTol, ws, hint(&OpTopWarmStart::nash_level), armed);
     absorb(nash);
     result.nash = nash.flows;
     levels.nash_level = nash.level;
@@ -73,8 +82,8 @@ OpTopResult op_top(const ParallelLinks& m, const OpTopOptions& opts,
     const ParallelLinks sub = subsystem(m, active, remaining);
     LinkAssignment nash;
     if (remaining > tol) {
-      nash = solve_nash(sub, opts.solve_tol, ws,
-                        round_hint(static_cast<std::size_t>(round)), budget);
+      nash = solve_nash(sub, kSolveTol, ws,
+                        round_hint(static_cast<std::size_t>(round)), armed);
       absorb(nash);
       levels.round_levels.push_back(nash.level);
     } else {
@@ -112,8 +121,8 @@ OpTopResult op_top(const ParallelLinks& m, const OpTopOptions& opts,
   if (!active.empty() && remaining > tol) {
     const ParallelLinks sub = subsystem(m, active, remaining);
     const LinkAssignment induced =
-        solve_nash(sub, opts.solve_tol, ws,
-                   hint(&OpTopWarmStart::induced_level), budget);
+        solve_nash(sub, kSolveTol, ws,
+                   hint(&OpTopWarmStart::induced_level), armed);
     absorb(induced);
     levels.induced_level = induced.level;
     for (std::size_t pos = 0; pos < active.size(); ++pos) {

@@ -214,7 +214,7 @@ NetworkStackelbergOutcome evaluate_strategy(const NetworkInstance& inst,
     followers.graph = inst.graph;
     NetworkAssignment induced =
         solve_induced(followers, strategy.preload, req, ws, warm);
-    out.converged = induced.converged;
+    out.converged = solve_ok(induced.status);
     out.status = induced.status;
     out.cost = induced.cost;
     out.induced = std::move(induced.edge_flow);

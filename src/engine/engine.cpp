@@ -251,7 +251,7 @@ SolveResponse Engine::solve_on(SolveSession& session,
     Instance inst = req.instance;
     prepare_tables(session.ws, inst);
 
-    Evaluation eval(inst, &session, WarmPolicy::kValueEquality);
+    Evaluation eval(inst, &session);
     resp.warm = eval.warm();
     const SolveBudget& budget =
         req.budget.active() ? req.budget : opts_.default_budget;

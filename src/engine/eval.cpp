@@ -39,8 +39,7 @@ void SolveSession::shed_memory() {
   prev_instance = Instance{};
 }
 
-Evaluation::Evaluation(const Instance& instance, SolveSession* session,
-                       WarmPolicy policy)
+Evaluation::Evaluation(const Instance& instance, SolveSession* session)
     : instance_(instance),
       own_session_(session == nullptr ? std::make_unique<SolveSession>()
                                       : nullptr),
@@ -50,9 +49,7 @@ Evaluation::Evaluation(const Instance& instance, SolveSession* session,
   // this reset, so warm validity flows from the anchor test alone, not
   // from payload provenance.
   warm_ = session_.has_prev &&
-          (policy == WarmPolicy::kPointerIdentity
-               ? chain_compatible(session_.prev_instance, instance_)
-               : warm_compatible(session_.prev_instance, instance_));
+          warm_compatible(session_.prev_instance, instance_);
   if (!warm_) {
     // Count only genuine breaks (an anchor existed and failed the test) —
     // a session's cold first request is not a reset.
@@ -91,9 +88,7 @@ EquilibriumRequest Evaluation::request() const {
 
 const OpTopResult& Evaluation::optop() {
   if (!optop_) {
-    OpTopOptions opts;
-    opts.budget = budget_;
-    optop_ = op_top(links(), opts, ws(), &session_.optop);
+    optop_ = op_top(links(), budget_, ws(), &session_.optop);
     absorb(optop_->status);
   }
   return *optop_;
@@ -132,7 +127,6 @@ const NetworkAssignment& Evaluation::network_optimum() {
       a.edge_flow = mop_->optimum_edge_flow;
       a.commodity_paths = mop_->optimum_paths;
       a.cost = mop_->optimum_cost;
-      a.converged = true;
       net_opt_ = std::move(a);
     } else {
       net_opt_ = solve_optimum(network(), request(), ws(),

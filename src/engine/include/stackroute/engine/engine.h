@@ -5,9 +5,9 @@
 //
 //   * sessions — persistent SolveSessions (workspace + warm payloads,
 //     see session.h) keyed by id. Consecutive requests in one session
-//     warm-start each other whenever their instances are value-compatible
-//     (warm_compatible in instance.h: requests arrive freshly
-//     deserialized, so pointer identity is useless here).
+//     warm-start each other whenever their instances are warm_compatible
+//     (instance.h): same structure and value-equal latencies, demands
+//     free to differ — the one rule sweep chains use too.
 //   * a session pool — sessionless (session = 0) requests borrow a
 //     pooled session (its workspace persists, its warm payloads are reset
 //     after every request) instead of allocating one per request.

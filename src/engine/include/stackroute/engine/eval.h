@@ -4,8 +4,8 @@
 //
 // An Evaluation binds an instance to a SolveSession — the caller's, or a
 // private one it owns. On construction it decides warm vs cold (the
-// session's previous instance must pass the configured compatibility
-// test, else the session's warm payloads are reset), then lazily runs and
+// session's previous instance must pass warm_compatible in instance.h,
+// else the session's warm payloads are reset), then lazily runs and
 // caches the expensive solves (OpTop, MOP, the Nash and optimum
 // assignments, baseline strategies) so a caller asking for {beta, poa,
 // nash_cost} pays for each solver once. finish() publishes the instance
@@ -29,21 +29,12 @@ namespace stackroute::engine {
 /// ignores α; SCALE and LLF take it per evaluation.
 enum class StrategyKind { kAloof, kScale, kLlf };
 
-/// Which test decides whether a session's warm state carries over to the
-/// next instance. Pointer identity is the sweep contract (chains hold the
-/// previous instance alive, and identical pointers guarantee identical
-/// compilation, hence bitwise-stable tables). Value equality is the
-/// service contract: requests arrive freshly deserialized, so two
-/// structurally equal instances must still chain.
-enum class WarmPolicy { kPointerIdentity, kValueEquality };
-
 class Evaluation {
  public:
   /// A null `session` means a private one: every solve starts cold, and
   /// the evaluation's own solves still seed each other (MOP run after
   /// network_optimum() starts from that optimum, as on a session).
-  Evaluation(const Instance& instance, SolveSession* session,
-             WarmPolicy policy = WarmPolicy::kPointerIdentity);
+  Evaluation(const Instance& instance, SolveSession* session);
 
   [[nodiscard]] bool is_parallel() const;
   /// True when this evaluation reuses the session's warm state (the

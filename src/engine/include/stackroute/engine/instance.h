@@ -1,6 +1,6 @@
 // The engine's instance vocabulary: the sweepable instance variant (moved
-// up from the sweep layer, which now aliases it), the two warm-reuse
-// compatibility tests, and stable content hashing.
+// up from the sweep layer, which now aliases it), the warm-reuse
+// compatibility test, and stable content hashing.
 //
 // Two identities matter to a resident solve service:
 //
@@ -30,26 +30,20 @@ namespace stackroute::engine {
 /// The two input shapes of the paper's algorithms, as one solvable type.
 using Instance = std::variant<ParallelLinks, NetworkInstance>;
 
-/// True when `cur` is the same network as `prev` with at most scalar knobs
-/// (demands) changed: identical shape, edge endpoints, *pointer-identical*
-/// latency objects, and identical commodity endpoints. Pointer identity is
-/// sound because the comparison is only made while `prev` is still alive
-/// (shared ownership rules out address reuse), and it is exactly the test
-/// that decides whether a chain's warm-start state carries over — so it
-/// must stay a pure function of the two instances (thread-count and
-/// execution-order independent), which it is.
-bool chain_compatible(const Instance& prev, const Instance& cur);
-
 /// Deep value equality of two latency functions: same kind, same
 /// parameters, wrapper chains compared recursively. Opaque user subclasses
 /// compare by kind + params only — the honest best available through the
 /// virtual interface.
 bool latency_equal(const LatencyFunction& a, const LatencyFunction& b);
 
-/// Value-based counterpart of chain_compatible: same shape, endpoints and
-/// *value-equal* latencies, demands free to differ. This is the test the
-/// engine's typed-request path uses — requests arrive freshly
-/// deserialized, so pointer identity never holds across them.
+/// The one warm-reuse rule: true when `cur` is the same instance as `prev`
+/// with at most demands changed — same shape, edge endpoints and commodity
+/// endpoints, and value-equal latencies (latency_equal, which returns at
+/// once on pointer-identical objects). Sweep chains and engine requests
+/// both decide warm vs cold by it, so a factory that rebuilds equal
+/// latencies per point chains exactly like one that shares them. A pure
+/// function of the two instances, hence thread-count and order
+/// independent.
 bool warm_compatible(const Instance& prev, const Instance& cur);
 
 /// Folds one latency function (wrapper chain included) into `h`.

@@ -2,10 +2,10 @@
 // session owns one SolverWorkspace (compiled latency table, Dijkstra/path
 // buffers) plus the converged warm-start payloads of the last request it
 // served, and hands them to the next request whenever the instances are
-// chain-compatible. Sweep chains and engine clients both run on sessions,
-// and an Evaluation without one owns a private session. Confined to one
-// request at a time, hence one thread — the engine serializes a session's
-// requests and shards only across sessions.
+// warm_compatible (engine/instance.h). Sweep chains and engine clients
+// both run on sessions, and an Evaluation without one owns a private
+// session. Confined to one request at a time, hence one thread — the
+// engine serializes a session's requests and shards only across sessions.
 #pragma once
 
 #include <array>
@@ -44,8 +44,8 @@ struct WarmEntry {
 struct SolveSession {
   SolverWorkspace ws;
   bool has_prev = false;
-  /// The previous request's instance — kept alive so chain_compatible's
-  /// pointer-identity test is sound (and warm_compatible has an anchor).
+  /// The previous request's instance: warm_compatible's anchor for the
+  /// next one.
   Instance prev_instance;
   /// Warm state by WarmSlot. A pe solve reads none of these payloads and
   /// leaves the one it passes through empty, so after a pe request the

@@ -4,38 +4,6 @@
 
 namespace stackroute::engine {
 
-bool chain_compatible(const Instance& prev, const Instance& cur) {
-  if (prev.index() != cur.index()) return false;
-  if (const auto* a = std::get_if<ParallelLinks>(&prev)) {
-    const auto& b = std::get<ParallelLinks>(cur);
-    // shared_ptr operator== is pointer identity — exactly the test wanted.
-    return a->links == b.links;
-  }
-  const auto& a = std::get<NetworkInstance>(prev);
-  const auto& b = std::get<NetworkInstance>(cur);
-  const Graph& ga = a.graph;
-  const Graph& gb = b.graph;
-  if (ga.num_nodes() != gb.num_nodes() || ga.num_edges() != gb.num_edges()) {
-    return false;
-  }
-  for (EdgeId e = 0; e < ga.num_edges(); ++e) {
-    const Edge& ea = ga.edge(e);
-    const Edge& eb = gb.edge(e);
-    if (ea.tail != eb.tail || ea.head != eb.head ||
-        ea.latency != eb.latency) {
-      return false;
-    }
-  }
-  if (a.commodities.size() != b.commodities.size()) return false;
-  for (std::size_t i = 0; i < a.commodities.size(); ++i) {
-    if (a.commodities[i].source != b.commodities[i].source ||
-        a.commodities[i].sink != b.commodities[i].sink) {
-      return false;
-    }
-  }
-  return true;
-}
-
 namespace {
 
 /// Peels one wrapper level; null when `f` is not a known wrapper class.

@@ -21,8 +21,6 @@ struct NetworkAssignment {
   /// Total cost C(f) = Σ_e f_e·ℓ_e(f_e) with the instance's own latencies
   /// (no preload): the quantity the paper compares.
   double cost = 0.0;
-  /// converged == solve_ok(status); kept for existing call sites.
-  bool converged = false;
   /// How the underlying solve ended (see solver/status.h).
   SolveStatus status = SolveStatus::kConverged;
 };

@@ -3,6 +3,7 @@
 // of the paper are stated in terms of.
 #pragma once
 
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -38,42 +39,28 @@ LinkAssignment solve_induced(const ParallelLinks& m,
                              std::span<const double> preload,
                              double tol = 1e-13);
 
-/// Workspace-reusing variants (see solver/workspace.h): one workspace
-/// across repeated solves — OpTop's round recursion is the main caller —
-/// keeps the water-filling setup allocation-free.
-LinkAssignment solve_nash(const ParallelLinks& m, double tol,
-                          SolverWorkspace& ws);
-LinkAssignment solve_optimum(const ParallelLinks& m, double tol,
-                             SolverWorkspace& ws);
-LinkAssignment solve_induced(const ParallelLinks& m,
-                             std::span<const double> preload, double tol,
-                             SolverWorkspace& ws);
-
-/// Warm-started variants for chained solves: `level_hint` is the converged
+/// Workspace forms (see solver/workspace.h): one workspace across repeated
+/// solves — OpTop's round recursion is the main caller — keeps the
+/// water-filling setup allocation-free. `level_hint` is the converged
 /// level of the same system at a nearby demand (see water_filling.h for
-/// the bracketing semantics — a non-finite hint falls back to the cold
-/// path, and any hint yields the cold answer to `tol`).
-LinkAssignment solve_nash(const ParallelLinks& m, double tol,
-                          SolverWorkspace& ws, double level_hint);
-LinkAssignment solve_optimum(const ParallelLinks& m, double tol,
-                             SolverWorkspace& ws, double level_hint);
-LinkAssignment solve_induced(const ParallelLinks& m,
-                             std::span<const double> preload, double tol,
-                             SolverWorkspace& ws, double level_hint);
-
-/// Budgeted variants (see SolveBudget in solver/status.h): a budget hit or
-/// numeric failure degrades the result (status/supply_gap) instead of
-/// throwing. Pass an armed budget to share one deadline across a pipeline.
-LinkAssignment solve_nash(const ParallelLinks& m, double tol,
-                          SolverWorkspace& ws, double level_hint,
-                          const SolveBudget& budget);
-LinkAssignment solve_optimum(const ParallelLinks& m, double tol,
-                             SolverWorkspace& ws, double level_hint,
-                             const SolveBudget& budget);
-LinkAssignment solve_induced(const ParallelLinks& m,
-                             std::span<const double> preload, double tol,
-                             SolverWorkspace& ws, double level_hint,
-                             const SolveBudget& budget);
+/// the bracketing semantics — the default NaN, like any non-finite hint,
+/// is the cold path, and any hint yields the cold answer to `tol`). A
+/// `budget` hit or numeric failure degrades the result (status/supply_gap)
+/// instead of throwing (see SolveBudget in solver/status.h); pass an armed
+/// budget to share one deadline across a pipeline.
+LinkAssignment solve_nash(
+    const ParallelLinks& m, double tol, SolverWorkspace& ws,
+    double level_hint = std::numeric_limits<double>::quiet_NaN(),
+    const SolveBudget& budget = {});
+LinkAssignment solve_optimum(
+    const ParallelLinks& m, double tol, SolverWorkspace& ws,
+    double level_hint = std::numeric_limits<double>::quiet_NaN(),
+    const SolveBudget& budget = {});
+LinkAssignment solve_induced(
+    const ParallelLinks& m, std::span<const double> preload, double tol,
+    SolverWorkspace& ws,
+    double level_hint = std::numeric_limits<double>::quiet_NaN(),
+    const SolveBudget& budget = {});
 
 /// C(X) = Σ_i x_i·ℓ_i(x_i).
 double cost(const ParallelLinks& m, std::span<const double> flows);

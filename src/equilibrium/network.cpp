@@ -26,7 +26,6 @@ NetworkAssignment solve_program(const NetworkInstance& inst,
   NetworkAssignment out;
   out.edge_flow = std::move(r.edge_flow);
   out.commodity_paths = std::move(r.commodity_paths);
-  out.converged = r.converged;
   out.status = r.status;
   if (preload.empty()) {
     out.cost = cost(inst, out.edge_flow);

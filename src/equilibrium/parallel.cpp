@@ -1,7 +1,6 @@
 #include "stackroute/equilibrium/parallel.h"
 
 #include <cmath>
-#include <limits>
 
 #include "stackroute/latency/families.h"
 #include "stackroute/util/error.h"
@@ -52,39 +51,6 @@ LinkAssignment solve_induced(const ParallelLinks& m,
                              std::span<const double> preload, double tol) {
   SolverWorkspace ws;
   return solve_induced(m, preload, tol, ws);
-}
-
-LinkAssignment solve_nash(const ParallelLinks& m, double tol,
-                          SolverWorkspace& ws) {
-  return solve_nash(m, tol, ws, std::numeric_limits<double>::quiet_NaN());
-}
-
-LinkAssignment solve_optimum(const ParallelLinks& m, double tol,
-                             SolverWorkspace& ws) {
-  return solve_optimum(m, tol, ws, std::numeric_limits<double>::quiet_NaN());
-}
-
-LinkAssignment solve_induced(const ParallelLinks& m,
-                             std::span<const double> preload, double tol,
-                             SolverWorkspace& ws) {
-  return solve_induced(m, preload, tol, ws,
-                       std::numeric_limits<double>::quiet_NaN());
-}
-
-LinkAssignment solve_nash(const ParallelLinks& m, double tol,
-                          SolverWorkspace& ws, double level_hint) {
-  return solve_nash(m, tol, ws, level_hint, SolveBudget{});
-}
-
-LinkAssignment solve_optimum(const ParallelLinks& m, double tol,
-                             SolverWorkspace& ws, double level_hint) {
-  return solve_optimum(m, tol, ws, level_hint, SolveBudget{});
-}
-
-LinkAssignment solve_induced(const ParallelLinks& m,
-                             std::span<const double> preload, double tol,
-                             SolverWorkspace& ws, double level_hint) {
-  return solve_induced(m, preload, tol, ws, level_hint, SolveBudget{});
 }
 
 LinkAssignment solve_nash(const ParallelLinks& m, double tol,

@@ -1,8 +1,7 @@
 // Monotonic timing for every stackroute timestamp: bench JSON, sweep
 // wall-clock columns, and chrome-trace span events all read the same
 // steady_clock nanosecond counter, so their numbers are directly
-// comparable. Header-only; util/stopwatch.h re-exports Timer as the
-// historical `Stopwatch` name.
+// comparable. Header-only.
 #pragma once
 
 #include <chrono>

@@ -47,8 +47,8 @@ EquilibriumResult solve_equilibrium(const NetworkInstance& inst,
   EquilibriumResult out;
   switch (req.backend) {
     case EquilibriumBackend::kPathEqualization: {
-      AssignmentOptions opts = req.assignment;
-      if (req.budget.active()) opts.budget = req.budget;
+      AssignmentOptions opts;
+      opts.budget = req.budget;
       AssignmentResult r =
           assign_traffic(inst, req.objective, preload, opts, ws);
       out.edge_flow = std::move(r.edge_flow);
@@ -56,22 +56,20 @@ EquilibriumResult solve_equilibrium(const NetworkInstance& inst,
       out.objective = r.objective;
       out.spread = r.spread;
       out.iterations = r.sweeps;
-      out.converged = r.converged;
       out.status = r.status;
       out.counters = r.counters;
       if (warm_out != nullptr) warm_out->clear();
       break;
     }
     case EquilibriumBackend::kBush: {
-      BushOptions opts = req.bush;
-      if (req.budget.active()) opts.budget = req.budget;
+      BushOptions opts;
+      opts.budget = req.budget;
       BushResult r =
           solve_bush(inst, req.objective, preload, opts, ws, warm_in, warm_out);
       out.edge_flow = std::move(r.edge_flow);
       out.objective = r.objective;
       out.rel_gap = r.rel_gap;
       out.iterations = r.iterations;
-      out.converged = r.converged;
       out.status = r.status;
       out.counters = r.counters;
       break;

@@ -728,7 +728,6 @@ BushResult bush_run(const NetworkInstance& inst, FlowObjective objective,
     for (std::size_t e = 0; e < ne; ++e) bw.total_flow[e] += b.flow[e];
   }
   result.edge_flow.assign(bw.total_flow.begin(), bw.total_flow.end());
-  result.converged = solve_ok(result.status);
   result.objective = objective_value(table, result.edge_flow, objective);
   obs::count(&obs::SolveCounters::bush_shifts, shifts);
   obs::count(&obs::SolveCounters::bush_passes, passes);

@@ -60,16 +60,12 @@ const char* equilibrium_backend_names() noexcept;
 EquilibriumBackend parse_equilibrium_backend(std::string_view name);
 
 /// One equilibrium solve, backend-agnostically: which backend, which
-/// convex program, the Leader's preload, per-backend knobs, one shared
-/// budget.
+/// convex program, one budget. The chosen backend runs with its default
+/// options (AssignmentOptions{} or BushOptions{}) under `budget` — the
+/// engine/sweep layers set deadlines here once, backend-independently.
 struct EquilibriumRequest {
   EquilibriumBackend backend = EquilibriumBackend::kBush;
   FlowObjective objective = FlowObjective::kBeckmann;
-  /// Knobs of the backend that runs; the other's are ignored.
-  AssignmentOptions assignment;
-  BushOptions bush;
-  /// When active, overrides the chosen backend's own opts.budget — the
-  /// engine/sweep layers set deadlines here once, backend-independently.
   SolveBudget budget;
 };
 
@@ -84,7 +80,6 @@ struct EquilibriumResult {
   double spread = 0.0;
   double rel_gap = 0.0;
   int iterations = 0;
-  bool converged = false;
   SolveStatus status = SolveStatus::kConverged;
   obs::SolveCounters counters;
 };

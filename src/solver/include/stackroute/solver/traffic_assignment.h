@@ -49,8 +49,6 @@ struct AssignmentResult {
   /// Exact equalization steps taken (each = one Dijkstra + one bisected
   /// pair move) — the solver's cost driver.
   int steps = 0;
-  /// converged == solve_ok(status); kept for existing call sites.
-  bool converged = false;
   /// How the solve ended. A degraded status means the flows/paths are the
   /// best-so-far feasible state with quality bound `spread`.
   SolveStatus status = SolveStatus::kConverged;

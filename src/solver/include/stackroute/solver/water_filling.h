@@ -17,6 +17,7 @@
 // links yields the same cost and the same level.
 #pragma once
 
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -58,30 +59,26 @@ WaterFillingResult water_fill(std::span<const LatencyPtr> links, double demand,
 /// the links compile into ws.table once per call (skipped when the link
 /// set is pointer-identical to the previous call's), and every S(L)
 /// evaluation inside the bisection runs on the flat kernel.
-WaterFillingResult water_fill(std::span<const LatencyPtr> links, double demand,
-                              LevelKind kind, double tol,
-                              SolverWorkspace& ws);
-
-/// Warm-started variant: `level_hint` is a guess at the common level —
-/// typically the converged level of the same system at a nearby demand.
-/// The solver brackets the root by expanding geometrically from the hint
-/// and refines with safeguarded false position instead of bisecting the
-/// full cold bracket, cutting the S(L) evaluation count severalfold on
-/// dense demand sweeps. Any non-finite or out-of-range hint falls back to
-/// the cold path; the result agrees with the cold solve to `tol` either
-/// way (warm and cold brackets both isolate the same root of the same
-/// monotone function).
-WaterFillingResult water_fill(std::span<const LatencyPtr> links, double demand,
-                              LevelKind kind, double tol, SolverWorkspace& ws,
-                              double level_hint);
-
-/// Budgeted variant. `budget.max_iters` caps the number of S(L) supply
-/// evaluations; the deadline is polled once per evaluation. A budget hit
-/// or a non-finite supply value degrades the result (status + supply_gap)
-/// instead of throwing; a non-finite probe at the warm hint falls back to
-/// the cold bracket (counted as a warm_fallback) before degrading.
-WaterFillingResult water_fill(std::span<const LatencyPtr> links, double demand,
-                              LevelKind kind, double tol, SolverWorkspace& ws,
-                              double level_hint, const SolveBudget& budget);
+///
+/// `level_hint` is a guess at the common level — typically the converged
+/// level of the same system at a nearby demand. The solver brackets the
+/// root by expanding geometrically from the hint and refines with
+/// safeguarded false position instead of bisecting the full cold bracket,
+/// cutting the S(L) evaluation count severalfold on dense demand sweeps.
+/// The default NaN, like any non-finite or out-of-range hint, is the cold
+/// path; the result agrees with the cold solve to `tol` either way (warm
+/// and cold brackets both isolate the same root of the same monotone
+/// function).
+///
+/// `budget.max_iters` caps the number of S(L) supply evaluations; the
+/// deadline is polled once per evaluation. A budget hit or a non-finite
+/// supply value degrades the result (status + supply_gap) instead of
+/// throwing; a non-finite probe at the warm hint falls back to the cold
+/// bracket (counted as a warm_fallback) before degrading.
+WaterFillingResult water_fill(
+    std::span<const LatencyPtr> links, double demand, LevelKind kind,
+    double tol, SolverWorkspace& ws,
+    double level_hint = std::numeric_limits<double>::quiet_NaN(),
+    const SolveBudget& budget = {});
 
 }  // namespace stackroute

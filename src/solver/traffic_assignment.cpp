@@ -348,7 +348,6 @@ AssignmentResult assign_traffic(const NetworkInstance& inst,
   } catch (const NumericError&) {
     result.status = SolveStatus::kNumericFailure;
   }
-  result.converged = solve_ok(result.status);
 
   result.commodity_paths.resize(k);
   for (std::size_t i = 0; i < k; ++i) {

@@ -30,19 +30,6 @@ WaterFillingResult water_fill(std::span<const LatencyPtr> links, double demand,
 }
 
 WaterFillingResult water_fill(std::span<const LatencyPtr> links, double demand,
-                              LevelKind kind, double tol,
-                              SolverWorkspace& ws) {
-  return water_fill(links, demand, kind, tol, ws,
-                    std::numeric_limits<double>::quiet_NaN());
-}
-
-WaterFillingResult water_fill(std::span<const LatencyPtr> links, double demand,
-                              LevelKind kind, double tol, SolverWorkspace& ws,
-                              double level_hint) {
-  return water_fill(links, demand, kind, tol, ws, level_hint, SolveBudget{});
-}
-
-WaterFillingResult water_fill(std::span<const LatencyPtr> links, double demand,
                               LevelKind kind, double tol, SolverWorkspace& ws,
                               double level_hint, const SolveBudget& budget) {
   obs::ScopedSpan span("water_fill");

@@ -39,13 +39,12 @@ class TaskEval : public engine::Evaluation {
  public:
   /// Solves run on `chain`, the session of the task's warm chain (see
   /// runner.h), warm-started from the previous task's converged state
-  /// whenever chain_compatible holds (otherwise the payloads are reset and
+  /// whenever warm_compatible holds (otherwise the payloads are reset and
   /// this task solves cold). The runner calls finish() after the metrics
   /// to publish this task's instance as the next task's warm anchor.
   TaskEval(const ParamPoint& point, const Instance& instance,
            engine::SolveSession& chain)
-      : Evaluation(instance, &chain, engine::WarmPolicy::kPointerIdentity),
-        point_(point) {}
+      : Evaluation(instance, &chain), point_(point) {}
 
   [[nodiscard]] const ParamPoint& point() const { return point_; }
 

@@ -12,7 +12,7 @@
 // persistent SolverWorkspace (compiled latency table, Dijkstra/path
 // buffers) and threads the previous point's converged solver state into
 // the next point's solves (see SolveSession in engine/session.h and
-// chain_compatible in engine/instance.h — the runner is a thin client of
+// warm_compatible in engine/instance.h — the runner is a thin client of
 // the engine layer). Without a warm axis — or with warm_start off — every
 // task is its own chain, which is exactly the pre-chain behavior.
 //

@@ -23,20 +23,22 @@ ScenarioSpec pigou_grid() {
   ScenarioSpec spec;
   spec.name = "pigou-grid";
   // Warm-axis declarations (scenario.h) follow one rule: demand axes
-  // only. Scenarios whose factories serve the *same* latency objects at
-  // every demand — built from shared prototypes like the monomial table
-  // below — actually warm-start along their chains (chain_compatible is a
-  // pointer-identity test); scenarios that redraw a random instance per
-  // point still chain safely (their tasks solve cold while sharing the
-  // chain's workspace), at the cost of a narrower fan-out. Axes that
-  // parameterize the latency family itself (braess-eps' eps, thm24-hard's
-  // slope) declare nothing: chaining could never engage there.
+  // only. Scenarios whose factories serve value-equal latencies at every
+  // demand — shared prototypes like the monomial table below, or equal
+  // objects rebuilt per point — warm-start along their chains
+  // (warm_compatible compares latencies by value); scenarios that redraw a
+  // random instance per point still chain safely (their tasks solve cold
+  // while sharing the chain's workspace), at the cost of a narrower
+  // fan-out. Axes that parameterize the latency family itself
+  // (braess-eps' eps, thm24-hard's slope) declare nothing: chaining could
+  // never engage there.
   spec.warm_axis = "demand";
   spec.description =
       "nonlinear Pigou {x^d, 1}: latency degree x demand, beta/PoA/costs";
   spec.grid.add_range("degree", 1, 12).add_linspace("demand", 0.25, 3.0, 12);
   // Latency objects are immutable, so one x^d per degree is shared by all
-  // tasks (and threads); demand is the only thing the factory varies.
+  // tasks (and threads); demand is the only thing the factory varies, and
+  // a chain's compiled table is reused without a recompile.
   auto monomials = std::make_shared<std::vector<LatencyPtr>>();
   for (int d = 1; d <= 12; ++d) monomials->push_back(make_monomial(1.0, d));
   const LatencyPtr constant = make_constant(1.0);
@@ -44,8 +46,8 @@ ScenarioSpec pigou_grid() {
                                        Rng&) -> Instance {
     const int d = p.get_int("degree");
     ParallelLinks m;
-    // Out-of-table degrees (custom re-grids) fall back to fresh objects —
-    // correct, just chain-cold.
+    // Out-of-table degrees (custom re-grids) fall back to fresh,
+    // value-equal objects: still warm, only recompiled per point.
     m.links = {d >= 1 && d <= static_cast<int>(monomials->size())
                    ? (*monomials)[static_cast<std::size_t>(d - 1)]
                    : make_monomial(1.0, d),
@@ -147,7 +149,7 @@ ScenarioSpec braess_eps() {
   ScenarioSpec spec;
   spec.name = "braess-eps";
   // Deliberately no warm axis: the eps axis *is* the latency family, so
-  // no two points could ever be chain-compatible — chaining would only
+  // no two points could ever be warm_compatible — chaining would only
   // collapse the 30-task fan-out to one serial chain for nothing.
   spec.description =
       "Fig. 7 Braess-topology family: beta_G = 1/2 + 2eps via MOP";
@@ -247,10 +249,9 @@ ScenarioSpec braess_ladder() {
 // The strategy-compare family: ratio-vs-α curves for the classical
 // baselines (Aloof / SCALE / LLF) against MOP's β, on every instance shape
 // the paper discusses. All declare "alpha" as the warm axis: the instance
-// is identical at every α of a chain (shared prototypes, so
-// chain_compatible's pointer-identity test holds), the one optimum solve
-// per chain is warm-reused, and each baseline's induced solve seeds from
-// the previous α's converged follower flow.
+// is identical at every α of a chain (so warm_compatible holds), the one
+// optimum solve per chain is warm-reused, and each baseline's induced
+// solve seeds from the previous α's converged follower flow.
 
 /// Shared scaffolding: every strategy-compare scenario sweeps the same
 /// metric set along an "alpha" warm axis; the caller supplies the full

@@ -371,7 +371,7 @@ TEST(EngineTest, WorkspaceFootprintCountsBushScratch) {
                                 "/examples/instances/Anaheim_net.tntp"));
   SolverWorkspace ws;
   const BushResult r = solve_bush(net, FlowObjective::kBeckmann, {}, {}, ws);
-  ASSERT_TRUE(r.converged);
+  ASSERT_TRUE(solve_ok(r.status));
   const auto nv = static_cast<std::size_t>(net.graph.num_nodes());
   const auto ne = static_cast<std::size_t>(net.graph.num_edges());
   // pos, depth, indeg; dmin, dmax; pmin, pmax — per node. total_flow, tail

@@ -187,9 +187,6 @@ TEST(WarmCompatibleTest, ValueEqualityIgnoresDemand) {
   ParallelLinks b = sample_links();
   b.demand = 9.0;
   EXPECT_TRUE(warm_compatible(Instance(a), Instance(b)));
-  // ... but chain_compatible needs pointer identity, which fresh builds
-  // never have.
-  EXPECT_FALSE(chain_compatible(Instance(a), Instance(b)));
 
   b.links[1] = make_mm1(4.5);
   EXPECT_FALSE(warm_compatible(Instance(a), Instance(b)));

@@ -53,7 +53,7 @@ void expect_sink_paths_carry_demands(const NetworkInstance& inst) {
   SolverWorkspace ws;
   EquilibriumWarmState state;
   const NetworkAssignment opt = solve_optimum(inst, {}, ws, &state);
-  ASSERT_TRUE(opt.converged);
+  ASSERT_TRUE(solve_ok(opt.status));
   std::vector<std::vector<double>> storage;
   const std::vector<OriginFlow> origins =
       origin_flows(inst, opt.edge_flow, opt.commodity_paths, state, storage);
@@ -126,9 +126,10 @@ TEST(OriginFlows, WarmOptimumClearsDustAndConvergesWithoutColdRetry) {
   };
   SolverWorkspace ws;
   EquilibriumWarmState warm;
-  ASSERT_TRUE(solve_bush(at_total(40677.1), FlowObjective::kTotalCost, {},
-                         {}, ws, nullptr, &warm)
-                  .converged);
+  ASSERT_TRUE(solve_ok(solve_bush(at_total(40677.1),
+                                  FlowObjective::kTotalCost, {}, {}, ws,
+                                  nullptr, &warm)
+                           .status));
   const NetworkInstance inst = at_total(81354.2);
   obs::SolveCounters sink;
   BushResult chained;
@@ -138,7 +139,7 @@ TEST(OriginFlows, WarmOptimumClearsDustAndConvergesWithoutColdRetry) {
                          &warm);
   }
   const BushResult cold = solve_bush(inst, FlowObjective::kTotalCost);
-  EXPECT_TRUE(chained.converged);
+  EXPECT_TRUE(solve_ok(chained.status));
   EXPECT_EQ(sink.warm_fallbacks, 0u);
   EXPECT_LT(sink.gap_checks, 100u);
   EXPECT_NEAR(chained.objective, cold.objective, 1e-12 * cold.objective);

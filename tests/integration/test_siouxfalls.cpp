@@ -36,9 +36,9 @@ using test_support::expect_certified;
 TEST(SiouxFalls, BushSolvesNashAndOptimum) {
   const NetworkInstance inst = sioux_falls(10000.0);
   const BushResult nash = solve_bush(inst, FlowObjective::kBeckmann);
-  EXPECT_TRUE(nash.converged);
+  EXPECT_TRUE(solve_ok(nash.status));
   const BushResult opt = solve_bush(inst, FlowObjective::kTotalCost);
-  EXPECT_TRUE(opt.converged);
+  EXPECT_TRUE(solve_ok(opt.status));
   // Gap, node conservation and non-negativity, recomputed from scratch.
   {
     SCOPED_TRACE("bush nash");
@@ -52,7 +52,7 @@ TEST(SiouxFalls, BushSolvesNashAndOptimum) {
   // The bush optimum agrees with the path-equilibration solver, whose
   // flow passes the same certificate.
   const NetworkAssignment eq = solve_optimum(inst);
-  EXPECT_TRUE(eq.converged);
+  EXPECT_TRUE(solve_ok(eq.status));
   EXPECT_NEAR(cost(inst, opt.edge_flow), eq.cost, 1e-6 * eq.cost);
   {
     SCOPED_TRACE("pe optimum");

@@ -64,13 +64,13 @@ TEST(BackendRegistry, RetiredSpellingsAreRejected) {
 TEST(Bush, PigouNashAndOptimum) {
   const NetworkInstance inst = to_network(pigou());
   const BushResult nash = solve_bush(inst, FlowObjective::kBeckmann);
-  EXPECT_TRUE(nash.converged);
+  EXPECT_TRUE(solve_ok(nash.status));
   EXPECT_EQ(nash.status, SolveStatus::kConverged);
   EXPECT_NEAR(nash.edge_flow[0], 1.0, 1e-8);
   EXPECT_NEAR(nash.edge_flow[1], 0.0, 1e-8);
 
   const BushResult opt = solve_bush(inst, FlowObjective::kTotalCost);
-  EXPECT_TRUE(opt.converged);
+  EXPECT_TRUE(solve_ok(opt.status));
   EXPECT_NEAR(opt.edge_flow[0], 0.5, 1e-6);
   EXPECT_NEAR(opt.edge_flow[1], 0.5, 1e-6);
 }
@@ -78,7 +78,7 @@ TEST(Bush, PigouNashAndOptimum) {
 TEST(Bush, BraessNashMatchesClosedForm) {
   const NetworkInstance inst = braess_classic();
   const BushResult r = solve_bush(inst, FlowObjective::kBeckmann);
-  ASSERT_TRUE(r.converged);
+  ASSERT_TRUE(solve_ok(r.status));
   // All flow takes s→v→w→t at Nash; C(N) = 2.
   EXPECT_NEAR(cost(inst, r.edge_flow), 2.0, 1e-7);
 }
@@ -89,7 +89,7 @@ TEST(Bush, ReachesTightGapOnMulticommodityGrid) {
   BushOptions opts;
   opts.rel_gap_tol = 1e-10;
   const BushResult r = solve_bush(inst, FlowObjective::kBeckmann, {}, opts);
-  EXPECT_TRUE(r.converged) << "gap " << r.rel_gap << " status "
+  EXPECT_TRUE(solve_ok(r.status)) << "gap " << r.rel_gap << " status "
                            << to_string(r.status);
   EXPECT_LE(r.rel_gap, 1e-10);
 }
@@ -152,13 +152,13 @@ TEST(BackendEquivalence, NashCostAgreesAcrossFamiliesAndSeeds) {
       req.backend = EquilibriumBackend::kPathEqualization;
       const EquilibriumResult pe =
           solve_equilibrium(inst, {}, req, ws, nullptr, nullptr);
-      ASSERT_TRUE(pe.converged) << fam.name << " seed " << seed;
+      ASSERT_TRUE(solve_ok(pe.status)) << fam.name << " seed " << seed;
       EXPECT_FALSE(pe.commodity_paths.empty());
 
       req.backend = EquilibriumBackend::kBush;
       const EquilibriumResult bush =
           solve_equilibrium(inst, {}, req, ws, nullptr, nullptr);
-      ASSERT_TRUE(bush.converged)
+      ASSERT_TRUE(solve_ok(bush.status))
           << fam.name << " seed " << seed << " gap " << bush.rel_gap;
 
       const double c_pe = cost(inst, pe.edge_flow);
@@ -177,9 +177,9 @@ TEST(BackendEquivalence, OptimumCostAgreesOnGrid) {
   Rng rng(5);
   const NetworkInstance inst = grid_city(rng, 4, 4, 2.5);
   const auto pe = assign_traffic(inst, FlowObjective::kTotalCost);
-  ASSERT_TRUE(pe.converged);
+  ASSERT_TRUE(solve_ok(pe.status));
   const BushResult bush = solve_bush(inst, FlowObjective::kTotalCost);
-  ASSERT_TRUE(bush.converged);
+  ASSERT_TRUE(solve_ok(bush.status));
   EXPECT_LE(rel_diff(cost(inst, pe.edge_flow), cost(inst, bush.edge_flow)),
             1e-6);
   expect_certified(inst, {}, FlowObjective::kTotalCost, pe.edge_flow);
@@ -194,9 +194,9 @@ TEST(BackendEquivalence, PreloadedNashAgreesOnFig7) {
   inst.commodities[0].demand = 0.4;
   const std::vector<double> preload = {0.3, 0.3, 0.0, 0.3, 0.3};
   const auto pe = assign_traffic(inst, FlowObjective::kBeckmann, preload);
-  ASSERT_TRUE(pe.converged);
+  ASSERT_TRUE(solve_ok(pe.status));
   const BushResult bush = solve_bush(inst, FlowObjective::kBeckmann, preload);
-  ASSERT_TRUE(bush.converged);
+  ASSERT_TRUE(solve_ok(bush.status));
   EXPECT_LE(max_abs_diff(pe.edge_flow, bush.edge_flow), 1e-6);
   expect_certified(inst, preload, FlowObjective::kBeckmann, pe.edge_flow);
   expect_certified(inst, preload, FlowObjective::kBeckmann, bush.edge_flow);
@@ -208,13 +208,13 @@ TEST(BackendEquivalence, PreloadedNashAgreesOnFig7) {
 TEST(EquilibriumCertificate, DetectsNonEquilibriumFlow) {
   const NetworkInstance inst = braess_classic();
   const BushResult nash = solve_bush(inst, FlowObjective::kBeckmann);
-  ASSERT_TRUE(nash.converged);
+  ASSERT_TRUE(solve_ok(nash.status));
   const EquilibriumCertificate good =
       certify_equilibrium(inst, {}, FlowObjective::kBeckmann, nash.edge_flow);
   EXPECT_LE(good.rel_gap, 1e-10);
   // The system optimum is feasible but not a Wardrop flow.
   const BushResult opt = solve_bush(inst, FlowObjective::kTotalCost);
-  ASSERT_TRUE(opt.converged);
+  ASSERT_TRUE(solve_ok(opt.status));
   const EquilibriumCertificate bad =
       certify_equilibrium(inst, {}, FlowObjective::kBeckmann, opt.edge_flow);
   EXPECT_GT(bad.rel_gap, 1e-3);
@@ -238,7 +238,7 @@ TEST(Bush, WarmMatchesColdAcrossDemandScale) {
 
   const BushResult first = solve_bush(base, FlowObjective::kBeckmann, {}, {},
                                       ws, nullptr, &warm);
-  ASSERT_TRUE(first.converged);
+  ASSERT_TRUE(solve_ok(first.status));
   ASSERT_FALSE(warm.empty());
 
   NetworkInstance scaled = base;
@@ -247,13 +247,13 @@ TEST(Bush, WarmMatchesColdAcrossDemandScale) {
   const std::uint64_t hits_before = sink.warm_hits;
   const BushResult warm_run = solve_bush(scaled, FlowObjective::kBeckmann, {},
                                          {}, ws, &warm, &warm);
-  ASSERT_TRUE(warm_run.converged);
+  ASSERT_TRUE(solve_ok(warm_run.status));
   EXPECT_EQ(sink.warm_hits, hits_before + 1) << "warm payload not accepted";
 
   SolverWorkspace ws_cold;
   const BushResult cold_run =
       solve_bush(scaled, FlowObjective::kBeckmann, {}, {}, ws_cold);
-  ASSERT_TRUE(cold_run.converged);
+  ASSERT_TRUE(solve_ok(cold_run.status));
   EXPECT_LE(rel_diff(cost(scaled, warm_run.edge_flow),
                      cost(scaled, cold_run.edge_flow)),
             1e-8);
@@ -268,15 +268,15 @@ TEST(Bush, MismatchedWarmPayloadFallsBackCold) {
 
   SolverWorkspace ws;
   EquilibriumWarmState warm;
-  ASSERT_TRUE(
+  ASSERT_TRUE(solve_ok(
       solve_bush(a, FlowObjective::kBeckmann, {}, {}, ws, nullptr, &warm)
-          .converged);
+          .status));
 
   obs::SolveCounters sink;
   obs::CountersScope scope(sink);
   const BushResult r =
       solve_bush(b, FlowObjective::kBeckmann, {}, {}, ws, &warm, nullptr);
-  EXPECT_TRUE(r.converged);
+  EXPECT_TRUE(solve_ok(r.status));
   EXPECT_EQ(sink.warm_attempts, 1u);
   EXPECT_EQ(sink.warm_hits, 0u);
 }
@@ -375,8 +375,8 @@ TEST(Bush, EdgeFlowBitwiseInvariantAcrossThreadCounts) {
     const NetworkInstance& next = std::get<NetworkInstance>(scaled);
 
     const auto serial = cold_then_warm(inst, next, opts, 1);
-    ASSERT_TRUE(serial.first.result.converged) << name;
-    ASSERT_TRUE(serial.second.result.converged) << name;
+    ASSERT_TRUE(solve_ok(serial.first.result.status)) << name;
+    ASSERT_TRUE(solve_ok(serial.second.result.status)) << name;
     ASSERT_EQ(serial.second.result.counters.warm_hits, 1u) << name;
     ASSERT_GT(serial.first.result.counters.dijkstra_calls, 0u) << name;
     for (const int threads : {2, 3, 4}) {
@@ -424,9 +424,9 @@ TEST(Bush, CyclicWarmPayloadFallsBackColdAliasedOrNot) {
   EquilibriumWarmState bad;
   {
     SolverWorkspace ws;
-    ASSERT_TRUE(solve_bush(base, FlowObjective::kBeckmann, {}, {}, ws, nullptr,
-                           &bad)
-                    .converged);
+    ASSERT_TRUE(solve_ok(solve_bush(base, FlowObjective::kBeckmann, {}, {}, ws,
+                                    nullptr, &bad)
+                             .status));
   }
   ASSERT_GT(bad.bushes.size(), 1u);
   OriginBush& last = bad.bushes.back();
@@ -443,7 +443,7 @@ TEST(Bush, CyclicWarmPayloadFallsBackColdAliasedOrNot) {
 
   BushRun cold;
   solve_into(cold, nullptr);
-  ASSERT_TRUE(cold.result.converged);
+  ASSERT_TRUE(solve_ok(cold.result.status));
   BushRun copied;
   solve_into(copied, &bad);
   BushRun swapped;
@@ -460,7 +460,7 @@ TEST(Bush, HonestIterLimitStatus) {
   opts.max_iters = 1;
   opts.rel_gap_tol = 0.0;
   const BushResult r = solve_bush(inst, FlowObjective::kBeckmann, {}, opts);
-  EXPECT_FALSE(r.converged);
+  EXPECT_FALSE(solve_ok(r.status));
   EXPECT_EQ(r.status, SolveStatus::kIterLimit);
   EXPECT_GT(r.rel_gap, 0.0);
   EXPECT_TRUE(std::isfinite(r.rel_gap));
@@ -473,7 +473,7 @@ TEST(Bush, BudgetDeadlineReportsDeadlineExceeded) {
   opts.rel_gap_tol = 0.0;  // never converges; only the budget can stop it
   opts.budget.deadline_ms = 1e-3;
   const BushResult r = solve_bush(inst, FlowObjective::kBeckmann, {}, opts);
-  EXPECT_FALSE(r.converged);
+  EXPECT_FALSE(solve_ok(r.status));
   EXPECT_EQ(r.status, SolveStatus::kDeadlineExceeded);
 }
 
@@ -484,7 +484,7 @@ TEST(Bush, CountersReportShiftsAndRebuilds) {
   {
     obs::CountersScope scope(sink);
     const BushResult r = solve_bush(inst, FlowObjective::kBeckmann);
-    ASSERT_TRUE(r.converged);
+    ASSERT_TRUE(solve_ok(r.status));
     EXPECT_GT(r.counters.bush_shifts, 0u);
     EXPECT_GT(r.counters.dijkstra_calls, 0u);
   }
@@ -501,7 +501,7 @@ TEST(BackendWarmState, PathEqualizationNeitherReadsNorPublishes) {
   SolverWorkspace ws;
   EquilibriumWarmState warm;
   EquilibriumRequest req;
-  ASSERT_TRUE(solve_equilibrium(inst, {}, req, ws, &warm, &warm).converged);
+  ASSERT_TRUE(solve_ok(solve_equilibrium(inst, {}, req, ws, &warm, &warm).status));
   ASSERT_FALSE(warm.empty());
 
   req.backend = EquilibriumBackend::kPathEqualization;

@@ -88,7 +88,7 @@ TEST(Bush, BudgetIterCapDegradesWithHonestGap) {
   opts.budget.max_iters = 2;
   const BushResult r = solve_bush(inst, FlowObjective::kBeckmann, {}, opts);
   EXPECT_EQ(r.status, SolveStatus::kIterLimit);
-  EXPECT_FALSE(r.converged);
+  EXPECT_FALSE(solve_ok(r.status));
   EXPECT_EQ(r.iterations, 2);
   EXPECT_GT(r.rel_gap, opts.rel_gap_tol);  // the honest quality bound
   // Best-so-far flow is still feasible and finite.
@@ -106,7 +106,7 @@ TEST(Bush, ExpiredDeadlineDegradesImmediately) {
   opts.budget.deadline_ns = 1;
   const BushResult r = solve_bush(inst, FlowObjective::kBeckmann, {}, opts);
   EXPECT_EQ(r.status, SolveStatus::kDeadlineExceeded);
-  EXPECT_FALSE(r.converged);
+  EXPECT_FALSE(solve_ok(r.status));
   EXPECT_EQ(r.iterations, 0);
   for (double f : r.edge_flow) EXPECT_TRUE(std::isfinite(f));
 }
@@ -122,7 +122,7 @@ TEST(AssignTraffic, IterCapDegradesWithHonestSpread) {
   const AssignmentResult r =
       assign_traffic(inst, FlowObjective::kBeckmann, {}, opts);
   EXPECT_EQ(r.status, SolveStatus::kIterLimit);
-  EXPECT_FALSE(r.converged);
+  EXPECT_FALSE(solve_ok(r.status));
   EXPECT_GT(r.spread, opts.tol);
   double total = 0.0;
   for (double f : r.edge_flow) {
@@ -136,7 +136,7 @@ TEST(AssignTraffic, UnbudgetedRunsMatchPreBudgetBehavior) {
   const NetworkInstance inst = braess_classic();
   const AssignmentResult r = assign_traffic(inst, FlowObjective::kBeckmann);
   EXPECT_EQ(r.status, SolveStatus::kConverged);
-  EXPECT_TRUE(r.converged);
+  EXPECT_TRUE(solve_ok(r.status));
   EXPECT_LE(r.spread, AssignmentOptions{}.tol);
 }
 
@@ -251,7 +251,7 @@ TEST(SolveNash, InjectedNanDegradesNetworkSolveWithoutThrowing) {
 
   const NetworkAssignment r = solve_nash(inst);
   EXPECT_EQ(r.status, SolveStatus::kNumericFailure);
-  EXPECT_FALSE(r.converged);
+  EXPECT_FALSE(solve_ok(r.status));
   for (double f : r.edge_flow) EXPECT_TRUE(std::isfinite(f));
 }
 
@@ -286,9 +286,9 @@ TEST(SolveBush, WarmSeedHitByAFaultFallsBackCold) {
   NetworkInstance inst = grid_city(rng, 4, 4, 2.0);
   SolverWorkspace ws;
   EquilibriumWarmState warm;
-  ASSERT_TRUE(solve_bush(inst, FlowObjective::kBeckmann, {}, {}, ws, nullptr,
-                         &warm)
-                  .converged);
+  ASSERT_TRUE(solve_ok(solve_bush(inst, FlowObjective::kBeckmann, {}, {}, ws,
+                                  nullptr, &warm)
+                           .status));
   inst.commodities[0].demand *= 1.2;
   const BushResult clean = solve_bush(inst, FlowObjective::kBeckmann);
   fault::TaskFaults tf;

@@ -25,7 +25,7 @@ double commodity_total(const std::vector<PathFlow>& paths) {
 TEST(AssignTraffic, PigouAsNetworkNash) {
   const NetworkInstance inst = to_network(pigou());
   const auto r = assign_traffic(inst, FlowObjective::kBeckmann);
-  EXPECT_TRUE(r.converged);
+  EXPECT_TRUE(solve_ok(r.status));
   EXPECT_NEAR(r.edge_flow[0], 1.0, 1e-8);
   EXPECT_NEAR(r.edge_flow[1], 0.0, 1e-8);
 }
@@ -33,7 +33,7 @@ TEST(AssignTraffic, PigouAsNetworkNash) {
 TEST(AssignTraffic, PigouAsNetworkOptimum) {
   const NetworkInstance inst = to_network(pigou());
   const auto r = assign_traffic(inst, FlowObjective::kTotalCost);
-  EXPECT_TRUE(r.converged);
+  EXPECT_TRUE(solve_ok(r.status));
   EXPECT_NEAR(r.edge_flow[0], 0.5, 1e-8);
   EXPECT_NEAR(r.edge_flow[1], 0.5, 1e-8);
 }
@@ -41,7 +41,7 @@ TEST(AssignTraffic, PigouAsNetworkOptimum) {
 TEST(AssignTraffic, BraessClassicNashCostTwo) {
   const NetworkInstance inst = braess_classic();
   const auto r = assign_traffic(inst, FlowObjective::kBeckmann);
-  EXPECT_TRUE(r.converged);
+  EXPECT_TRUE(solve_ok(r.status));
   // All flow on the zigzag s->v->w->t: edges 0, 2, 4.
   EXPECT_NEAR(r.edge_flow[0], 1.0, 1e-7);
   EXPECT_NEAR(r.edge_flow[2], 1.0, 1e-7);
@@ -53,7 +53,7 @@ TEST(AssignTraffic, BraessClassicNashCostTwo) {
 TEST(AssignTraffic, BraessClassicOptimumSplitsAndSkipsShortcut) {
   const NetworkInstance inst = braess_classic();
   const auto r = assign_traffic(inst, FlowObjective::kTotalCost);
-  EXPECT_TRUE(r.converged);
+  EXPECT_TRUE(solve_ok(r.status));
   EXPECT_NEAR(r.edge_flow[0], 0.5, 1e-7);
   EXPECT_NEAR(r.edge_flow[1], 0.5, 1e-7);
   EXPECT_NEAR(r.edge_flow[2], 0.0, 1e-7);  // shortcut unused at optimum
@@ -86,7 +86,7 @@ TEST(AssignTraffic, Fig7OptimumMatchesCaption) {
     const NetworkInstance inst = fig7_instance(eps);
     const Fig7Expected expected = fig7_expected(eps);
     const auto r = assign_traffic(inst, FlowObjective::kTotalCost);
-    EXPECT_TRUE(r.converged);
+    EXPECT_TRUE(solve_ok(r.status));
     for (std::size_t e = 0; e < 5; ++e) {
       EXPECT_NEAR(r.edge_flow[e], expected.optimum_edges[e], 2e-7)
           << "eps=" << eps << " edge " << e;
@@ -100,7 +100,7 @@ TEST(AssignTraffic, Fig7NashMatchesDerivation) {
   const double eps = 0.05;
   const NetworkInstance inst = fig7_instance(eps);
   const auto r = assign_traffic(inst, FlowObjective::kBeckmann);
-  EXPECT_TRUE(r.converged);
+  EXPECT_TRUE(solve_ok(r.status));
   EXPECT_NEAR(r.edge_flow[2], 1.0 - 4.0 * eps, 1e-7);  // v->w carries f0
   EXPECT_NEAR(r.edge_flow[1], 2.0 * eps, 1e-7);        // s->w carries f2
 }
@@ -109,7 +109,7 @@ TEST(AssignTraffic, PathsDecomposeTheEdgeFlow) {
   Rng rng(31);
   const NetworkInstance inst = random_layered_dag(rng, 3, 3, 0.6, 1.5);
   const auto r = assign_traffic(inst, FlowObjective::kBeckmann);
-  EXPECT_TRUE(r.converged);
+  EXPECT_TRUE(solve_ok(r.status));
   EXPECT_NEAR(commodity_total(r.commodity_paths[0]), 1.5, 1e-9);
   std::vector<double> rebuilt(static_cast<std::size_t>(inst.graph.num_edges()),
                               0.0);
@@ -124,7 +124,7 @@ TEST(AssignTraffic, UsedPathsShareTheMinimumCost) {
   for (int trial = 0; trial < 10; ++trial) {
     const NetworkInstance inst = random_layered_dag(rng, 3, 4, 0.5, 2.0);
     const auto r = assign_traffic(inst, FlowObjective::kBeckmann);
-    ASSERT_TRUE(r.converged);
+    ASSERT_TRUE(solve_ok(r.status));
     std::vector<double> lat(static_cast<std::size_t>(inst.graph.num_edges()));
     for (EdgeId e = 0; e < inst.graph.num_edges(); ++e) {
       lat[static_cast<std::size_t>(e)] =
@@ -146,7 +146,7 @@ TEST(AssignTraffic, MultiCommodityConservesAllDemands) {
   Rng rng(33);
   const NetworkInstance inst = grid_city_multicommodity(rng, 4, 4, 4, 0.3, 0.8);
   const auto r = assign_traffic(inst, FlowObjective::kBeckmann);
-  EXPECT_TRUE(r.converged);
+  EXPECT_TRUE(solve_ok(r.status));
   for (std::size_t i = 0; i < inst.commodities.size(); ++i) {
     EXPECT_NEAR(commodity_total(r.commodity_paths[i]),
                 inst.commodities[i].demand, 1e-9);
@@ -161,7 +161,7 @@ TEST(AssignTraffic, PreloadShiftsTheEquilibrium) {
   inst.commodities[0].demand = 0.5;  // followers only
   const std::vector<double> preload = {0.0, 0.5};
   const auto r = assign_traffic(inst, FlowObjective::kBeckmann, preload);
-  EXPECT_TRUE(r.converged);
+  EXPECT_TRUE(solve_ok(r.status));
   EXPECT_NEAR(r.edge_flow[0], 0.5, 1e-8);
   EXPECT_NEAR(r.edge_flow[1], 0.0, 1e-8);
 }

@@ -34,7 +34,10 @@ ScenarioSpec links_spec() {
 }
 
 // A 4-task network sweep (Braess at scaled demand): injected NaN here hits
-// the path-equilibration solver, which degrades instead of healing.
+// the bush solver, which degrades instead of healing. No warm axis: every
+// task is its own cold chain, so a task with a NaN latency solves from
+// scratch and reads it (a warm start from an already converged neighbor
+// can finish without ever evaluating the poisoned latency).
 ScenarioSpec network_spec() {
   ScenarioSpec spec;
   spec.name = "faults-network";
@@ -45,7 +48,6 @@ ScenarioSpec network_spec() {
     return inst;
   };
   spec.metrics = {metric_nash_cost()};
-  spec.warm_axis = "demand";
   return spec;
 }
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
 #include <stdexcept>
 
 #include "stackroute/equilibrium/network.h"
@@ -101,7 +102,7 @@ TEST(WarmChains, BuiltinScenariosDeclareWarmAxes) {
 }
 
 // The shared-prototype scenarios must actually warm-start: adjacent
-// demand points of one chain serve pointer-identical latency objects.
+// demand points of one chain are warm_compatible.
 TEST(WarmChains, PrototypeScenariosChainCompatiblyAlongDemand) {
   for (const char* name : {"pigou-grid", "mm1-two-groups"}) {
     const ScenarioSpec spec = make_scenario(name);
@@ -110,11 +111,11 @@ TEST(WarmChains, PrototypeScenariosChainCompatiblyAlongDemand) {
     ParamPoint b({"degree", "fast_links", "demand"}, {3.0, 3.0, 2.0});
     const Instance ia = spec.factory(a, rng_a);
     const Instance ib = spec.factory(b, rng_b);
-    EXPECT_TRUE(engine::chain_compatible(ia, ib)) << name;
+    EXPECT_TRUE(engine::warm_compatible(ia, ib)) << name;
     // A different non-warm coordinate must not be compatible.
     ParamPoint c({"degree", "fast_links", "demand"}, {4.0, 4.0, 2.0});
     const Instance ic = spec.factory(c, rng_b);
-    EXPECT_FALSE(engine::chain_compatible(ia, ic)) << name;
+    EXPECT_FALSE(engine::warm_compatible(ia, ic)) << name;
   }
 }
 
@@ -153,8 +154,8 @@ TEST(WarmChains, GeneratedDemandSweepChainsAndAgrees) {
 }
 
 // A factory that switches topology mid-axis: the chain must detect the
-// break (chain_compatible fails on the fresh latency objects), solve cold
-// there, and keep producing rows that agree with the cold run.
+// break (warm_compatible fails at the flip), solve cold there, and keep
+// producing rows that agree with the cold run.
 TEST(WarmChains, TopologyChangeMidChainFallsBackCold) {
   ScenarioSpec spec;
   spec.name = "topology-break";
@@ -268,10 +269,29 @@ TEST(WarmChainCounters, CleanChainHitsEveryAttemptAndNeverResets) {
   EXPECT_FALSE(run_with(spec, true, 1).total_counters().any());
 }
 
+// The one warm-reuse rule compares latencies by value: a factory that
+// rebuilds equal latency objects at every point (braess-ladder builds a
+// fresh ladder per task) still chains warm, and its table matches the cold
+// run at table precision.
+TEST(WarmChains, ValueEqualInstancesChainWarm) {
+  const ScenarioSpec spec = make_scenario("braess-ladder");
+  const SweepResult warm = run_counted(spec, true);
+  ASSERT_TRUE(warm.counted);
+  ASSERT_LT(warm.chains, warm.num_tasks());
+  EXPECT_EQ(warm.num_failed(), 0u);
+  EXPECT_EQ(warm.total_counters().chain_resets, 0u);
+  // Records are in grid order, so each chain's first record is its anchor.
+  std::set<std::size_t> anchored;
+  for (std::size_t i = 0; i < warm.records.size(); ++i) {
+    if (!anchored.insert(warm.records[i].chain).second) {
+      EXPECT_GT(warm.records[i].counters.warm_attempts, 0u) << "task " << i;
+    }
+  }
+  expect_table_precision_equal(warm, run_with(spec, false, 1), spec.name);
+}
+
 TEST(WarmChainCounters, TopologyBreakResetsExactlyAtTheFlip) {
-  // Two shared prototypes so only the genuine topology flip breaks the
-  // chain (chain compatibility is latency pointer identity: building
-  // instances fresh per call would reset at every task).
+  // Two prototypes, so the genuine topology flip is the only break.
   const NetworkInstance proto_a = fig7_instance(0.05);
   Rng gen_rng(42);
   const NetworkInstance proto_b = random_layered_dag(gen_rng, 2, 3, 0.6, 1.0);

@@ -23,6 +23,13 @@ code path than the gated ones (a regression that hits both cancels out);
 for the warm-chain counters the natural choice is their own cold
 counterpart, which turns the gate into "the warm speedup must not shrink
 by more than threshold".
+
+A file recorded with ``--benchmark_repetitions=N`` carries a
+``NAME_median`` aggregate next to its N ``NAME`` runs; every counter —
+gated or calibration — then reads that median, so one noisy repetition
+cannot trip the gate. A file without it is read from its single ``NAME``
+entry. Each file is resolved on its own, so a repeated fresh run can be
+checked against a single-run baseline and vice versa.
 """
 
 import argparse
@@ -36,6 +43,12 @@ def load(path):
     benchmarks = {b["name"]: b for b in doc.get("benchmarks", [])
                   if "name" in b}
     return doc.get("context", {}), benchmarks
+
+
+def entry(table, name):
+    """NAME's median aggregate when the file has one, else its NAME entry
+    (None when neither exists)."""
+    return table.get(f"{name}_median", table.get(name))
 
 
 def main():
@@ -56,11 +69,13 @@ def main():
     failed = False
     scale = 1.0
     if args.calibrate is not None:
-        if args.calibrate not in base or args.calibrate not in fresh:
+        base_entry = entry(base, args.calibrate)
+        fresh_entry = entry(fresh, args.calibrate)
+        if base_entry is None or fresh_entry is None:
             print(f"FAIL: calibration counter {args.calibrate!r} missing")
             return 1
-        base_cal = base[args.calibrate].get("cpu_time")
-        fresh_cal = fresh[args.calibrate].get("cpu_time")
+        base_cal = base_entry.get("cpu_time")
+        fresh_cal = fresh_entry.get("cpu_time")
         # A zero or absent cpu_time means the baseline is unusable (e.g. a
         # truncated or hand-edited JSON): fail cleanly, don't divide by it.
         if not base_cal or not fresh_cal:
@@ -77,14 +92,13 @@ def main():
         failed = True
 
     for name in args.counters:
-        missing = [label for label, table in (("baseline", base),
-                                              ("fresh", fresh))
-                   if name not in table]
+        b, f = entry(base, name), entry(fresh, name)
+        missing = [label for label, e in (("baseline", b), ("fresh", f))
+                   if e is None]
         if missing:
             print(f"FAIL: counter {name!r} missing from {', '.join(missing)}")
             failed = True
             continue
-        b, f = base[name], fresh[name]
         if b.get("time_unit") != f.get("time_unit"):
             print(f"FAIL: {name}: time_unit mismatch "
                   f"({b.get('time_unit')} vs {f.get('time_unit')})")

@@ -29,6 +29,16 @@ def bench_json(entries, build_type="Release"):
     }
 
 
+def repeated_json(runs):
+    """A --benchmark_repetitions file: for each (name, [cpu...]) the
+    per-repetition NAME entries plus their NAME_median aggregate."""
+    entries = []
+    for name, cpus in runs:
+        entries += [(name, cpu) for cpu in cpus]
+        entries.append((f"{name}_median", sorted(cpus)[len(cpus) // 2]))
+    return bench_json(entries)
+
+
 class CheckBenchRegressionTest(unittest.TestCase):
     def run_script(self, baseline, fresh, counters, extra=()):
         with tempfile.TemporaryDirectory() as tmp:
@@ -110,6 +120,47 @@ class CheckBenchRegressionTest(unittest.TestCase):
     def test_non_release_build_is_clean_fail(self):
         base = bench_json([("BM_A", 10.0)])
         fresh = bench_json([("BM_A", 10.0)], build_type="Debug")
+        self.assert_clean_fail(self.run_script(base, fresh, ["BM_A"]))
+
+    def test_gates_on_median_not_last_repetition(self):
+        # The last repetition alone would read 1.6x; the median reads 1.0x.
+        base = repeated_json([("BM_A", [9.0, 10.0, 11.0])])
+        fresh = repeated_json([("BM_A", [10.0, 9.5, 16.0])])
+        proc = self.run_script(base, fresh, ["BM_A"])
+        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
+        self.assertIn("10.000 -> 10.000", proc.stdout)
+
+    def test_median_regression_still_fails(self):
+        base = repeated_json([("BM_A", [9.0, 10.0, 11.0])])
+        fresh = repeated_json([("BM_A", [14.0, 15.0, 9.0])])
+        proc = self.run_script(base, fresh, ["BM_A"])
+        self.assertEqual(proc.returncode, 1)
+        self.assertIn("REGRESSION", proc.stdout)
+
+    def test_calibration_reads_median(self):
+        # Calibration medians 5 -> 10 (2x machine); the last repetition of
+        # BM_CAL (40) would rescale BM_A's 2x into a false pass at 0.5x.
+        base = repeated_json([("BM_A", [10.0, 10.0, 10.0]),
+                              ("BM_CAL", [5.0, 5.0, 5.0])])
+        fresh = repeated_json([("BM_A", [30.0, 30.0, 30.0]),
+                               ("BM_CAL", [10.0, 10.0, 40.0])])
+        proc = self.run_script(base, fresh, ["BM_A"],
+                               ["--calibrate", "BM_CAL"])
+        self.assertEqual(proc.returncode, 1, proc.stdout + proc.stderr)
+        self.assertIn("calibration BM_CAL: fresh/baseline = 2.00x",
+                      proc.stdout)
+        self.assertIn("1.50x of calibrated baseline", proc.stdout)
+
+    def test_single_run_baseline_against_repeated_fresh(self):
+        base = bench_json([("BM_A", 10.0)])
+        fresh = repeated_json([("BM_A", [10.0, 11.0, 30.0])])
+        proc = self.run_script(base, fresh, ["BM_A"])
+        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
+        self.assertIn("10.000 -> 11.000", proc.stdout)
+
+    def test_zero_median_is_clean_fail(self):
+        base = repeated_json([("BM_A", [10.0, 10.0, 10.0])])
+        fresh = repeated_json([("BM_A", [0.0, 0.0, 10.0])])
         self.assert_clean_fail(self.run_script(base, fresh, ["BM_A"]))
 
 
