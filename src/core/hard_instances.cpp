@@ -15,6 +15,10 @@ namespace stackroute {
 
 namespace {
 
+// Tolerance of the Theorem 2.4 split search: the feasibility-gap test, and
+// (scaled by max(1, budget)) the bisection and golden-section searches.
+constexpr double kTol = 1e-11;
+
 struct CommonSlopeView {
   double slope = 0.0;
   std::vector<double> intercepts;  // sorted ascending
@@ -152,8 +156,8 @@ class SplitProblem {
 
 }  // namespace
 
-Thm24Result optimal_strategy_common_slope(const ParallelLinks& m, double alpha,
-                                          const Thm24Options& opts) {
+Thm24Result optimal_strategy_common_slope(const ParallelLinks& m,
+                                          double alpha) {
   m.validate();
   SR_REQUIRE(alpha >= 0.0 && alpha <= 1.0, "alpha must lie in [0, 1]");
   const CommonSlopeView view = common_slope_view(m);
@@ -189,17 +193,17 @@ Thm24Result optimal_strategy_common_slope(const ParallelLinks& m, double alpha,
 
     // Constraint (ii): feasibility_gap(eps) <= 0, increasing in eps.
     auto gap = [&](double eps) { return prob.feasibility_gap(eps, budget); };
-    if (gap(eps_lo) > opts.tol) continue;  // no feasible eps for this split
+    if (gap(eps_lo) > kTol) continue;  // no feasible eps for this split
     double eps_hi = budget;
     if (gap(budget) > 0.0) {
       eps_hi = bisect_increasing(gap, eps_lo, budget,
-                                 opts.tol * std::fmax(1.0, budget));
+                                 kTol * std::fmax(1.0, budget));
     }
 
     // Convex objective on the feasible interval.
     auto objective = [&](double eps) { return prob.total_cost(eps, budget); };
     const double eps_star = golden_section_min(
-        objective, eps_lo, eps_hi, opts.tol * std::fmax(1.0, budget));
+        objective, eps_lo, eps_hi, kTol * std::fmax(1.0, budget));
     const double c = objective(eps_star);
     if (c < winner.cost - 1e-15) {
       winner = Candidate{prefix, eps_star, c};

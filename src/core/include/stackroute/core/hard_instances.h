@@ -39,15 +39,11 @@ struct Thm24Result {
   double epsilon = 0.0;
 };
 
-struct Thm24Options {
-  double tol = 1e-11;
-};
-
 /// Requires every link affine with one common slope a > 0 (throws
 /// otherwise) and alpha in [0, 1]. Works for any alpha, but is interesting
 /// for alpha < β_M where the optimum cost is unreachable.
-Thm24Result optimal_strategy_common_slope(const ParallelLinks& m, double alpha,
-                                          const Thm24Options& opts = {});
+Thm24Result optimal_strategy_common_slope(const ParallelLinks& m,
+                                          double alpha);
 
 /// Exhaustive-ish oracle: a 16-unit grid scan over the Leader simplex
 /// followed by up to 60 rounds of greedy pairwise pattern search.

@@ -4,26 +4,6 @@
 
 namespace stackroute::engine {
 
-namespace {
-
-/// Peels one wrapper level; null when `f` is not a known wrapper class.
-/// dynamic_cast (not kind()) so an unknown subclass *claiming* a wrapper
-/// kind cannot be dereferenced as one.
-const LatencyFunction* wrapper_base(const LatencyFunction& f) {
-  if (const auto* s = dynamic_cast<const ShiftedLatency*>(&f)) {
-    return s->base().get();
-  }
-  if (const auto* s = dynamic_cast<const ScaledLatency*>(&f)) {
-    return s->base().get();
-  }
-  if (const auto* s = dynamic_cast<const OffsetLatency*>(&f)) {
-    return s->base().get();
-  }
-  return nullptr;
-}
-
-}  // namespace
-
 bool latency_equal(const LatencyFunction& a, const LatencyFunction& b) {
   if (&a == &b) return true;
   if (a.kind() != b.kind()) return false;
@@ -36,8 +16,8 @@ bool latency_equal(const LatencyFunction& a, const LatencyFunction& b) {
     // vice versa.
     if (pa[i] != pb[i] && !(pa[i] == 0.0 && pb[i] == 0.0)) return false;
   }
-  const LatencyFunction* ba = wrapper_base(a);
-  const LatencyFunction* bb = wrapper_base(b);
+  const LatencyFunction* ba = peel_wrapper(a).base;
+  const LatencyFunction* bb = peel_wrapper(b).base;
   if ((ba == nullptr) != (bb == nullptr)) return false;
   return ba == nullptr || latency_equal(*ba, *bb);
 }
@@ -82,7 +62,7 @@ void mix_latency(StableHash& h, const LatencyFunction& f) {
   const std::vector<double> params = f.params();
   h.mix(params.size());
   for (const double p : params) h.mix_double(p);
-  if (const LatencyFunction* base = wrapper_base(f)) {
+  if (const LatencyFunction* base = peel_wrapper(f).base) {
     mix_latency(h, *base);
   } else {
     // Terminator word: a wrapper chain and its flattened lookalike (e.g.

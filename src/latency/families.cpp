@@ -4,8 +4,6 @@
 #include <sstream>
 
 #include "stackroute/util/error.h"
-#include "stackroute/util/numeric.h"
-#include "stackroute/util/scalar.h"
 
 namespace stackroute {
 
@@ -46,12 +44,12 @@ AffineLatency::AffineLatency(double slope, double intercept)
 
 double AffineLatency::inverse(double target) const {
   SR_REQUIRE(a_ > 0.0, "cannot invert constant (zero-slope) latency");
-  return std::fmax(0.0, (target - b_) / a_);
+  return formula::affine::inverse(a_, b_, target);
 }
 
 double AffineLatency::inverse_marginal(double target) const {
   SR_REQUIRE(a_ > 0.0, "cannot invert marginal of constant latency");
-  return std::fmax(0.0, (target - b_) / (2.0 * a_));
+  return formula::affine::inverse_marginal(a_, b_, target);
 }
 
 std::string AffineLatency::describe() const {
@@ -72,30 +70,6 @@ PolynomialLatency::PolynomialLatency(std::vector<double> coeffs)
     any_positive = any_positive || c > 0.0;
   }
   SR_REQUIRE(any_positive, "polynomial latency must not be identically zero");
-}
-
-double PolynomialLatency::value(double x) const {
-  double acc = 0.0;
-  for (auto it = coeffs_.rbegin(); it != coeffs_.rend(); ++it) {
-    acc = acc * x + *it;
-  }
-  return acc;
-}
-
-double PolynomialLatency::derivative(double x) const {
-  double acc = 0.0;
-  for (std::size_t k = coeffs_.size(); k-- > 1;) {
-    acc = acc * x + static_cast<double>(k) * coeffs_[k];
-  }
-  return acc;
-}
-
-double PolynomialLatency::integral(double x) const {
-  double acc = 0.0;
-  for (std::size_t k = coeffs_.size(); k-- > 0;) {
-    acc = acc * x + coeffs_[k] / static_cast<double>(k + 1);
-  }
-  return acc * x;
 }
 
 bool PolynomialLatency::is_constant() const {
@@ -124,45 +98,15 @@ std::string PolynomialLatency::describe() const {
 
 BprLatency::BprLatency(double free_flow_time, double capacity, double b,
                        double power)
-    : t0_(free_flow_time), cap_(capacity), b_(b), p_(power) {
+    : t0_(free_flow_time),
+      cap_(capacity),
+      b_(b),
+      p_(power),
+      ip_(formula::bpr::int_power(power)) {
   SR_REQUIRE(t0_ > 0.0, "BPR latency needs free-flow time > 0");
   SR_REQUIRE(cap_ > 0.0, "BPR latency needs capacity > 0");
   SR_REQUIRE(b_ > 0.0, "BPR latency needs B > 0");
   SR_REQUIRE(p_ >= 1.0, "BPR latency needs power >= 1");
-  // Strength-reduce small integer powers (p = 4 is the standard BPR
-  // parameterization): (x/cap)^p as sequential multiplies instead of
-  // std::pow, which otherwise dominates edge cost evaluation. The
-  // LatencyTable kernels replicate exactly this choice.
-  if (p_ == std::floor(p_) && p_ <= 16.0) ip_ = static_cast<int>(p_);
-}
-
-double BprLatency::value(double x) const {
-  const double r = x / cap_;
-  const double rp = ip_ > 0 ? ipow_small(r, ip_) : std::pow(r, p_);
-  return t0_ * (1.0 + b_ * rp);
-}
-
-double BprLatency::derivative(double x) const {
-  const double r = x / cap_;
-  const double rp1 = ip_ > 0 ? ipow_small(r, ip_ - 1) : std::pow(r, p_ - 1.0);
-  return t0_ * b_ * p_ * rp1 / cap_;
-}
-
-double BprLatency::integral(double x) const {
-  const double r = x / cap_;
-  const double rp = ip_ > 0 ? ipow_small(r, ip_) : std::pow(r, p_);
-  return t0_ * x + t0_ * b_ * rp * x / (p_ + 1.0);
-}
-
-double BprLatency::inverse(double target) const {
-  if (target <= t0_) return 0.0;
-  return cap_ * std::pow((target / t0_ - 1.0) / b_, 1.0 / p_);
-}
-
-double BprLatency::inverse_marginal(double target) const {
-  // marginal(x) = t0 + t0·B·(p+1)·(x/cap)^p
-  if (target <= t0_) return 0.0;
-  return cap_ * std::pow((target / t0_ - 1.0) / (b_ * (p_ + 1.0)), 1.0 / p_);
 }
 
 std::string BprLatency::describe() const {
@@ -176,54 +120,6 @@ std::string BprLatency::describe() const {
 Mm1Latency::Mm1Latency(double mu) : mu_(mu) {
   SR_REQUIRE(mu > 0.0 && std::isfinite(mu),
              "M/M/1 latency needs service rate mu > 0, got " + fmt(mu));
-}
-
-double Mm1Latency::x_break() const { return mu_ * (1.0 - 1e-7); }
-
-double Mm1Latency::value(double x) const {
-  const double xb = x_break();
-  if (x <= xb) return 1.0 / (mu_ - x);
-  // C¹ linear continuation beyond the barrier.
-  const double v = 1.0 / (mu_ - xb);
-  const double d = v * v;
-  return v + d * (x - xb);
-}
-
-double Mm1Latency::derivative(double x) const {
-  const double xb = x_break();
-  const double xe = std::fmin(x, xb);
-  const double v = 1.0 / (mu_ - xe);
-  return v * v;
-}
-
-double Mm1Latency::integral(double x) const {
-  const double xb = x_break();
-  if (x <= xb) return std::log(mu_ / (mu_ - x));
-  const double v = 1.0 / (mu_ - xb);
-  const double d = v * v;
-  const double t = x - xb;
-  return std::log(mu_ / (mu_ - xb)) + v * t + 0.5 * d * t * t;
-}
-
-double Mm1Latency::inverse(double target) const {
-  if (target <= 1.0 / mu_) return 0.0;
-  const double xb = x_break();
-  const double vb = 1.0 / (mu_ - xb);
-  if (target <= vb) return mu_ - 1.0 / target;
-  return xb + (target - vb) / (vb * vb);
-}
-
-double Mm1Latency::inverse_marginal(double target) const {
-  // marginal(x) = mu/(mu-x)^2 inside the domain.
-  if (target <= 1.0 / mu_) return 0.0;
-  const double xb = x_break();
-  const double vb = 1.0 / (mu_ - xb);
-  const double mb = mu_ * vb * vb;
-  if (target <= mb) return mu_ - std::sqrt(mu_ / target);
-  // Beyond the barrier: value is linear (slope s), so marginal is linear too:
-  // h(x) = vb + s(x-xb) + x·s with s = vb².
-  const double s = vb * vb;
-  return (target - vb + s * xb) / (2.0 * s);
 }
 
 std::string Mm1Latency::describe() const {
@@ -279,6 +175,21 @@ ScaledLatency::ScaledLatency(LatencyPtr base, double factor)
 
 std::string ScaledLatency::describe() const {
   return fmt(c_) + "·[" + base_->describe() + "]";
+}
+
+// ---- Wrapper peeling -------------------------------------------------------
+
+PeeledWrapper peel_wrapper(const LatencyFunction& f) {
+  if (const auto* w = dynamic_cast<const ShiftedLatency*>(&f)) {
+    return {w->base().get(), w->shift()};
+  }
+  if (const auto* w = dynamic_cast<const ScaledLatency*>(&f)) {
+    return {w->base().get(), w->factor()};
+  }
+  if (const auto* w = dynamic_cast<const OffsetLatency*>(&f)) {
+    return {w->base().get(), w->offset()};
+  }
+  return {};
 }
 
 // ---- Factories -------------------------------------------------------------

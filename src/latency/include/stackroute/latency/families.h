@@ -2,7 +2,8 @@
 //
 // Every family validates its parameters at construction (throwing
 // stackroute::Error), provides closed-form integrals, and overrides the
-// inverses with closed forms wherever one exists. Parameter encodings for
+// inverses with closed forms wherever one exists; the formulas themselves
+// live in formulas.h, shared with LatencyTable. Parameter encodings for
 // params()/make_latency():
 //   Constant    {b}
 //   Affine      {a, b}                 ℓ(x) = a·x + b
@@ -12,6 +13,7 @@
 // Shifted/Scaled wrap another latency and are not serializable.
 #pragma once
 
+#include "stackroute/latency/formulas.h"
 #include "stackroute/latency/latency.h"
 
 namespace stackroute {
@@ -23,9 +25,13 @@ class ConstantLatency final : public LatencyFunction {
  public:
   explicit ConstantLatency(double b);
 
-  double value(double) const override { return b_; }
-  double derivative(double) const override { return 0.0; }
-  double integral(double x) const override { return b_ * x; }
+  double value(double) const override { return formula::constant::value(b_); }
+  double derivative(double) const override {
+    return formula::constant::derivative();
+  }
+  double integral(double x) const override {
+    return formula::constant::integral(b_, x);
+  }
   double inverse(double target) const override;
   double inverse_marginal(double target) const override;
   bool is_constant() const override { return true; }
@@ -42,9 +48,15 @@ class AffineLatency final : public LatencyFunction {
  public:
   AffineLatency(double slope, double intercept);
 
-  double value(double x) const override { return a_ * x + b_; }
-  double derivative(double) const override { return a_; }
-  double integral(double x) const override { return 0.5 * a_ * x * x + b_ * x; }
+  double value(double x) const override {
+    return formula::affine::value(a_, b_, x);
+  }
+  double derivative(double) const override {
+    return formula::affine::derivative(a_);
+  }
+  double integral(double x) const override {
+    return formula::affine::integral(a_, b_, x);
+  }
   double inverse(double target) const override;
   double inverse_marginal(double target) const override;
   bool is_constant() const override { return a_ == 0.0; }
@@ -65,9 +77,15 @@ class PolynomialLatency final : public LatencyFunction {
  public:
   explicit PolynomialLatency(std::vector<double> coeffs);
 
-  double value(double x) const override;
-  double derivative(double x) const override;
-  double integral(double x) const override;
+  double value(double x) const override {
+    return formula::polynomial::value(coeffs_, x);
+  }
+  double derivative(double x) const override {
+    return formula::polynomial::derivative(coeffs_, x);
+  }
+  double integral(double x) const override {
+    return formula::polynomial::integral(coeffs_, x);
+  }
   bool is_constant() const override;
   LatencyKind kind() const override { return LatencyKind::kPolynomial; }
   std::vector<double> params() const override { return coeffs_; }
@@ -84,34 +102,52 @@ class BprLatency final : public LatencyFunction {
   BprLatency(double free_flow_time, double capacity, double b = 0.15,
              double power = 4.0);
 
-  double value(double x) const override;
-  double derivative(double x) const override;
-  double integral(double x) const override;
-  double inverse(double target) const override;
-  double inverse_marginal(double target) const override;
+  double value(double x) const override {
+    return formula::bpr::value(t0_, cap_, b_, p_, ip_, x);
+  }
+  double derivative(double x) const override {
+    return formula::bpr::derivative(t0_, cap_, b_, p_, ip_, x);
+  }
+  double integral(double x) const override {
+    return formula::bpr::integral(t0_, cap_, b_, p_, ip_, x);
+  }
+  double inverse(double target) const override {
+    return formula::bpr::inverse(t0_, cap_, b_, p_, target);
+  }
+  double inverse_marginal(double target) const override {
+    return formula::bpr::inverse_marginal(t0_, cap_, b_, p_, target);
+  }
   LatencyKind kind() const override { return LatencyKind::kBpr; }
   std::vector<double> params() const override { return {t0_, cap_, b_, p_}; }
   std::string describe() const override;
 
  private:
   double t0_, cap_, b_, p_;
-  int ip_ = 0;  // p_ when it is a small integer (the common case), else 0
+  int ip_;  // formula::bpr::int_power(p_)
 };
 
 /// M/M/1 queueing delay ℓ(x) = 1/(mu − x) on [0, mu). To keep intermediate
 /// solver iterates finite (a bisection bracket end or a Newton flow shift
 /// can overshoot mu) the function continues C¹-linearly beyond
-/// x_break = mu·(1 − 1e-7); every feasible equilibrium with demand < mu
-/// lies far below the break point.
+/// the break point formula::mm1::x_break(mu), a relative 1e-7 below mu;
+/// every feasible equilibrium with demand < mu lies far below it.
 class Mm1Latency final : public LatencyFunction {
  public:
   explicit Mm1Latency(double mu);
 
-  double value(double x) const override;
-  double derivative(double x) const override;
-  double integral(double x) const override;
-  double inverse(double target) const override;
-  double inverse_marginal(double target) const override;
+  double value(double x) const override { return formula::mm1::value(mu_, x); }
+  double derivative(double x) const override {
+    return formula::mm1::derivative(mu_, x);
+  }
+  double integral(double x) const override {
+    return formula::mm1::integral(mu_, x);
+  }
+  double inverse(double target) const override {
+    return formula::mm1::inverse(mu_, target);
+  }
+  double inverse_marginal(double target) const override {
+    return formula::mm1::inverse_marginal(mu_, target);
+  }
   double capacity() const override { return mu_; }
   LatencyKind kind() const override { return LatencyKind::kMm1; }
   std::vector<double> params() const override { return {mu_}; }
@@ -120,8 +156,6 @@ class Mm1Latency final : public LatencyFunction {
   [[nodiscard]] double mu() const { return mu_; }
 
  private:
-  [[nodiscard]] double x_break() const;
-
   double mu_;
 };
 
@@ -217,6 +251,18 @@ class ScaledLatency final : public LatencyFunction {
   LatencyPtr base_;
   double c_;
 };
+
+/// One level of a shifted/scaled/offset wrapper: the wrapped latency and
+/// the wrapper's own parameter (shift, factor or offset; kind() says which).
+struct PeeledWrapper {
+  const LatencyFunction* base = nullptr;
+  double param = 0.0;
+};
+
+/// Peels one wrapper level; `base` is null when `f` is none of the three
+/// wrapper classes. It matches the concrete classes, not kind(), so an
+/// unknown subclass claiming a wrapper kind is never dereferenced as one.
+PeeledWrapper peel_wrapper(const LatencyFunction& f);
 
 // ---- Factories ----------------------------------------------------------
 

@@ -5,11 +5,12 @@
 // wrappers into a short per-entry op chain and packing the primitive family
 // underneath into struct-of-arrays slots (family tag + coefficient slots,
 // polynomial coefficients in a shared pool). The kernels then evaluate
-// without virtual dispatch or shared_ptr chasing, with *bit-identical*
-// arithmetic to the virtual interface: each family/wrapper case replays the
-// exact expression sequence of families.cpp, so solvers can switch between
-// the two representations freely without perturbing equilibria — the sweep
-// determinism contract ("bitwise identical tables") relies on this.
+// without virtual dispatch or shared_ptr chasing. Each family case calls the
+// same inline formula (formulas.h) as the family class's virtual method, and
+// each wrapper op mirrors the one-line wrapper method in families.h, so the
+// two representations are *bit-identical* and solvers can switch between
+// them freely without perturbing equilibria — the sweep determinism
+// contract ("bitwise identical tables") relies on this.
 //
 // Unknown LatencyFunction subclasses (or wrapper chains compile() cannot
 // see through) degrade to an opaque entry that forwards to the original
@@ -23,8 +24,8 @@
 #include <span>
 #include <vector>
 
+#include "stackroute/latency/formulas.h"
 #include "stackroute/latency/latency.h"
-#include "stackroute/util/numeric.h"
 
 namespace stackroute {
 
@@ -82,7 +83,7 @@ class LatencyTable {
 
   /// ℓ_i(x).
   [[nodiscard]] double value(std::size_t i, double x) const {
-    if (all_affine_) return aff_a_[i] * x + aff_b_[i];
+    if (all_affine_) return formula::affine::value(aff_a_[i], aff_b_[i], x);
     const Entry& en = entries_[i];
     if (en.fam == Fam::kOpaque) return src_[i]->value(x);
     return en.wrap_count == 0 ? prim_value(en, x) : wrapped_value(en, 0, x);
@@ -90,7 +91,7 @@ class LatencyTable {
 
   /// ℓ_i'(x).
   [[nodiscard]] double derivative(std::size_t i, double x) const {
-    if (all_affine_) return aff_a_[i];
+    if (all_affine_) return formula::affine::derivative(aff_a_[i]);
     const Entry& en = entries_[i];
     if (en.fam == Fam::kOpaque) return src_[i]->derivative(x);
     return en.wrap_count == 0 ? prim_derivative(en, x)
@@ -99,7 +100,7 @@ class LatencyTable {
 
   /// ∫₀ˣ ℓ_i.
   [[nodiscard]] double integral(std::size_t i, double x) const {
-    if (all_affine_) return 0.5 * aff_a_[i] * x * x + aff_b_[i] * x;
+    if (all_affine_) return formula::affine::integral(aff_a_[i], aff_b_[i], x);
     const Entry& en = entries_[i];
     if (en.fam == Fam::kOpaque) return src_[i]->integral(x);
     return en.wrap_count == 0 ? prim_integral(en, x)
@@ -110,7 +111,8 @@ class LatencyTable {
   [[nodiscard]] double marginal(std::size_t i, double x) const {
     if (all_affine_) {
       const double a = aff_a_[i];
-      return (a * x + aff_b_[i]) + x * a;
+      return formula::affine::value(a, aff_b_[i], x) +
+             x * formula::affine::derivative(a);
     }
     return value(i, x) + x * derivative(i, x);
   }
@@ -142,13 +144,6 @@ class LatencyTable {
     return src_[i];
   }
 
-  // ---- Batched kernels (flow span → out span, sizes must match) ----------
-
-  void values(std::span<const double> flow, std::span<double> out) const;
-  void derivatives(std::span<const double> flow, std::span<double> out) const;
-  void integrals(std::span<const double> flow, std::span<double> out) const;
-  void marginals(std::span<const double> flow, std::span<double> out) const;
-
  private:
   enum class Fam : std::uint8_t { kConstant, kAffine, kPoly, kBpr, kMm1, kOpaque };
   enum class Op : std::uint8_t { kShift, kScale, kOffset };
@@ -170,7 +165,7 @@ class LatencyTable {
     std::uint32_t wrap_begin = 0;
     std::uint32_t coeff_begin = 0;
     std::uint32_t coeff_count = 0;
-    std::int32_t aux = 0;  // BPR: integer exponent (0 = fractional)
+    std::int32_t aux = 0;  // BPR: formula::bpr::int_power(p)
     // Family slots: Constant {b,-,-,-}, Affine {a,b,-,-},
     // BPR {t0,cap,B,p}, MM1 {mu,-,-,-}; Poly uses the coefficient pool.
     double p0 = 0.0, p1 = 0.0, p2 = 0.0, p3 = 0.0;
@@ -178,66 +173,43 @@ class LatencyTable {
 
   void append_entry(const LatencyFunction& f);
 
-  // Every prim_*/wrapped_* body below replays the corresponding
-  // families.cpp expression verbatim; see the header comment for why.
+  [[nodiscard]] std::span<const double> poly(const Entry& en) const {
+    return {coeffs_.data() + en.coeff_begin, en.coeff_count};
+  }
+
+  // The family cases dispatch to formulas.h; opaque entries never reach
+  // them, and the inverse cases are gated by the closed-inverse flags.
 
   [[nodiscard]] double prim_value(const Entry& en, double x) const {
     switch (en.fam) {
       case Fam::kConstant:
-        return en.p0;
+        return formula::constant::value(en.p0);
       case Fam::kAffine:
-        return en.p0 * x + en.p1;
-      case Fam::kPoly: {
-        double acc = 0.0;
-        for (std::size_t k = en.coeff_count; k-- > 0;) {
-          acc = acc * x + coeffs_[en.coeff_begin + k];
-        }
-        return acc;
-      }
-      case Fam::kBpr: {
-        const double r = x / en.p1;
-        const double rp =
-            en.aux > 0 ? ipow_small(r, en.aux) : std::pow(r, en.p3);
-        return en.p0 * (1.0 + en.p2 * rp);
-      }
-      case Fam::kMm1: {
-        const double xb = en.p0 * (1.0 - 1e-7);
-        if (x <= xb) return 1.0 / (en.p0 - x);
-        const double v = 1.0 / (en.p0 - xb);
-        const double d = v * v;
-        return v + d * (x - xb);
-      }
+        return formula::affine::value(en.p0, en.p1, x);
+      case Fam::kPoly:
+        return formula::polynomial::value(poly(en), x);
+      case Fam::kBpr:
+        return formula::bpr::value(en.p0, en.p1, en.p2, en.p3, en.aux, x);
+      case Fam::kMm1:
+        return formula::mm1::value(en.p0, x);
       case Fam::kOpaque:
         break;
     }
-    return 0.0;  // unreachable: opaque entries never reach the prim kernels
+    return 0.0;
   }
 
   [[nodiscard]] double prim_derivative(const Entry& en, double x) const {
     switch (en.fam) {
       case Fam::kConstant:
-        return 0.0;
+        return formula::constant::derivative();
       case Fam::kAffine:
-        return en.p0;
-      case Fam::kPoly: {
-        double acc = 0.0;
-        for (std::size_t k = en.coeff_count; k-- > 1;) {
-          acc = acc * x + static_cast<double>(k) * coeffs_[en.coeff_begin + k];
-        }
-        return acc;
-      }
-      case Fam::kBpr: {
-        const double r = x / en.p1;
-        const double rp1 =
-            en.aux > 0 ? ipow_small(r, en.aux - 1) : std::pow(r, en.p3 - 1.0);
-        return en.p0 * en.p2 * en.p3 * rp1 / en.p1;
-      }
-      case Fam::kMm1: {
-        const double xb = en.p0 * (1.0 - 1e-7);
-        const double xe = std::fmin(x, xb);
-        const double v = 1.0 / (en.p0 - xe);
-        return v * v;
-      }
+        return formula::affine::derivative(en.p0);
+      case Fam::kPoly:
+        return formula::polynomial::derivative(poly(en), x);
+      case Fam::kBpr:
+        return formula::bpr::derivative(en.p0, en.p1, en.p2, en.p3, en.aux, x);
+      case Fam::kMm1:
+        return formula::mm1::derivative(en.p0, x);
       case Fam::kOpaque:
         break;
     }
@@ -247,31 +219,15 @@ class LatencyTable {
   [[nodiscard]] double prim_integral(const Entry& en, double x) const {
     switch (en.fam) {
       case Fam::kConstant:
-        return en.p0 * x;
+        return formula::constant::integral(en.p0, x);
       case Fam::kAffine:
-        return 0.5 * en.p0 * x * x + en.p1 * x;
-      case Fam::kPoly: {
-        double acc = 0.0;
-        for (std::size_t k = en.coeff_count; k-- > 0;) {
-          acc = acc * x +
-                coeffs_[en.coeff_begin + k] / static_cast<double>(k + 1);
-        }
-        return acc * x;
-      }
-      case Fam::kBpr: {
-        const double r = x / en.p1;
-        const double rp =
-            en.aux > 0 ? ipow_small(r, en.aux) : std::pow(r, en.p3);
-        return en.p0 * x + en.p0 * en.p2 * rp * x / (en.p3 + 1.0);
-      }
-      case Fam::kMm1: {
-        const double xb = en.p0 * (1.0 - 1e-7);
-        if (x <= xb) return std::log(en.p0 / (en.p0 - x));
-        const double v = 1.0 / (en.p0 - xb);
-        const double d = v * v;
-        const double t = x - xb;
-        return std::log(en.p0 / (en.p0 - xb)) + v * t + 0.5 * d * t * t;
-      }
+        return formula::affine::integral(en.p0, en.p1, x);
+      case Fam::kPoly:
+        return formula::polynomial::integral(poly(en), x);
+      case Fam::kBpr:
+        return formula::bpr::integral(en.p0, en.p1, en.p2, en.p3, en.aux, x);
+      case Fam::kMm1:
+        return formula::mm1::integral(en.p0, x);
       case Fam::kOpaque:
         break;
     }
@@ -281,41 +237,27 @@ class LatencyTable {
   [[nodiscard]] double prim_inverse(const Entry& en, double target) const {
     switch (en.fam) {
       case Fam::kAffine:
-        return std::fmax(0.0, (target - en.p1) / en.p0);
+        return formula::affine::inverse(en.p0, en.p1, target);
       case Fam::kBpr:
-        if (target <= en.p0) return 0.0;
-        return en.p1 * std::pow((target / en.p0 - 1.0) / en.p2, 1.0 / en.p3);
-      case Fam::kMm1: {
-        if (target <= 1.0 / en.p0) return 0.0;
-        const double xb = en.p0 * (1.0 - 1e-7);
-        const double vb = 1.0 / (en.p0 - xb);
-        if (target <= vb) return en.p0 - 1.0 / target;
-        return xb + (target - vb) / (vb * vb);
-      }
+        return formula::bpr::inverse(en.p0, en.p1, en.p2, en.p3, target);
+      case Fam::kMm1:
+        return formula::mm1::inverse(en.p0, target);
       default:
         break;
     }
-    return 0.0;  // unreachable: the closed-inverse flag gates these fams
+    return 0.0;
   }
 
   [[nodiscard]] double prim_inverse_marginal(const Entry& en,
                                              double target) const {
     switch (en.fam) {
       case Fam::kAffine:
-        return std::fmax(0.0, (target - en.p1) / (2.0 * en.p0));
+        return formula::affine::inverse_marginal(en.p0, en.p1, target);
       case Fam::kBpr:
-        if (target <= en.p0) return 0.0;
-        return en.p1 * std::pow((target / en.p0 - 1.0) / (en.p2 * (en.p3 + 1.0)),
-                                1.0 / en.p3);
-      case Fam::kMm1: {
-        if (target <= 1.0 / en.p0) return 0.0;
-        const double xb = en.p0 * (1.0 - 1e-7);
-        const double vb = 1.0 / (en.p0 - xb);
-        const double mb = en.p0 * vb * vb;
-        if (target <= mb) return en.p0 - std::sqrt(en.p0 / target);
-        const double s = vb * vb;
-        return (target - vb + s * xb) / (2.0 * s);
-      }
+        return formula::bpr::inverse_marginal(en.p0, en.p1, en.p2, en.p3,
+                                              target);
+      case Fam::kMm1:
+        return formula::mm1::inverse_marginal(en.p0, target);
       default:
         break;
     }

@@ -91,9 +91,8 @@ void LatencyTable::append_entry(const LatencyFunction& f) {
   Entry en;
   en.wrap_begin = static_cast<std::uint32_t>(wraps_.size());
 
-  // Peel wrappers outermost-first. base() is only reachable through the
-  // concrete classes, so an unknown subclass masquerading behind a wrapper
-  // kind makes the whole entry opaque.
+  // Peel wrappers outermost-first. An unknown subclass claiming a wrapper
+  // kind is not peeled by peel_wrapper, which makes the whole entry opaque.
   const LatencyFunction* cur = &f;
   bool opaque = false;
   bool shifted = false;
@@ -103,34 +102,21 @@ void LatencyTable::append_entry(const LatencyFunction& f) {
       break;
     }
     const LatencyKind k = cur->kind();
-    if (k == LatencyKind::kShifted) {
-      const auto* w = dynamic_cast<const ShiftedLatency*>(cur);
-      if (w == nullptr) {
-        opaque = true;
-        break;
-      }
-      wraps_.push_back(Wrap{Op::kShift, w->shift()});
-      shifted = true;
-      cur = w->base().get();
-    } else if (k == LatencyKind::kScaled) {
-      const auto* w = dynamic_cast<const ScaledLatency*>(cur);
-      if (w == nullptr) {
-        opaque = true;
-        break;
-      }
-      wraps_.push_back(Wrap{Op::kScale, w->factor()});
-      cur = w->base().get();
-    } else if (k == LatencyKind::kOffset) {
-      const auto* w = dynamic_cast<const OffsetLatency*>(cur);
-      if (w == nullptr) {
-        opaque = true;
-        break;
-      }
-      wraps_.push_back(Wrap{Op::kOffset, w->offset()});
-      cur = w->base().get();
-    } else {
+    if (k != LatencyKind::kShifted && k != LatencyKind::kScaled &&
+        k != LatencyKind::kOffset) {
       break;
     }
+    const PeeledWrapper w = peel_wrapper(*cur);
+    if (w.base == nullptr) {
+      opaque = true;
+      break;
+    }
+    const Op op = k == LatencyKind::kShifted ? Op::kShift
+                  : k == LatencyKind::kScaled ? Op::kScale
+                                              : Op::kOffset;
+    wraps_.push_back(Wrap{op, w.param});
+    shifted = shifted || op == Op::kShift;
+    cur = w.base;
   }
 
   // Pack the primitive underneath. kind() + params() is the documented
@@ -174,11 +160,7 @@ void LatencyTable::append_entry(const LatencyFunction& f) {
           en.p1 = p[1];
           en.p2 = p[2];
           en.p3 = p[3];
-          // Same strength-reduction condition as BprLatency's constructor,
-          // so both representations take the identical power path.
-          if (en.p3 == std::floor(en.p3) && en.p3 <= 16.0) {
-            en.aux = static_cast<std::int32_t>(en.p3);
-          }
+          en.aux = formula::bpr::int_power(en.p3);
           en.flags |= kFlagClosedInverse | kFlagClosedInverseMarginal;
         }
         break;
@@ -209,34 +191,6 @@ void LatencyTable::append_entry(const LatencyFunction& f) {
   }
   if (f.is_constant()) en.flags |= kFlagConstant;
   entries_.push_back(en);
-}
-
-void LatencyTable::values(std::span<const double> flow,
-                          std::span<double> out) const {
-  SR_REQUIRE(flow.size() == size() && out.size() == size(),
-             "LatencyTable::values span size mismatch");
-  for (std::size_t i = 0; i < size(); ++i) out[i] = value(i, flow[i]);
-}
-
-void LatencyTable::derivatives(std::span<const double> flow,
-                               std::span<double> out) const {
-  SR_REQUIRE(flow.size() == size() && out.size() == size(),
-             "LatencyTable::derivatives span size mismatch");
-  for (std::size_t i = 0; i < size(); ++i) out[i] = derivative(i, flow[i]);
-}
-
-void LatencyTable::integrals(std::span<const double> flow,
-                             std::span<double> out) const {
-  SR_REQUIRE(flow.size() == size() && out.size() == size(),
-             "LatencyTable::integrals span size mismatch");
-  for (std::size_t i = 0; i < size(); ++i) out[i] = integral(i, flow[i]);
-}
-
-void LatencyTable::marginals(std::span<const double> flow,
-                             std::span<double> out) const {
-  SR_REQUIRE(flow.size() == size() && out.size() == size(),
-             "LatencyTable::marginals span size mismatch");
-  for (std::size_t i = 0; i < size(); ++i) out[i] = marginal(i, flow[i]);
 }
 
 }  // namespace stackroute

@@ -10,10 +10,9 @@
 // social cost for the optimum. The solvers below only ever interact with
 // the programs through this little vocabulary.
 //
-// Each primitive comes in three shapes: the original vector-returning form
-// over the virtual interface, an out-parameter form (allocation-free), and
-// a LatencyTable form (allocation-free *and* devirtualized — what the
-// solver hot loops use). All three produce bit-identical numbers.
+// The solvers evaluate through a compiled LatencyTable (allocation-free and
+// devirtualized). total_cost also takes the LatencyPtr span directly for
+// callers holding no table; both forms produce bit-identical numbers.
 #pragma once
 
 #include <span>
@@ -36,16 +35,8 @@ std::vector<LatencyPtr> effective_latencies(const Graph& g,
                                             std::span<const double> preload);
 
 /// Per-edge cost used in shortest-path / equilibration steps:
-/// λ_e(f_e) for kBeckmann, λ_e(f_e) + f_e·λ_e'(f_e) for kTotalCost.
-std::vector<double> edge_costs(std::span<const LatencyPtr> lat,
-                               std::span<const double> flow,
-                               FlowObjective objective);
-
-/// Out-parameter form; `out` must match the latency count.
-void edge_costs(std::span<const LatencyPtr> lat, std::span<const double> flow,
-                FlowObjective objective, std::span<double> out);
-
-/// Compiled-kernel form.
+/// λ_e(f_e) for kBeckmann, λ_e(f_e) + f_e·λ_e'(f_e) for kTotalCost. `out`
+/// must match the latency count.
 void edge_costs(const LatencyTable& lat, std::span<const double> flow,
                 FlowObjective objective, std::span<double> out);
 
@@ -58,10 +49,6 @@ void edge_costs(const LatencyTable& lat, std::span<const double> flow,
 }
 
 /// Objective value at the given edge flows.
-double objective_value(std::span<const LatencyPtr> lat,
-                       std::span<const double> flow, FlowObjective objective);
-
-/// Compiled-kernel form.
 double objective_value(const LatencyTable& lat, std::span<const double> flow,
                        FlowObjective objective);
 

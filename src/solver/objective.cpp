@@ -23,25 +23,6 @@ std::vector<LatencyPtr> effective_latencies(const Graph& g,
   return lat;
 }
 
-void edge_costs(std::span<const LatencyPtr> lat, std::span<const double> flow,
-                FlowObjective objective, std::span<double> out) {
-  SR_REQUIRE(lat.size() == flow.size() && out.size() == lat.size(),
-             "edge cost size mismatch");
-  for (std::size_t e = 0; e < lat.size(); ++e) {
-    out[e] = objective == FlowObjective::kBeckmann
-                 ? lat[e]->value(flow[e])
-                 : lat[e]->marginal(flow[e]);
-  }
-}
-
-std::vector<double> edge_costs(std::span<const LatencyPtr> lat,
-                               std::span<const double> flow,
-                               FlowObjective objective) {
-  std::vector<double> costs(lat.size());
-  edge_costs(lat, flow, objective, costs);
-  return costs;
-}
-
 void edge_costs(const LatencyTable& lat, std::span<const double> flow,
                 FlowObjective objective, std::span<double> out) {
   SR_REQUIRE(lat.size() == flow.size() && out.size() == lat.size(),
@@ -61,18 +42,6 @@ void edge_costs(const LatencyTable& lat, std::span<const double> flow,
   }
 }
 
-double objective_value(std::span<const LatencyPtr> lat,
-                       std::span<const double> flow, FlowObjective objective) {
-  SR_REQUIRE(lat.size() == flow.size(), "objective size mismatch");
-  double total = 0.0;
-  for (std::size_t e = 0; e < lat.size(); ++e) {
-    total += objective == FlowObjective::kBeckmann
-                 ? lat[e]->integral(flow[e])
-                 : flow[e] * lat[e]->value(flow[e]);
-  }
-  return total;
-}
-
 double objective_value(const LatencyTable& lat, std::span<const double> flow,
                        FlowObjective objective) {
   SR_REQUIRE(lat.size() == flow.size(), "objective size mismatch");
@@ -88,7 +57,12 @@ double objective_value(const LatencyTable& lat, std::span<const double> flow,
 
 double total_cost(std::span<const LatencyPtr> lat,
                   std::span<const double> flow) {
-  return objective_value(lat, flow, FlowObjective::kTotalCost);
+  SR_REQUIRE(lat.size() == flow.size(), "objective size mismatch");
+  double total = 0.0;
+  for (std::size_t e = 0; e < lat.size(); ++e) {
+    total += flow[e] * lat[e]->value(flow[e]);
+  }
+  return total;
 }
 
 double total_cost(const LatencyTable& lat, std::span<const double> flow) {

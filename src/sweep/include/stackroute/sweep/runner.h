@@ -155,6 +155,9 @@ struct SweepResult {
   /// hit, numeric trouble): their metrics are best-so-far values,
   /// honestly labeled in the status column.
   [[nodiscard]] std::size_t num_degraded() const;
+  /// Task i's grid point as "{col=value, ...}" at table precision, naming a
+  /// failed task in messages; empty when the point has no columns.
+  [[nodiscard]] std::string point_label(std::size_t i) const;
 
   /// Deterministic result table: parameter columns, metric columns, status.
   [[nodiscard]] Table table() const;

@@ -40,6 +40,18 @@ std::size_t SweepResult::num_degraded() const {
   return n;
 }
 
+std::string SweepResult::point_label(std::size_t i) const {
+  const TaskRecord& rec = records[i];
+  std::string where;
+  for (std::size_t k = 0; k < rec.point.size() && k < param_columns.size();
+       ++k) {
+    if (!where.empty()) where += ", ";
+    where +=
+        param_columns[k] + "=" + format_double(rec.point.values()[k], digits);
+  }
+  return where.empty() ? where : "{" + where + "}";
+}
+
 obs::SolveCounters SweepResult::total_counters() const {
   obs::SolveCounters total;
   for (const auto& rec : records) total.merge(rec.counters);
@@ -405,19 +417,13 @@ SweepResult SweepRunner::run(const ScenarioSpec& spec,
   result.total_millis = total.milliseconds();
 
   if (!opts_.keep_going) {
-    for (const auto& rec : result.records) {
-      if (rec.ok) continue;
+    for (std::size_t i = 0; i < result.records.size(); ++i) {
+      if (result.records[i].ok) continue;
       // Name the grid point so the rethrow pinpoints the failing task.
-      std::string where;
-      for (std::size_t k = 0;
-           k < rec.point.size() && k < result.param_columns.size(); ++k) {
-        if (!where.empty()) where += ", ";
-        where += result.param_columns[k] + "=" +
-                 format_double(rec.point.values()[k], result.digits);
-      }
+      const std::string where = result.point_label(i);
       throw Error("sweep task failed" +
-                  (where.empty() ? std::string() : " at {" + where + "}") +
-                  ": " + rec.error);
+                  (where.empty() ? where : " at " + where) + ": " +
+                  result.records[i].error);
     }
   }
   return result;

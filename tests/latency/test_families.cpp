@@ -126,6 +126,24 @@ TEST(BprLatency, IntegralMatchesQuadrature) {
   EXPECT_NEAR(fn.integral(hi), acc, 1e-6);
 }
 
+TEST(BprLatency, BadParamsRejected) {
+  EXPECT_THROW(BprLatency(0.0, 1.0), Error);
+  EXPECT_THROW(BprLatency(1.0, 0.0), Error);
+  EXPECT_THROW(BprLatency(1.0, 1.0, 0.0), Error);
+  EXPECT_THROW(BprLatency(1.0, 1.0, 0.15, 0.5), Error);
+  EXPECT_THROW(BprLatency(1.0, 1.0, 0.15, -1e300), Error);
+}
+
+TEST(BprLatency, IntegerPowerRule) {
+  EXPECT_EQ(formula::bpr::int_power(1.0), 1);
+  EXPECT_EQ(formula::bpr::int_power(4.0), 4);
+  EXPECT_EQ(formula::bpr::int_power(16.0), 16);
+  EXPECT_EQ(formula::bpr::int_power(17.0), 0);
+  EXPECT_EQ(formula::bpr::int_power(2.5), 0);
+  // Outside int range: 0, with no out-of-range cast.
+  EXPECT_EQ(formula::bpr::int_power(-1e300), 0);
+}
+
 TEST(Mm1Latency, QueueingDelayShape) {
   Mm1Latency fn(2.0);
   EXPECT_DOUBLE_EQ(fn.value(0.0), 0.5);

@@ -1,7 +1,9 @@
 // LatencyTable vs the virtual LatencyFunction interface: the compiled
 // kernels must agree with the objects they were compiled from — bitwise for
-// value/derivative/integral/marginal (the solver hot paths lean on this for
-// the sweep determinism contract) and to tight tolerance for the inverses.
+// value/derivative/integral/marginal and the closed-form inverses (both
+// sides run the formulas.h expressions; the solver hot paths lean on this
+// for the sweep determinism contract), and to tight tolerance for inverses
+// that fall back to the numeric default.
 // Covers every LatencyKind, nested shifted/scaled/offset wrappers, and the
 // opaque fallback for unknown subclasses.
 #include <gtest/gtest.h>
@@ -37,15 +39,23 @@ std::vector<TableCase> table_cases() {
   cases.push_back({"monomial_d7", make_monomial(0.3, 7), 2.5});
   cases.push_back({"bpr_default", make_bpr(1.0, 1.0), 3.0});
   cases.push_back({"bpr_steep", make_bpr(2.0, 0.5, 0.3, 6.0), 1.5});
+  cases.push_back({"bpr_linear", make_bpr(1.0, 2.0, 0.5, 1.0), 4.0});
+  // Exponents off the small-integer rule take the std::pow branch.
+  cases.push_back({"bpr_fractional", make_bpr(1.0, 2.0, 0.15, 2.5), 4.0});
+  cases.push_back({"bpr_p20", make_bpr(1.5, 1.0, 0.15, 20.0), 1.4});
   cases.push_back({"mm1", make_mm1(2.0), 1.8});
   cases.push_back({"mm1_past_break", make_mm1(1.0), 3.0});  // barrier region
   // Single wrappers around every wrappable family.
   cases.push_back({"shifted_affine", make_shifted(make_affine(2.0, 0.5), 1.25), 6.0});
   cases.push_back({"shifted_poly", make_shifted(make_polynomial({0.2, 0.1, 0.7}), 0.4), 4.0});
   cases.push_back({"shifted_bpr", make_shifted(make_bpr(1.5, 2.0), 0.8), 3.0});
+  cases.push_back({"shifted_bpr_fractional",
+                   make_shifted(make_bpr(2.0, 1.5, 0.2, 3.7), 0.3), 3.0});
   cases.push_back({"shifted_mm1", make_shifted(make_mm1(4.0), 1.0), 2.5});
   cases.push_back({"scaled_poly", make_scaled(make_polynomial({0.2, 0.3, 0.4}), 2.5), 4.0});
   cases.push_back({"scaled_mm1", make_scaled(make_mm1(3.0), 0.25), 2.5});
+  cases.push_back({"scaled_bpr_fractional",
+                   make_scaled(make_bpr(1.0, 1.0, 0.15, 4.5), 1.3), 2.0});
   cases.push_back({"offset_affine", make_offset(make_affine(1.2, 0.3), 0.9), 6.0});
   cases.push_back({"offset_constant", make_offset(make_constant(0.5), 0.25), 6.0});
   // Nested wrappers (both orders of scale/offset, shift inside and outside).
@@ -95,29 +105,53 @@ TEST_P(TableEquivalence, MatchesVirtualInterfaceBitwise) {
   }
 }
 
-TEST_P(TableEquivalence, InversesMatchToTightTolerance) {
+// Affine, BPR and M/M/1 invert in closed form, alone or wrapped; the
+// marginal inverse only when no shift intervenes (a shifted marginal is not
+// the marginal shifted).
+struct ClosedForms {
+  bool inverse = false;
+  bool marginal = false;
+};
+
+ClosedForms closed_forms(const LatencyFunction& f) {
+  const LatencyFunction* cur = &f;
+  bool shifted = false;
+  while (const LatencyFunction* base = peel_wrapper(*cur).base) {
+    shifted = shifted || cur->kind() == LatencyKind::kShifted;
+    cur = base;
+  }
+  const LatencyKind k = cur->kind();
+  const bool inverse = k == LatencyKind::kAffine || k == LatencyKind::kBpr ||
+                       k == LatencyKind::kMm1;
+  return {inverse, inverse && !shifted};
+}
+
+void expect_inverse_match(double a, double b, bool bitwise,
+                          const std::string& what) {
+  if (bitwise) {
+    EXPECT_EQ(a, b) << what;
+  } else {
+    EXPECT_NEAR(a, b, 1e-9 * std::fmax(1.0, std::fabs(b))) << what;
+  }
+}
+
+TEST_P(TableEquivalence, InversesMatch) {
   const TableCase& c = GetParam();
   if (c.fn->is_constant()) return;  // inverses throw for constants
   const std::vector<LatencyPtr> lats = {c.fn};
   const LatencyTable table = LatencyTable::compiled(lats);
+  const ClosedForms closed = closed_forms(*c.fn);
 
   Rng rng(1717);
   for (int k = 0; k < 100; ++k) {
     const double x = rng.uniform(0.0, c.x_max);
-    {
-      const double target = c.fn->value(x);
-      const double a = table.inverse(0, target);
-      const double b = c.fn->inverse(target);
-      EXPECT_NEAR(a, b, 1e-9 * std::fmax(1.0, std::fabs(b)))
-          << c.name << " inverse @" << target;
-    }
-    {
-      const double target = c.fn->marginal(x);
-      const double a = table.inverse_marginal(0, target);
-      const double b = c.fn->inverse_marginal(target);
-      EXPECT_NEAR(a, b, 1e-9 * std::fmax(1.0, std::fabs(b)))
-          << c.name << " inverse_marginal @" << target;
-    }
+    const double t = c.fn->value(x);
+    expect_inverse_match(table.inverse(0, t), c.fn->inverse(t), closed.inverse,
+                         c.name + " inverse @" + std::to_string(t));
+    const double tm = c.fn->marginal(x);
+    expect_inverse_match(table.inverse_marginal(0, tm),
+                         c.fn->inverse_marginal(tm), closed.marginal,
+                         c.name + " inverse_marginal @" + std::to_string(tm));
   }
 }
 
@@ -126,35 +160,6 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<TableCase>& info) {
       return info.param.name;
     });
-
-TEST(LatencyTable, BatchedKernelsMatchScalar) {
-  Rng rng(99);
-  std::vector<LatencyPtr> lats;
-  for (const TableCase& c : table_cases()) lats.push_back(c.fn);
-  const LatencyTable table = LatencyTable::compiled(lats);
-  ASSERT_EQ(table.size(), lats.size());
-
-  std::vector<double> flow(lats.size());
-  for (auto& x : flow) x = rng.uniform(0.0, 1.2);
-  std::vector<double> out(lats.size());
-
-  table.values(flow, out);
-  for (std::size_t i = 0; i < lats.size(); ++i) {
-    EXPECT_EQ(out[i], lats[i]->value(flow[i])) << i;
-  }
-  table.derivatives(flow, out);
-  for (std::size_t i = 0; i < lats.size(); ++i) {
-    EXPECT_EQ(out[i], lats[i]->derivative(flow[i])) << i;
-  }
-  table.integrals(flow, out);
-  for (std::size_t i = 0; i < lats.size(); ++i) {
-    EXPECT_EQ(out[i], lats[i]->integral(flow[i])) << i;
-  }
-  table.marginals(flow, out);
-  for (std::size_t i = 0; i < lats.size(); ++i) {
-    EXPECT_EQ(out[i], lats[i]->marginal(flow[i])) << i;
-  }
-}
 
 // An unknown subclass must compile to an opaque entry that forwards to the
 // virtual object rather than mis-evaluating.
@@ -176,6 +181,33 @@ TEST(LatencyTable, OpaqueFallbackForUnknownSubclass) {
     EXPECT_EQ(table.derivative(0, x), lats[0]->derivative(x));
     EXPECT_EQ(table.integral(0, x), lats[0]->integral(x));
     EXPECT_EQ(table.marginal(0, x), lats[0]->marginal(x));
+  }
+}
+
+// A subclass claiming a wrapper kind is not a wrapper: peel_wrapper does
+// not see through it, so the table never dereferences it as one and the
+// whole entry (an offset around it, too) forwards opaquely.
+class ClaimsShifted final : public LatencyFunction {
+ public:
+  double value(double x) const override { return 2.0 * x + 1.0; }
+  double derivative(double) const override { return 2.0; }
+  double integral(double x) const override { return x * x + x; }
+  LatencyKind kind() const override { return LatencyKind::kShifted; }
+  std::vector<double> params() const override { return {0.5}; }
+  std::string describe() const override { return "claims shifted"; }
+};
+
+TEST(LatencyTable, ClaimedWrapperKindStaysOpaque) {
+  const LatencyPtr fake = std::make_shared<ClaimsShifted>();
+  EXPECT_EQ(peel_wrapper(*fake).base, nullptr);
+  const std::vector<LatencyPtr> lats = {fake, make_offset(fake, 0.25)};
+  const LatencyTable table = LatencyTable::compiled(lats);
+  for (std::size_t i = 0; i < lats.size(); ++i) {
+    for (double x : {0.0, 0.5, 2.0}) {
+      EXPECT_EQ(table.value(i, x), lats[i]->value(x)) << i;
+      EXPECT_EQ(table.integral(i, x), lats[i]->integral(x)) << i;
+      EXPECT_EQ(table.marginal(i, x), lats[i]->marginal(x)) << i;
+    }
   }
 }
 

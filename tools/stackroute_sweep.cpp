@@ -585,20 +585,14 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < result.records.size(); ++i) {
       const auto& rec = result.records[i];
       if (rec.ok) continue;
-      std::string where;
-      for (std::size_t k = 0;
-           k < rec.point.size() && k < result.param_columns.size(); ++k) {
-        if (!where.empty()) where += ", ";
-        where += result.param_columns[k] + "=" +
-                 format_double(rec.point.values()[k], result.digits);
-      }
+      const std::string where = result.point_label(i);
       std::string msg = rec.error;
       if (msg.size() > kMaxErrorChars) {
         msg.resize(kMaxErrorChars);
         msg += "...";
       }
       std::cerr << "task " << i;
-      if (!where.empty()) std::cerr << " {" << where << "}";
+      if (!where.empty()) std::cerr << " " << where;
       std::cerr << " failed";
       if (rec.retries > 0) {
         std::cerr << " (after " << rec.retries << " cold retr"
