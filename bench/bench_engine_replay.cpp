@@ -17,15 +17,28 @@
 // (rps); the Warm/Cold pairs in BENCH_engine.json are the headline — CI
 // gates each warm counter against its own cold counterpart, so the warm
 // speedup must not shrink by more than 25% machine-independently.
+//
+// The ParseLine rows time the step before the engine: serve::parse_line
+// on serve-churn-shaped request lines, each naming an instance the
+// prototype cache has not seen. Inline-text lines pay the JSON string and
+// the instance text reader; generated lines pay the generator instead.
+// CI gates the inline row against the generated one, so the text path's
+// share of a cold request cannot creep back up. LoadAnaheimTntp is the
+// file path: the Anaheim net and trips documents read into one instance.
 #include <benchmark/benchmark.h>
 
+#include <string>
+#include <variant>
 #include <vector>
 
 #include "bench_main.h"
 #include "stackroute/engine/engine.h"
 #include "stackroute/gen/registry.h"
+#include "stackroute/io/json.h"
+#include "stackroute/io/serialize.h"
 #include "stackroute/network/generators.h"
 #include "stackroute/obs/profile.h"
+#include "stackroute/serve/protocol.h"
 #include "stackroute/sweep/scenario.h"
 
 namespace {
@@ -124,6 +137,66 @@ void BM_EngineReplayGridBprWarm(benchmark::State& state) {
   replay(state, grid_stream(), true);
 }
 BENCHMARK(BM_EngineReplayGridBprWarm)->Unit(benchmark::kMillisecond);
+
+/// serve-churn's request shape: one equilibrium request per instance of a
+/// 128-instance grid-bpr pool (size 10, 100 nodes, 180 edges), carried
+/// inline as serialized text or named by generator seed.
+std::vector<std::string> churn_lines(bool inline_text) {
+  std::vector<std::string> lines;
+  for (std::uint64_t p = 0; p < 128; ++p) {
+    const std::uint64_t seed = 9000 + p;
+    std::string line = "{\"op\":\"equilibrium\",\"id\":" + std::to_string(p);
+    if (inline_text) {
+      const auto inst = gen::generate_sized("grid-bpr", 10, 1.0, seed);
+      line += ",\"instance\":\"" +
+              io::json_escape(to_string(std::get<NetworkInstance>(inst))) +
+              "\"";
+    } else {
+      line += ",\"generate\":\"grid-bpr\",\"size\":10,\"gen_seed\":" +
+              std::to_string(seed);
+    }
+    line += ",\"demand\":1.25}";
+    lines.push_back(std::move(line));
+  }
+  return lines;
+}
+
+/// Cycles through `lines` against serve's default 64-entry prototype
+/// cache: twice the cache's size, so under LRU every call misses, builds
+/// the instance, inserts it and evicts one.
+void parse_lines(benchmark::State& state,
+                 const std::vector<std::string>& lines) {
+  serve::PrototypeCache prototypes(64);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    serve::ParsedLine parsed =
+        serve::parse_line(lines[i++ % lines.size()], prototypes, nullptr);
+    benchmark::DoNotOptimize(parsed);
+  }
+  state.counters["line_bytes"] = static_cast<double>(lines[0].size());
+}
+
+void BM_ParseLineInlineGrid(benchmark::State& state) {
+  static const std::vector<std::string> lines = churn_lines(true);
+  parse_lines(state, lines);
+}
+BENCHMARK(BM_ParseLineInlineGrid)->Unit(benchmark::kMicrosecond);
+
+void BM_ParseLineGenerated(benchmark::State& state) {
+  static const std::vector<std::string> lines = churn_lines(false);
+  parse_lines(state, lines);
+}
+BENCHMARK(BM_ParseLineGenerated)->Unit(benchmark::kMicrosecond);
+
+void BM_LoadAnaheimTntp(benchmark::State& state) {
+  const std::string path =
+      sweep::locate_data_file("examples/instances/Anaheim_net.tntp");
+  for (auto _ : state) {
+    engine::Instance inst = sweep::load_instance_file(path);
+    benchmark::DoNotOptimize(inst);
+  }
+}
+BENCHMARK(BM_LoadAnaheimTntp)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

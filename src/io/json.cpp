@@ -2,8 +2,8 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
+#include "stackroute/io/scan.h"
 #include "stackroute/util/error.h"
 
 namespace stackroute::io {
@@ -197,18 +197,22 @@ class Parser {
     expect('"');
     std::string out;
     while (true) {
+      // Take the run up to the next quote, backslash or control byte in
+      // one append.
+      const std::size_t run = pos_;
+      while (!eof() && peek() != '"' && peek() != '\\' &&
+             static_cast<unsigned char>(peek()) >= 0x20) {
+        ++pos_;
+      }
+      out.append(text_, run, pos_ - run);
       if (eof()) fail("unterminated string");
       const char c = peek();
-      ++pos_;
-      if (c == '"') return out;
-      if (static_cast<unsigned char>(c) < 0x20) {
-        --pos_;
-        fail("unescaped control character in string");
-      }
       if (c != '\\') {
-        out.push_back(c);
-        continue;
+        if (c != '"') fail("unescaped control character in string");
+        ++pos_;
+        return out;
       }
+      ++pos_;
       if (eof()) fail("truncated escape");
       const char e = peek();
       ++pos_;
@@ -289,14 +293,13 @@ class Parser {
       }
       if (!exp) fail("digit expected in exponent");
     }
-    const std::string token(text_.substr(start, pos_ - start));
-    // strtod after our own grammar check: the token is a valid JSON
-    // number, so strtod's extra liberties (hex, inf) can't sneak in.
-    char* end = nullptr;
-    const double v = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) {
+    // from_chars after our own grammar check: the token is a valid JSON
+    // number, so its extra liberties (inf, nan) can't sneak in, and what
+    // is left to fail is a value out of double's range.
+    double v = 0.0;
+    if (!io::parse_number(text_.substr(start, pos_ - start), v)) {
       pos_ = start;
-      fail("invalid number");
+      fail("number out of range");
     }
     return JsonValue::number(v);
   }
@@ -425,9 +428,9 @@ std::string json_escape(std::string_view s) {
 std::string json_number(double v) {
   SR_REQUIRE(std::isfinite(v),
              "json_number: non-finite values have no JSON representation");
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
+  std::string out;
+  append_number(out, v);
+  return out;
 }
 
 }  // namespace stackroute::io

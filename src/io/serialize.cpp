@@ -1,11 +1,11 @@
 #include "stackroute/io/serialize.h"
 
 #include <cmath>
-#include <locale>
-#include <map>
 #include <ostream>
-#include <sstream>
+#include <utility>
+#include <vector>
 
+#include "stackroute/io/scan.h"
 #include "stackroute/latency/families.h"
 #include "stackroute/util/error.h"
 
@@ -13,240 +13,222 @@ namespace stackroute {
 
 namespace {
 
-const std::map<std::string, LatencyKind>& kind_names() {
-  static const std::map<std::string, LatencyKind> names = {
-      {"constant", LatencyKind::kConstant},
-      {"affine", LatencyKind::kAffine},
-      {"polynomial", LatencyKind::kPolynomial},
-      {"bpr", LatencyKind::kBpr},
-      {"mm1", LatencyKind::kMm1},
-  };
-  return names;
-}
+using io::Fields;
+using io::LineScanner;
 
-void write_latency(std::ostream& os, const LatencyFunction& fn) {
-  os << to_string(fn.kind());
-  for (double p : fn.params()) os << ' ' << p;
-}
-
-/// Pins a stream to the classic "C" locale and 17-digit precision (exact
-/// double round-trips) for one writer's scope, restoring the caller's
-/// settings afterwards — serialization must neither read nor leak
-/// stream-formatting state.
-class ScopedClassicFormat {
- public:
-  explicit ScopedClassicFormat(std::ostream& os)
-      : os_(os),
-        saved_locale_(os.imbue(std::locale::classic())),
-        saved_precision_(os.precision(17)) {}
-  ~ScopedClassicFormat() {
-    os_.precision(saved_precision_);
-    os_.imbue(saved_locale_);
-  }
-  ScopedClassicFormat(const ScopedClassicFormat&) = delete;
-  ScopedClassicFormat& operator=(const ScopedClassicFormat&) = delete;
-
- private:
-  std::ostream& os_;
-  std::locale saved_locale_;
-  std::streamsize saved_precision_;
+constexpr std::pair<std::string_view, LatencyKind> kKindNames[] = {
+    {"constant", LatencyKind::kConstant},
+    {"affine", LatencyKind::kAffine},
+    {"polynomial", LatencyKind::kPolynomial},
+    {"bpr", LatencyKind::kBpr},
+    {"mm1", LatencyKind::kMm1},
 };
 
-/// Reads non-comment, non-blank lines while tracking physical line
-/// numbers, so every parse error can name the offending line. Each line
-/// is handed out as an istringstream imbued with the classic "C" locale:
-/// numeric extraction must not depend on the process's global locale
-/// (a de_DE-style locale would otherwise mis-read the decimal point).
-class LineReader {
- public:
-  explicit LineReader(std::istream& is) : is_(is) {}
+void append_latency(std::string& out, const LatencyFunction& fn) {
+  out += to_string(fn.kind());
+  for (double p : fn.params()) {
+    out += ' ';
+    io::append_number(out, p);
+  }
+}
 
-  bool next(std::istringstream& row) {
-    std::string line;
-    while (std::getline(is_, line)) {
-      ++line_no_;
-      const auto pos = line.find_first_not_of(" \t\r");
-      if (pos == std::string::npos) continue;
-      if (line[pos] == '#') continue;
-      row.str(line);
-      row.clear();
-      row.imbue(std::locale::classic());
-      return true;
+std::string quoted(std::string_view s) {
+  std::string out = "'";
+  out += s;
+  out += '\'';
+  return out;
+}
+
+/// Fails unless `row` has no field left — a line must not carry more than
+/// its grammar, e.g. `commodity 0 1 1.0 junk`.
+void require_end(Fields& row, const LineScanner& lines, std::string_view what) {
+  const std::string_view extra = row.next();
+  if (!extra.empty()) {
+    lines.fail("trailing garbage " + quoted(extra) + " after " +
+               std::string(what));
+  }
+}
+
+/// Parses `<kind> <params...>` to the end of the line; every remaining
+/// field must be a finite number. `params` is scratch space reused across
+/// lines.
+LatencyPtr read_latency(Fields& row, const LineScanner& lines,
+                        std::vector<double>& params) {
+  const std::string_view name = row.next();
+  if (name.empty()) lines.fail("expected a latency kind");
+  const LatencyKind* kind = nullptr;
+  for (const auto& [known, k] : kKindNames) {
+    if (name == known) kind = &k;
+  }
+  if (kind == nullptr) lines.fail("unknown latency kind " + quoted(name));
+  params.clear();
+  for (std::string_view field = row.next(); !field.empty();
+       field = row.next()) {
+    double v = 0.0;
+    if (!io::parse_number(field, v) || !std::isfinite(v)) {
+      lines.fail(quoted(name) + " parameter " + quoted(field) +
+                 " is not a finite number");
     }
-    // getline stops identically on clean EOF and on a stream gone bad
-    // (disk error, truncated pipe); only the former may end a document.
-    // Failing here guarantees a partial read never becomes an instance.
-    if (is_.bad()) fail("stream I/O error mid-document (truncated read?)");
-    return false;
-  }
-
-  [[nodiscard]] int line() const { return line_no_; }
-
-  [[noreturn]] void fail(const std::string& message) const {
-    throw Error("line " + std::to_string(line_no_) + ": " + message);
-  }
-
-  void require(bool cond, const std::string& message) const {
-    if (!cond) fail(message);
-  }
-
-  /// Fails unless the whole line was consumed — a parameter loop that
-  /// stops at the first non-numeric token must not silently accept
-  /// `link affine 1.0 2.0 oops` as a valid 2-parameter link.
-  void require_consumed(std::istringstream& row,
-                        const std::string& what) const {
-    if (row.eof()) return;
-    row.clear();
-    std::string extra;
-    if (row >> extra) {
-      fail("trailing garbage '" + extra + "' after " + what);
-    }
-  }
-
- private:
-  std::istream& is_;
-  int line_no_ = 0;
-};
-
-/// Parses `<kind> <params...>` to the end of the line; the whole
-/// remainder must be numeric parameters.
-LatencyPtr read_latency(std::istringstream& row, const LineReader& reader) {
-  std::string kind_name;
-  reader.require(static_cast<bool>(row >> kind_name),
-                 "expected a latency kind");
-  const auto it = kind_names().find(kind_name);
-  reader.require(it != kind_names().end(),
-                 "unknown latency kind '" + kind_name + "'");
-  std::vector<double> params;
-  double v = 0.0;
-  while (row >> v) {
-    // Classic-locale extraction rejects "nan"/"inf" text on common
-    // implementations, but not on all — enforce the invariant here so a
-    // non-finite parameter always dies with this line's number.
-    reader.require(std::isfinite(v), "non-finite latency parameter");
     params.push_back(v);
   }
-  reader.require_consumed(row, "'" + kind_name + "' parameters");
   try {
-    return make_latency(it->second, params);
+    return make_latency(*kind, params);
   } catch (const Error& e) {
-    reader.fail(e.what());
+    lines.fail(e.what());
   }
 }
 
 }  // namespace
 
-void write_instance(std::ostream& os, const ParallelLinks& m) {
-  const ScopedClassicFormat fmt(os);
-  os << "parallel_links " << m.demand << '\n';
-  for (const auto& link : m.links) {
-    os << "link ";
-    write_latency(os, *link);
-    os << '\n';
-  }
-}
-
-void write_instance(std::ostream& os, const NetworkInstance& inst) {
-  const ScopedClassicFormat fmt(os);
-  os << "network " << inst.graph.num_nodes() << '\n';
-  for (EdgeId e = 0; e < inst.graph.num_edges(); ++e) {
-    const Edge& edge = inst.graph.edge(e);
-    os << "edge " << edge.tail << ' ' << edge.head << ' ';
-    write_latency(os, *edge.latency);
-    os << '\n';
-  }
-  for (const Commodity& c : inst.commodities) {
-    os << "commodity " << c.source << ' ' << c.sink << ' ' << c.demand
-       << '\n';
-  }
-}
-
-ParallelLinks read_parallel_links(std::istream& is) {
-  LineReader reader(is);
-  std::istringstream row;
-  SR_REQUIRE(reader.next(row), "empty parallel-links document");
-  std::string tag;
-  ParallelLinks m;
-  reader.require(static_cast<bool>(row >> tag >> m.demand) &&
-                     tag == "parallel_links",
-                 "expected 'parallel_links <demand>' header");
-  reader.require(std::isfinite(m.demand), "non-finite demand");
-  reader.require_consumed(row, "'parallel_links' header");
-  while (reader.next(row)) {
-    reader.require(static_cast<bool>(row >> tag) && tag == "link",
-                   "expected 'link <kind> <params...>'");
-    m.links.push_back(read_latency(row, reader));
-  }
-  if (m.links.empty()) reader.fail("parallel-links document has no links");
-  m.validate();
-  return m;
-}
-
-NetworkInstance read_network(std::istream& is) {
-  LineReader reader(is);
-  std::istringstream row;
-  SR_REQUIRE(reader.next(row), "empty network document");
-  std::string tag;
-  int nodes = 0;
-  reader.require(static_cast<bool>(row >> tag >> nodes) && tag == "network",
-                 "expected 'network <num_nodes>' header");
-  reader.require(nodes >= 0, "negative node count");
-  reader.require_consumed(row, "'network' header");
-  NetworkInstance inst;
-  inst.graph = Graph(nodes);
-  while (reader.next(row)) {
-    reader.require(static_cast<bool>(row >> tag), "malformed line");
-    if (tag == "edge") {
-      NodeId tail = 0, head = 0;
-      reader.require(static_cast<bool>(row >> tail >> head),
-                     "expected 'edge <tail> <head> <kind> <params...>'");
-      try {
-        inst.graph.add_edge(tail, head, read_latency(row, reader));
-      } catch (const Error& e) {
-        // add_edge diagnostics (range, self-loop) gain the line number;
-        // read_latency failures already carry it.
-        const std::string what = e.what();
-        if (what.rfind("line ", 0) == 0) throw;
-        reader.fail(what);
-      }
-    } else if (tag == "commodity") {
-      Commodity c;
-      reader.require(static_cast<bool>(row >> c.source >> c.sink >> c.demand),
-                     "expected 'commodity <source> <sink> <demand>'");
-      reader.require(std::isfinite(c.demand), "non-finite commodity demand");
-      reader.require_consumed(row, "'commodity' line");
-      inst.commodities.push_back(c);
-    } else {
-      reader.fail("unknown line tag '" + tag + "'");
-    }
-  }
-  if (inst.graph.num_edges() == 0) {
-    reader.fail("network document has no edge lines");
-  }
-  inst.validate();
-  return inst;
-}
-
 std::string to_string(const ParallelLinks& m) {
-  std::ostringstream os;
-  write_instance(os, m);
-  return os.str();
+  std::string out = "parallel_links ";
+  io::append_number(out, m.demand);
+  out += '\n';
+  for (const auto& link : m.links) {
+    out += "link ";
+    append_latency(out, *link);
+    out += '\n';
+  }
+  return out;
 }
 
 std::string to_string(const NetworkInstance& inst) {
-  std::ostringstream os;
-  write_instance(os, inst);
-  return os.str();
+  std::string out = "network ";
+  io::append_integer(out, inst.graph.num_nodes());
+  out += '\n';
+  for (EdgeId e = 0; e < inst.graph.num_edges(); ++e) {
+    const Edge& edge = inst.graph.edge(e);
+    out += "edge ";
+    io::append_integer(out, edge.tail);
+    out += ' ';
+    io::append_integer(out, edge.head);
+    out += ' ';
+    append_latency(out, *edge.latency);
+    out += '\n';
+  }
+  for (const Commodity& c : inst.commodities) {
+    out += "commodity ";
+    io::append_integer(out, c.source);
+    out += ' ';
+    io::append_integer(out, c.sink);
+    out += ' ';
+    io::append_number(out, c.demand);
+    out += '\n';
+  }
+  return out;
 }
 
-ParallelLinks parallel_links_from_string(const std::string& text) {
-  std::istringstream is(text);
-  return read_parallel_links(is);
+void write_instance(std::ostream& os, const ParallelLinks& m) {
+  const std::string text = to_string(m);
+  os.write(text.data(), static_cast<std::streamsize>(text.size()));
 }
 
-NetworkInstance network_from_string(const std::string& text) {
-  std::istringstream is(text);
-  return read_network(is);
+void write_instance(std::ostream& os, const NetworkInstance& inst) {
+  const std::string text = to_string(inst);
+  os.write(text.data(), static_cast<std::streamsize>(text.size()));
+}
+
+ParallelLinks parallel_links_from_string(std::string_view text) {
+  LineScanner lines(text);
+  std::string_view line;
+  if (!lines.next(line, '#')) lines.fail("empty parallel-links document");
+  Fields header(line);
+  ParallelLinks m;
+  if (header.next() != "parallel_links" || !header.number(m.demand)) {
+    lines.fail("expected 'parallel_links <demand>' header");
+  }
+  if (!std::isfinite(m.demand)) lines.fail("non-finite demand");
+  require_end(header, lines, "'parallel_links' header");
+  const int header_line = lines.line();
+  std::vector<double> params;
+  while (lines.next(line, '#')) {
+    Fields row(line);
+    if (row.next() != "link") lines.fail("expected 'link <kind> <params...>'");
+    m.links.push_back(read_latency(row, lines, params));
+  }
+  if (m.links.empty()) lines.fail("parallel-links document has no links");
+  // What validate() checks beyond the lines is the demand against the
+  // links' capacity: that is the header's line.
+  try {
+    m.validate();
+  } catch (const Error& e) {
+    io::fail_at(header_line, e.what());
+  }
+  return m;
+}
+
+NetworkInstance network_from_string(std::string_view text) {
+  LineScanner lines(text);
+  std::string_view line;
+  if (!lines.next(line, '#')) lines.fail("empty network document");
+  Fields header(line);
+  int nodes = 0;
+  if (header.next() != "network" || !header.number(nodes)) {
+    lines.fail("expected 'network <num_nodes>' header");
+  }
+  if (nodes < 0) lines.fail("negative node count");
+  require_end(header, lines, "'network' header");
+  NetworkInstance inst;
+  inst.graph = Graph(nodes);
+  std::vector<int> commodity_lines;
+  std::vector<double> params;
+  while (lines.next(line, '#')) {
+    Fields row(line);
+    const std::string_view tag = row.next();
+    if (tag == "edge") {
+      NodeId tail = 0, head = 0;
+      if (!row.number(tail) || !row.number(head)) {
+        lines.fail("expected 'edge <tail> <head> <kind> <params...>'");
+      }
+      LatencyPtr latency = read_latency(row, lines, params);
+      try {
+        inst.graph.add_edge(tail, head, std::move(latency));
+      } catch (const Error& e) {
+        lines.fail(e.what());  // range and self-loop diagnostics
+      }
+    } else if (tag == "commodity") {
+      Commodity c;
+      if (!row.number(c.source) || !row.number(c.sink) ||
+          !row.number(c.demand)) {
+        lines.fail("expected 'commodity <source> <sink> <demand>'");
+      }
+      if (!std::isfinite(c.demand)) lines.fail("non-finite commodity demand");
+      require_end(row, lines, "'commodity' line");
+      inst.commodities.push_back(c);
+      commodity_lines.push_back(lines.line());
+    } else {
+      lines.fail("unknown line tag " + quoted(tag));
+    }
+  }
+  if (inst.graph.num_edges() == 0) {
+    lines.fail("network document has no edge lines");
+  }
+  if (inst.commodities.empty()) {
+    lines.fail("network document has no commodity lines");
+  }
+  // validate() checks each commodity against the whole graph, so it runs
+  // once every edge is in — one commodity at a time, so that a failure
+  // (unreachable sink, source == sink, ...) names that commodity's line.
+  std::vector<Commodity> all = std::move(inst.commodities);
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    inst.commodities.assign(1, all[i]);
+    try {
+      inst.validate();
+    } catch (const Error& e) {
+      io::fail_at(commodity_lines[i], e.what());
+    }
+  }
+  inst.commodities = std::move(all);
+  return inst;
+}
+
+ParallelLinks read_parallel_links(std::istream& is) {
+  return parallel_links_from_string(
+      io::read_all(is, "a parallel-links document"));
+}
+
+NetworkInstance read_network(std::istream& is) {
+  return network_from_string(io::read_all(is, "a network document"));
 }
 
 }  // namespace stackroute

@@ -1,12 +1,10 @@
 #include "stackroute/io/tntp.h"
 
-#include <cctype>
 #include <cmath>
 #include <fstream>
-#include <locale>
-#include <sstream>
 #include <string>
 
+#include "stackroute/io/scan.h"
 #include "stackroute/latency/families.h"
 #include "stackroute/util/error.h"
 
@@ -14,16 +12,16 @@ namespace stackroute {
 
 namespace {
 
-[[noreturn]] void fail_at(int line_no, const std::string& message) {
-  throw Error("line " + std::to_string(line_no) + ": " + message);
-}
+using io::fail_at;
+using io::Fields;
+using io::LineScanner;
 
 /// `<TAG NAME> value` -> true, with tag/value split out.
-bool parse_metadata_tag(const std::string& line, std::string& tag,
-                        std::string& value) {
+bool parse_metadata_tag(std::string_view line, std::string_view& tag,
+                        std::string_view& value) {
   const auto open = line.find('<');
   const auto close = line.find('>');
-  if (open == std::string::npos || close == std::string::npos ||
+  if (open == std::string_view::npos || close == std::string_view::npos ||
       close < open) {
     return false;
   }
@@ -32,12 +30,25 @@ bool parse_metadata_tag(const std::string& line, std::string& tag,
   return true;
 }
 
-int parse_int_value(const std::string& value, const std::string& tag,
-                    int line_no) {
-  std::istringstream is(value);
-  is.imbue(std::locale::classic());
+/// The number a metadata value starts with (anything after it is
+/// ignored, as TNTP headers carry free-text remarks).
+int metadata_int(std::string_view value, std::string_view tag, int line_no) {
   int out = 0;
-  if (!(is >> out)) fail_at(line_no, "metadata tag <" + tag + "> needs an integer value");
+  if (io::parse_prefix(io::skip_space(value), out) == 0) {
+    fail_at(line_no, "metadata tag <" + std::string(tag) +
+                         "> needs an integer value");
+  }
+  return out;
+}
+
+double metadata_double(std::string_view value, std::string_view tag,
+                       int line_no) {
+  double out = 0.0;
+  if (io::parse_prefix(io::skip_space(value), out) == 0 ||
+      !std::isfinite(out)) {
+    fail_at(line_no, "metadata tag <" + std::string(tag) +
+                         "> needs a finite number");
+  }
   return out;
 }
 
@@ -45,10 +56,6 @@ int parse_int_value(const std::string& value, const std::string& tag,
 /// like the BPR formula itself: to a constant latency.
 LatencyPtr tntp_latency(double fft, double capacity, double b, double power,
                         int line_no) {
-  if (!std::isfinite(fft) || !std::isfinite(capacity) || !std::isfinite(b) ||
-      !std::isfinite(power)) {
-    fail_at(line_no, "non-finite value in link row");
-  }
   if (fft < 0.0 || capacity <= 0.0 || b < 0.0) {
     fail_at(line_no,
             "link needs free-flow time >= 0, capacity > 0 and B >= 0");
@@ -58,134 +65,101 @@ LatencyPtr tntp_latency(double fft, double capacity, double b, double power,
   return make_bpr(fft, capacity, b, power);
 }
 
-}  // namespace
-
-NetworkInstance read_tntp_network(std::istream& is, TntpMetadata* metadata) {
+NetworkInstance parse_tntp_network(std::string_view text,
+                                   TntpMetadata* metadata) {
   TntpMetadata meta;
   NetworkInstance inst;
-  std::string line;
-  int line_no = 0;
+  LineScanner lines(text);
+  std::string_view line;
   bool in_metadata = true;
-  bool have_nodes = false, have_links = false;
+  bool have_nodes = false;
+  int links_line = 0;  // line of <NUMBER OF LINKS>; 0 = absent
   int links_read = 0;
 
-  while (std::getline(is, line)) {
-    ++line_no;
-    const auto pos = line.find_first_not_of(" \t\r");
-    if (pos == std::string::npos) continue;
-    if (line[pos] == '~') continue;  // comment / column-header line
-
-    if (in_metadata && line[pos] == '<') {
-      std::string tag, value;
+  while (lines.next(line, '~')) {
+    const int line_no = lines.line();
+    if (in_metadata && io::skip_space(line).front() == '<') {
+      std::string_view tag, value;
       if (!parse_metadata_tag(line, tag, value)) {
-        fail_at(line_no, "malformed metadata tag");
+        lines.fail("malformed metadata tag");
       }
       if (tag == "END OF METADATA") {
         in_metadata = false;
       } else if (tag == "NUMBER OF NODES") {
-        meta.num_nodes = parse_int_value(value, tag, line_no);
-        if (meta.num_nodes <= 0) fail_at(line_no, "non-positive node count");
+        meta.num_nodes = metadata_int(value, tag, line_no);
+        if (meta.num_nodes <= 0) lines.fail("non-positive node count");
         have_nodes = true;
       } else if (tag == "NUMBER OF LINKS") {
-        meta.num_links = parse_int_value(value, tag, line_no);
-        have_links = true;
+        meta.num_links = metadata_int(value, tag, line_no);
+        links_line = line_no;
       } else if (tag == "FIRST THRU NODE") {
-        meta.first_thru_node = parse_int_value(value, tag, line_no);
+        meta.first_thru_node = metadata_int(value, tag, line_no);
       } else if (tag == "NUMBER OF ZONES") {
-        meta.num_zones = parse_int_value(value, tag, line_no);
+        meta.num_zones = metadata_int(value, tag, line_no);
       }
       // Unknown tags (e.g. <ORIGINAL HEADER>) are ignored.
       continue;
     }
 
-    if (in_metadata) fail_at(line_no, "link row before <END OF METADATA>");
-    if (!have_nodes) fail_at(line_no, "missing <NUMBER OF NODES> metadata");
+    if (in_metadata) lines.fail("link row before <END OF METADATA>");
+    if (!have_nodes) lines.fail("missing <NUMBER OF NODES> metadata");
     if (inst.graph.num_nodes() == 0) inst.graph = Graph(meta.num_nodes);
 
     // `init term capacity length fft B power speed toll type ;` — the
-    // trailing fields beyond `power` are tolerated and ignored, but any
-    // non-numeric garbage among them is rejected.
-    std::string body = line;
-    if (const auto semi = body.find(';'); semi != std::string::npos) {
-      const auto rest = body.find_first_not_of(" \t\r", semi + 1);
-      if (rest != std::string::npos) {
-        fail_at(line_no, "trailing garbage after ';'");
+    // trailing fields beyond `power` are tolerated and ignored, but each
+    // must still be a finite number.
+    std::string_view body = line;
+    if (const auto semi = body.find(';'); semi != std::string_view::npos) {
+      if (!io::skip_space(body.substr(semi + 1)).empty()) {
+        lines.fail("trailing garbage after ';'");
       }
-      body.resize(semi);
+      body = body.substr(0, semi);
     }
-    std::istringstream row(body);
-    row.imbue(std::locale::classic());
+    Fields row(body);
     long long init = 0, term = 0;
     double capacity = 0.0, length = 0.0, fft = 0.0, b = 0.0, power = 0.0;
-    if (!(row >> init >> term >> capacity >> length >> fft >> b >> power)) {
-      fail_at(line_no,
-              "expected 'init term capacity length fft B power ...'");
+    if (!row.number(init) || !row.number(term) || !row.number(capacity) ||
+        !row.number(length) || !row.number(fft) || !row.number(b) ||
+        !row.number(power)) {
+      lines.fail("expected 'init term capacity length fft B power ...'");
     }
-    double ignored = 0.0;
-    while (row >> ignored) {
+    bool finite = std::isfinite(capacity) && std::isfinite(length) &&
+                  std::isfinite(fft) && std::isfinite(b) &&
+                  std::isfinite(power);
+    for (std::string_view field = row.next(); !field.empty();
+         field = row.next()) {
+      double ignored = 0.0;
+      if (!io::parse_number(field, ignored)) {
+        lines.fail("trailing garbage '" + std::string(field) +
+                   "' in link row");
+      }
+      finite = finite && std::isfinite(ignored);
     }
-    if (!row.eof()) {
-      row.clear();
-      std::string extra;
-      row >> extra;
-      fail_at(line_no, "trailing garbage '" + extra + "' in link row");
-    }
+    if (!finite) lines.fail("non-finite value in link row");
     if (init < 1 || init > meta.num_nodes || term < 1 ||
         term > meta.num_nodes) {
-      fail_at(line_no, "link endpoint out of range (node ids are 1-based)");
+      lines.fail("link endpoint out of range (node ids are 1-based)");
     }
-    if (!std::isfinite(length)) fail_at(line_no, "non-finite value in link row");
+    LatencyPtr latency = tntp_latency(fft, capacity, b, power, line_no);
     try {
       inst.graph.add_edge(static_cast<NodeId>(init - 1),
-                          static_cast<NodeId>(term - 1),
-                          tntp_latency(fft, capacity, b, power, line_no));
+                          static_cast<NodeId>(term - 1), std::move(latency));
     } catch (const Error& e) {
-      const std::string what = e.what();
-      if (what.rfind("line ", 0) == 0) throw;
-      fail_at(line_no, what);  // e.g. self-loop rejection from add_edge
+      lines.fail(e.what());  // e.g. self-loop rejection from add_edge
     }
     ++links_read;
   }
 
-  // A stream that went bad mid-read (disk error, truncated pipe) makes
-  // getline stop exactly like a clean EOF would — distinguish them, so a
-  // partially read document is never handed back as a complete instance.
-  if (is.bad()) {
-    fail_at(line_no, "stream I/O error while reading TNTP document "
-                     "(truncated read?)");
+  if (in_metadata) lines.fail("TNTP document has no <END OF METADATA>");
+  if (!have_nodes) lines.fail("TNTP document has no <NUMBER OF NODES>");
+  if (links_read == 0) lines.fail("TNTP document has no link rows");
+  if (links_line != 0 && links_read != meta.num_links) {
+    fail_at(links_line, "TNTP link count mismatch: <NUMBER OF LINKS> says " +
+                            std::to_string(meta.num_links) + ", found " +
+                            std::to_string(links_read));
   }
-  SR_REQUIRE(!in_metadata, "TNTP document has no <END OF METADATA>");
-  SR_REQUIRE(have_nodes, "TNTP document has no <NUMBER OF NODES>");
-  SR_REQUIRE(links_read > 0, "TNTP document has no link rows");
-  if (have_links) {
-    SR_REQUIRE(links_read == meta.num_links,
-               "TNTP link count mismatch: <NUMBER OF LINKS> says " +
-                   std::to_string(meta.num_links) + ", found " +
-                   std::to_string(links_read));
-  }
-  if (inst.graph.num_nodes() == 0) inst.graph = Graph(meta.num_nodes);
   if (metadata != nullptr) *metadata = meta;
   return inst;
-}
-
-NetworkInstance read_tntp_network_file(const std::string& path,
-                                       TntpMetadata* metadata) {
-  std::ifstream in(path);
-  SR_REQUIRE(in.good(), "cannot open TNTP file: " + path);
-  return read_tntp_network(in, metadata);
-}
-
-namespace {
-
-double parse_double_value(const std::string& value, const std::string& tag,
-                          int line_no) {
-  std::istringstream is(value);
-  is.imbue(std::locale::classic());
-  double out = 0.0;
-  if (!(is >> out) || !std::isfinite(out)) {
-    fail_at(line_no, "metadata tag <" + tag + "> needs a finite number");
-  }
-  return out;
 }
 
 /// Zone id of an `Origin N` line or a destination entry: 1-based, bounded
@@ -199,109 +173,136 @@ int check_zone(long long zone, int num_zones, int line_no) {
   return static_cast<int>(zone);
 }
 
-}  // namespace
+/// One `dest : flow` entry (whitespace around the colon optional).
+bool parse_trip_entry(std::string_view entry, long long& dest,
+                      double& flow) {
+  entry = io::skip_space(entry);
+  std::size_t used = io::parse_prefix(entry, dest);
+  if (used == 0) return false;
+  entry = io::skip_space(entry.substr(used));
+  if (entry.empty() || entry.front() != ':') return false;
+  entry = io::skip_space(entry.substr(1));
+  used = io::parse_prefix(entry, flow);
+  return used != 0 && io::skip_space(entry.substr(used)).empty();
+}
 
-std::vector<Commodity> read_tntp_trips(std::istream& is,
-                                       TntpMetadata* metadata) {
+std::vector<Commodity> parse_tntp_trips(std::string_view text,
+                                        TntpMetadata* metadata) {
   TntpMetadata meta;
   // (origin-1, dest-1) -> summed demand, in first-appearance order so the
   // commodity list is a stable function of the document.
   std::vector<Commodity> commodities;
-  std::string line;
-  int line_no = 0;
+  LineScanner lines(text);
+  std::string_view line;
   bool in_metadata = true;
   int origin = 0;  // 1-based; 0 = no Origin line seen yet
 
-  while (std::getline(is, line)) {
-    ++line_no;
-    const auto pos = line.find_first_not_of(" \t\r");
-    if (pos == std::string::npos) continue;
-    if (line[pos] == '~') continue;
-
-    if (in_metadata && line[pos] == '<') {
-      std::string tag, value;
+  while (lines.next(line, '~')) {
+    const int line_no = lines.line();
+    const std::string_view body = io::skip_space(line);
+    if (in_metadata && body.front() == '<') {
+      std::string_view tag, value;
       if (!parse_metadata_tag(line, tag, value)) {
-        fail_at(line_no, "malformed metadata tag");
+        lines.fail("malformed metadata tag");
       }
       if (tag == "END OF METADATA") {
         in_metadata = false;
       } else if (tag == "NUMBER OF ZONES") {
-        meta.num_zones = parse_int_value(value, tag, line_no);
-        if (meta.num_zones <= 0) fail_at(line_no, "non-positive zone count");
+        meta.num_zones = metadata_int(value, tag, line_no);
+        if (meta.num_zones <= 0) lines.fail("non-positive zone count");
       } else if (tag == "TOTAL OD FLOW") {
-        meta.total_od_flow = parse_double_value(value, tag, line_no);
+        meta.total_od_flow = metadata_double(value, tag, line_no);
       }
       continue;
     }
-    if (in_metadata) fail_at(line_no, "trip row before <END OF METADATA>");
+    if (in_metadata) lines.fail("trip row before <END OF METADATA>");
 
-    if (line.compare(pos, 6, "Origin") == 0) {
-      std::istringstream row(line.substr(pos + 6));
-      row.imbue(std::locale::classic());
+    if (body.substr(0, 6) == "Origin") {
+      Fields row(body.substr(6));
       long long zone = 0;
-      std::string extra;
-      if (!(row >> zone) || (row >> extra)) {
-        fail_at(line_no, "expected 'Origin N'");
+      if (!row.number(zone) || !row.next().empty()) {
+        lines.fail("expected 'Origin N'");
       }
       origin = check_zone(zone, meta.num_zones, line_no);
       continue;
     }
     if (origin == 0) {
-      fail_at(line_no, "destination entry before any 'Origin' line");
+      lines.fail("destination entry before any 'Origin' line");
     }
 
     // `dest : flow ; dest : flow ; ...` — a trailing `;` (and hence a
     // blank final segment) is the format's convention, not an error.
-    std::istringstream row(line);
-    row.imbue(std::locale::classic());
-    std::string entry;
-    while (std::getline(row, entry, ';')) {
-      if (entry.find_first_not_of(" \t\r") == std::string::npos) continue;
-      std::istringstream e(entry);
-      e.imbue(std::locale::classic());
+    std::string_view rest = line;
+    while (!rest.empty()) {
+      const auto semi = rest.find(';');
+      const std::string_view entry = rest.substr(0, semi);
+      rest = semi == std::string_view::npos ? std::string_view()
+                                            : rest.substr(semi + 1);
+      if (io::skip_space(entry).empty()) continue;
       long long dest = 0;
-      char colon = '\0';
       double flow = 0.0;
-      std::string extra;
-      if (!(e >> dest >> colon >> flow) || colon != ':' || (e >> extra)) {
-        fail_at(line_no, "expected 'dest : flow;' entries, got '" + entry +
-                         "'");
+      if (!parse_trip_entry(entry, dest, flow)) {
+        lines.fail("expected 'dest : flow;' entries, got '" +
+                   std::string(entry) + "'");
       }
       check_zone(dest, meta.num_zones, line_no);
       if (!std::isfinite(flow) || flow < 0.0) {
-        fail_at(line_no, "trip demand must be finite and >= 0");
+        lines.fail("trip demand must be finite and >= 0");
       }
       if (flow == 0.0 || dest == origin) continue;  // intrazonal / empty
       const auto s = static_cast<NodeId>(origin - 1);
       const auto t = static_cast<NodeId>(dest - 1);
-      bool merged = false;
+      Commodity* pair = nullptr;
       for (Commodity& c : commodities) {
         if (c.source == s && c.sink == t) {
-          c.demand += flow;
-          merged = true;
+          pair = &c;
           break;
         }
       }
-      if (!merged) commodities.push_back(Commodity{s, t, flow});
+      if (pair == nullptr) {
+        commodities.push_back(Commodity{s, t, flow});
+      } else if (!std::isfinite(pair->demand += flow)) {
+        lines.fail("summed trip demand overflows");
+      }
     }
   }
 
-  if (is.bad()) {
-    fail_at(line_no, "stream I/O error while reading TNTP trips "
-                     "(truncated read?)");
+  if (in_metadata) {
+    lines.fail("TNTP trips document has no <END OF METADATA>");
   }
-  SR_REQUIRE(!in_metadata, "TNTP trips document has no <END OF METADATA>");
-  SR_REQUIRE(!commodities.empty(),
-             "TNTP trips document has no positive interzonal demand");
+  if (commodities.empty()) {
+    lines.fail("TNTP trips document has no positive interzonal demand");
+  }
   if (metadata != nullptr) *metadata = meta;
   return commodities;
 }
 
+std::string read_file(const std::string& path, const char* what) {
+  std::ifstream in(path);
+  SR_REQUIRE(in.good(), std::string("cannot open ") + what + ": " + path);
+  return io::read_all(in, path);
+}
+
+}  // namespace
+
+NetworkInstance read_tntp_network(std::istream& is, TntpMetadata* metadata) {
+  return parse_tntp_network(io::read_all(is, "a TNTP document"), metadata);
+}
+
+NetworkInstance read_tntp_network_file(const std::string& path,
+                                       TntpMetadata* metadata) {
+  return parse_tntp_network(read_file(path, "TNTP file"), metadata);
+}
+
+std::vector<Commodity> read_tntp_trips(std::istream& is,
+                                       TntpMetadata* metadata) {
+  return parse_tntp_trips(io::read_all(is, "a TNTP trips document"),
+                          metadata);
+}
+
 std::vector<Commodity> read_tntp_trips_file(const std::string& path,
                                             TntpMetadata* metadata) {
-  std::ifstream in(path);
-  SR_REQUIRE(in.good(), "cannot open TNTP trips file: " + path);
-  return read_tntp_trips(in, metadata);
+  return parse_tntp_trips(read_file(path, "TNTP trips file"), metadata);
 }
 
 }  // namespace stackroute

@@ -33,9 +33,7 @@ std::uint64_t best_effort_id(const std::string& text) {
 FrontEnd::FrontEnd(engine::Engine& engine, FrontEndOptions opts)
     : engine_(engine),
       opts_(opts),
-      prototypes_(opts.prototype_cache_capacity == 0
-                      ? 1
-                      : opts.prototype_cache_capacity) {
+      prototypes_(opts.prototype_cache_capacity) {
   if (opts_.workers == 0) opts_.workers = 1;
   workers_.reserve(opts_.workers);
   for (std::size_t i = 0; i < opts_.workers; ++i) {

@@ -68,6 +68,7 @@ struct FrontEndOptions {
   std::size_t write_buffer_bytes = 1 << 20;
   /// Per-client cap on concurrently open engine sessions.
   std::size_t max_client_sessions = 256;
+  /// Parsed/generated instances kept by source; 0 keeps none.
   std::size_t prototype_cache_capacity = 64;
   /// Append "bytes" (engine resident bytes) to ok responses.
   bool show_bytes = false;

@@ -33,10 +33,11 @@ class PrototypeCache {
   explicit PrototypeCache(std::size_t capacity) : capacity_(capacity) {}
 
   /// Returns a copy of the instance the request names (building and
-  /// caching it on first sight). Throws stackroute::Error when the
-  /// request names no source or the source is malformed. Safe to call
-  /// from many threads; a cold miss may build the same instance twice
-  /// under contention (last insert wins) — wasteful, never wrong.
+  /// caching it on first sight; a capacity of 0 caches nothing). Throws
+  /// stackroute::Error when the request names no source or the source is
+  /// malformed. Safe to call from many threads; a cold miss may build the
+  /// same instance twice under contention (last insert wins) — wasteful,
+  /// never wrong.
   engine::Instance get(const io::JsonValue& request);
 
  private:

@@ -142,6 +142,7 @@ engine::Instance PrototypeCache::get(const JsonValue& request) {
     }
   }
   engine::Instance built = build_instance(request);  // slow: outside the lock
+  if (capacity_ == 0) return built;  // nothing to keep, nothing to evict
   const std::lock_guard<std::mutex> lock(mu_);
   if (cache_.size() >= capacity_ && cache_.find(key) == cache_.end()) {
     cache_.erase(std::min_element(cache_.begin(), cache_.end(),
@@ -150,9 +151,9 @@ engine::Instance PrototypeCache::get(const JsonValue& request) {
                                   }));
   }
   auto& slot = cache_[key];
-  slot.inst = built;
+  slot.inst = std::move(built);
   slot.last_use = ++clock_;
-  return built;
+  return slot.inst;
 }
 
 ParsedLine parse_line(const std::string& text, PrototypeCache& prototypes,

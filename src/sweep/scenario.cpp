@@ -5,9 +5,9 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
-#include <sstream>
 #include <vector>
 
+#include "stackroute/io/scan.h"
 #include "stackroute/io/serialize.h"
 #include "stackroute/io/tntp.h"
 #include "stackroute/util/error.h"
@@ -17,15 +17,11 @@ namespace stackroute::sweep {
 namespace {
 
 /// First non-comment, non-blank line decides the format.
-bool looks_like_parallel_links(const std::string& text) {
-  std::istringstream is(text);
-  std::string line;
-  while (std::getline(is, line)) {
-    const auto pos = line.find_first_not_of(" \t\r");
-    if (pos == std::string::npos || line[pos] == '#') continue;
-    return line.compare(pos, 14, "parallel_links") == 0;
-  }
-  return false;
+bool looks_like_parallel_links(std::string_view text) {
+  io::LineScanner lines(text);
+  std::string_view line;
+  return lines.next(line, '#') &&
+         io::skip_space(line).substr(0, 14) == "parallel_links";
 }
 
 bool has_suffix(const std::string& s, const std::string& suffix) {
@@ -89,9 +85,7 @@ Instance load_instance_file(const std::string& path) {
   }
   std::ifstream in(path);
   SR_REQUIRE(in.good(), "cannot open instance file: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return load_instance_text(buffer.str());
+  return load_instance_text(io::read_all(in, path));
 }
 
 std::string trips_sibling(const std::string& path) {

@@ -388,6 +388,60 @@ TEST(Serialize, WriterRestoresCallerStreamFormatting) {
   EXPECT_TRUE(os.getloc() == comma);
 }
 
+TEST(Serialize, FieldsAreWholeTokens) {
+  // Each whitespace-separated field is read whole: `1bpr` is not head 1
+  // followed by kind bpr, and a leading '+' is not part of a number.
+  expect_error_mentions(
+      [] {
+        network_from_string(
+            "network 2\nedge 0 1bpr 1 2 0.15 4\ncommodity 0 1 1\n");
+      },
+      {"line 2", "expected 'edge"});
+  expect_error_mentions(
+      [] { parallel_links_from_string("parallel_links +1\nlink constant 1\n"); },
+      {"line 1"});
+  expect_error_mentions(
+      [] { parallel_links_from_string("parallel_links 1\nlink affine 1 +2\n"); },
+      {"line 2", "'+2'"});
+  // Out of double's range is an error, underflow included; subnormals
+  // read exactly.
+  expect_error_mentions(
+      [] { parallel_links_from_string("parallel_links 1\nlink affine 1 1e-400\n"); },
+      {"line 2", "1e-400"});
+  const ParallelLinks m = parallel_links_from_string(
+      "parallel_links 1\nlink affine 1 4.9406564584124654e-324\n");
+  EXPECT_EQ(m.links[0]->params()[1], 4.9406564584124654e-324);
+}
+
+TEST(Serialize, WholeDocumentErrorsNameALine) {
+  // Empty documents: the number of lines read (all blank or comments).
+  expect_error_mentions([] { network_from_string(""); },
+                        {"line 0:", "empty network document"});
+  expect_error_mentions([] { parallel_links_from_string("# a\n\n"); },
+                        {"line 2:", "empty parallel-links document"});
+  // A commodity validate() rejects is reported at its own line.
+  expect_error_mentions(
+      [] {
+        network_from_string(
+            "network 3\ncommodity 0 1 1\nedge 0 1 constant 1\n"
+            "commodity 1 2 1\n");
+      },
+      {"line 4:", "unreachable"});
+  // Demand beyond the links' capacity is the header's fault.
+  expect_error_mentions(
+      [] { parallel_links_from_string("# c\nparallel_links 5\nlink mm1 2\n"); },
+      {"line 2:", "capacity"});
+  expect_error_mentions(
+      [] { network_from_string("network 2\nedge 0 1 constant 1\n"); },
+      {"line 2:", "no commodity lines"});
+}
+
+TEST(Serialize, ReadAllStreamOverloadsMatchStrings) {
+  const std::string text = to_string(fig7_instance(0.05));
+  std::istringstream is(text);
+  EXPECT_EQ(to_string(read_network(is)), text);
+}
+
 TEST(Serialize, MM1AndBprSurvive) {
   ParallelLinks m;
   m.demand = 1.0;

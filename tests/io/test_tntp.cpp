@@ -206,6 +206,55 @@ TEST(Tntp, StructuralErrors) {
   EXPECT_THROW(read_tntp_network_file("/nonexistent/net.tntp"), Error);
 }
 
+TEST(Tntp, FieldsAreWholeTokens) {
+  const auto expect_fail = [](const std::string& row) {
+    std::istringstream is("<NUMBER OF NODES> 2\n<END OF METADATA>\n" + row);
+    try {
+      read_tntp_network(is);
+      FAIL() << "accepted: " << row;
+    } catch (const Error& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("line 3:", 0), 0u) << e.what();
+    }
+  };
+  // Fields are read whole: `4-0` is not power 4 then speed -0, and
+  // `+100` is not 100.
+  expect_fail("1 2 100 1 1 0.15 4-0 0 1 ;\n");
+  expect_fail("1 2 +100 1 1 0.15 4 0 0 1 ;\n");
+  // Ignored trailing fields must still be finite numbers.
+  expect_fail("1 2 100 1 1 0.15 4 nan 0 1 ;\n");
+}
+
+TEST(Tntp, DocumentLevelErrorsNameALine) {
+  std::istringstream is(
+      "<NUMBER OF NODES> 2\n<NUMBER OF LINKS> 2\n<END OF METADATA>\n"
+      "1 2 100 1 1 0.15 4 0 0 1 ;\n");
+  try {
+    read_tntp_network(is);
+    FAIL() << "expected a link count mismatch";
+  } catch (const Error& e) {
+    // The <NUMBER OF LINKS> line is the one that disagrees.
+    EXPECT_EQ(std::string(e.what()).rfind("line 2: TNTP link count", 0), 0u)
+        << e.what();
+  }
+}
+
+TEST(TntpTrips, EntriesReadWithoutSpacesAndRejectOverflow) {
+  std::istringstream ok(
+      "<END OF METADATA>\nOrigin 1\n2:5.5;3 :1e2 ;\n");
+  const std::vector<Commodity> trips = read_tntp_trips(ok);
+  ASSERT_EQ(trips.size(), 2u);
+  EXPECT_EQ(trips[0].demand, 5.5);
+  EXPECT_EQ(trips[1].demand, 100.0);
+  std::istringstream big(
+      "<END OF METADATA>\nOrigin 1\n2 : 1e308; 2 : 1e308;\n");
+  try {
+    read_tntp_trips(big);
+    FAIL() << "expected an overflow error";
+  } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("line 3:", 0), 0u) << e.what();
+  }
+}
+
 TEST(Tntp, SiouxFallsLoads) {
   TntpMetadata meta;
   const NetworkInstance inst = read_tntp_network_file(

@@ -10,11 +10,14 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "stackroute/engine/engine.h"
 #include "stackroute/gen/registry.h"
+#include "stackroute/io/json.h"
 #include "stackroute/serve/frontend.h"
+#include "stackroute/serve/protocol.h"
 
 namespace stackroute::serve {
 namespace {
@@ -334,6 +337,18 @@ TEST(FrontEndTest, RunningFrontEndDoesNotBlockOtherEngines) {
   fe.finish_client(c);
   EXPECT_EQ(drain_client(fe, c).size(), 1u);
   fe.remove_client(c);
+}
+
+TEST(PrototypeCacheTest, CapacityZeroBuildsEveryRequest) {
+  // With nothing to keep there is nothing to evict: an LRU eviction on
+  // the empty map would erase end().
+  PrototypeCache none(0);
+  const io::JsonValue req = io::JsonValue::parse(
+      R"({"op":"equilibrium","generate":"grid-bpr","size":3})");
+  const auto a = std::get<NetworkInstance>(none.get(req));
+  const auto b = std::get<NetworkInstance>(none.get(req));
+  EXPECT_EQ(a.graph.num_edges(), b.graph.num_edges());
+  EXPECT_GT(a.graph.num_edges(), 0);
 }
 
 }  // namespace
